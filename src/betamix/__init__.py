@@ -29,7 +29,6 @@ from .data import (
     SignalRecord,
     load_dataset,
     orient_signal,
-    resample,
     sample_changepoint_segments,
     sample_crop_batch,
     soft_target_for_segment,
@@ -54,7 +53,6 @@ from .model import (
     Model,
     TrainingLog,
     build_model,
-    forward,
     load_checkpoint,
     loss_and_grads,
     save_checkpoint,

@@ -25,7 +25,6 @@ class RunConfig:
     resample_min: float = 0.8
     resample_max: float = 1.25
     augment: bool = True
-    keep_fraction: float = 0.9
     decision_threshold: float = 0.5
     bn_momentum: float = 0.1
     adam_beta1: float = 0.9
@@ -51,8 +50,6 @@ class RunConfig:
         _require(0.0 < self.resample_min <= self.resample_max,
                  "resample range must satisfy 0 < min <= max, got "
                  f"[{self.resample_min}, {self.resample_max}]")
-        _require(0.0 < self.keep_fraction <= 1.0,
-                 f"keep_fraction must lie in (0,1], got {self.keep_fraction}")
         _require(0.0 <= self.decision_threshold <= 1.0,
                  f"decision_threshold must lie in [0,1], got {self.decision_threshold}")
         _require(0.0 < self.bn_momentum < 1.0,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -154,11 +155,28 @@ def write_record(path, record: SignalRecord) -> None:
             fh.write(struct.pack("<QB", idx, tag))
 
 
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise DataError(f"{path}: truncated while reading {what}")
-    return data
+class BinaryReader:
+    """Little-endian fields from an open binary file, for the record and
+    checkpoint formats.
+
+    Every declared length is checked against the bytes left in the file
+    before it is read, because fh.read(n) allocates n bytes up front: a
+    corrupt length field raises `error` instead of exhausting memory.
+    """
+
+    def __init__(self, fh, error: type[DataError]):
+        self._fh = fh
+        self._left = os.fstat(fh.fileno()).st_size - fh.tell()
+        self._error = error
+
+    def read(self, n: int, what: str) -> bytes:
+        if n > self._left:
+            raise self._error(f"{self._fh.name}: truncated while reading {what}")
+        self._left -= n
+        return self._fh.read(n)
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
 
 def read_record(path, record_id: str, target: float) -> SignalRecord:
@@ -169,18 +187,18 @@ def read_record(path, record_id: str, target: float) -> SignalRecord:
         magic = fh.read(4)
         if magic != RECORD_MAGIC:
             raise DataError(f"{path}: malformed header (magic {magic!r})")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
+        reader = BinaryReader(fh, DataError)
+        (version,) = reader.unpack("<I", "version")
         if version != RECORD_VERSION:
             raise DataError(f"{path}: unsupported record version {version}")
-        (rate,) = struct.unpack("<d", _read_exact(fh, 8, path, "sampling rate"))
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8, path, "sample count"))
-        samples = np.frombuffer(
-            _read_exact(fh, 4 * count, path, "samples"), dtype="<f4").copy()
-        (initial_tag,) = struct.unpack("<B", _read_exact(fh, 1, path, "initial tag"))
-        (n_cp,) = struct.unpack("<I", _read_exact(fh, 4, path, "changepoint count"))
+        (rate,) = reader.unpack("<d", "sampling rate")
+        (count,) = reader.unpack("<Q", "sample count")
+        samples = np.frombuffer(reader.read(4 * count, "samples"), dtype="<f4").copy()
+        (initial_tag,) = reader.unpack("<B", "initial tag")
+        (n_cp,) = reader.unpack("<I", "changepoint count")
         cps = []
         for _ in range(n_cp):
-            idx, tag = struct.unpack("<QB", _read_exact(fh, 9, path, "changepoint"))
+            idx, tag = reader.unpack("<QB", "changepoint")
             cps.append((int(idx), int(tag)))
     try:
         rhythm = RhythmAnnotation(int(initial_tag), tuple(cps))
@@ -300,38 +318,6 @@ def _resample_samples(samples: np.ndarray, factor: float) -> np.ndarray:
     positions = np.minimum(np.arange(new_n, dtype=np.float64) / factor, n - 1)
     return np.interp(positions, np.arange(n, dtype=np.float64),
                      samples.astype(np.float64)).astype(np.float32)
-
-
-def resample(r: SignalRecord, factor: float) -> SignalRecord:
-    """Resample to round(n * factor) samples by linear interpolation.
-
-    New sample j sits at original position j / factor; positions past the
-    final sample clamp to it. The sampling rate scales by the same factor,
-    so the record describes the same physical signal on a new grid.
-    """
-    factor = float(factor)
-    if not (factor > 0.0 and math.isfinite(factor)):
-        raise ValueError(f"resample factor must be positive and finite, got {factor}")
-    n = r.samples.size
-    if factor == 1.0:
-        return replace(r)
-    new_samples = _resample_samples(r.samples, factor)
-    new_n = new_samples.size
-    rhythm = r.rhythm
-    if rhythm is not None and rhythm.changepoints:
-        scaled = []
-        prev = -1
-        for idx, tag in rhythm.changepoints:
-            new_idx = min(new_n - 1, int(round(idx * factor)))
-            if new_idx <= prev:
-                new_idx = prev + 1
-            if new_idx >= new_n:
-                break
-            scaled.append((new_idx, tag))
-            prev = new_idx
-        rhythm = RhythmAnnotation(rhythm.initial_tag, tuple(scaled))
-    return replace(r, samples=new_samples,
-                   sampling_rate=r.sampling_rate * factor, rhythm=rhythm)
 
 
 def pad_to_length(samples: np.ndarray, length: int) -> np.ndarray:

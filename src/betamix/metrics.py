@@ -8,7 +8,6 @@ raising, so sweeps over tiny accepted subsets stay total.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 from .errors import UsageError
@@ -132,12 +131,3 @@ def report_csv_rows(rep: MetricsReport) -> list[list[str]]:
         ["Overall", fmt(rep.macro_precision), fmt(rep.macro_recall),
          fmt(rep.macro_f1)],
     ]
-
-
-def report_to_csv(rep: MetricsReport) -> str:
-    buf = io.StringIO()
-    buf.write("class,precision,recall,f1\n")
-    for row in report_csv_rows(rep):
-        buf.write(",".join(row))
-        buf.write("\n")
-    return buf.getvalue()

@@ -13,18 +13,22 @@ seconds. The preset is always selected explicitly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from . import predict as predict_mod
 from .betadist import BetaParams, beta_log_pdf, beta_nll_grad, clip_label
-from .data import sample_changepoint_batch, sample_crop_batch, AugmentConfig
+from .data import (AugmentConfig, BinaryReader, sample_changepoint_batch,
+                   sample_crop_batch)
 from .errors import (
+    CheckpointError,
     CorruptCheckpointError,
     TensorShapeError,
     UnsupportedVersionError,
@@ -120,6 +124,20 @@ PRESETS = {
 }
 
 
+def _walk(nodes, x: np.ndarray, train: bool) -> np.ndarray:
+    """Forward x through nodes in order."""
+    for node in nodes:
+        x = node.forward(x, train)
+    return x
+
+
+def _walk_back(nodes, g: np.ndarray) -> np.ndarray:
+    """Backward g through nodes in reverse order."""
+    for node in reversed(nodes):
+        g = node.backward(g)
+    return g
+
+
 class ResidualBlock:
     """conv-BN-ReLU-conv-BN, shortcut add, ReLU.
 
@@ -144,47 +162,24 @@ class ResidualBlock:
                                rng=rng, dtype=dtype, name=f"{name}.proj")
         else:
             self.proj = None
-        self._out_mask = None
+        self.main = [self.conv1, self.bn1, self.relu_inner, self.conv2, self.bn2]
+        self.shortcut = [self.proj] if self.proj is not None else []
+        self.join = ReLU(name=f"{name}.relu2")
 
     def sublayers(self):
-        yield self.conv1
-        yield self.bn1
-        yield self.conv2
-        yield self.bn2
-        if self.proj is not None:
-            yield self.proj
+        """The layers holding parameters: conv1, bn1, conv2, bn2[, proj]."""
+        return [layer for layer in self.main + self.shortcut if layer.params()]
 
     def params(self) -> list[Param]:
-        out = []
-        for layer in self.sublayers():
-            out.extend(layer.params())
-        return out
+        return [p for layer in self.sublayers() for p in layer.params()]
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        h = self.conv1.forward(x, train)
-        h = self.bn1.forward(h, train)
-        h = self.relu_inner.forward(h, train)
-        h = self.conv2.forward(h, train)
-        h = self.bn2.forward(h, train)
-        shortcut = self.proj.forward(x, train) if self.proj is not None else x
-        z = h + shortcut
-        self._out_mask = z > 0
-        return np.maximum(z, 0)
+        z = _walk(self.main, x, train) + _walk(self.shortcut, x, train)
+        return self.join.forward(z, train)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out_mask is None:
-            raise ValueError(f"{self.name}: backward called before forward")
-        gz = grad_out * self._out_mask
-        gh = self.bn2.backward(gz)
-        gh = self.conv2.backward(gh)
-        gh = self.relu_inner.backward(gh)
-        gh = self.bn1.backward(gh)
-        dx = self.conv1.backward(gh)
-        if self.proj is not None:
-            dx = dx + self.proj.backward(gz)
-        else:
-            dx = dx + gz
-        return dx
+        gz = self.join.backward(grad_out)
+        return _walk_back(self.main, gz) + _walk_back(self.shortcut, gz)
 
 
 class Model:
@@ -226,24 +221,28 @@ class Model:
                                 name="head.dense")
         self.head_softplus = Softplus(floor=HEAD_FLOOR, name="head.softplus")
 
+        # The walk order; last_stage_sizes records the length after each stage.
+        self.stages = [
+            [self.stem_conv, self.stem_pool, self.stem_bn, self.stem_relu],
+            *self.groups,
+            [self.global_pool],
+        ]
+        self.head = [self.head_dense, self.head_softplus]
+
         self.adam = AdamState()
         self.last_stage_sizes: list[int] = []
 
     # -- structure walking -------------------------------------------------
 
     def _layers_with_params(self):
-        yield self.stem_conv
-        yield self.stem_bn
-        for group in self.groups:
-            for block in group:
-                yield from block.sublayers()
-        yield self.head_dense
+        for node in itertools.chain(*self.stages, self.head):
+            if isinstance(node, ResidualBlock):
+                yield from node.sublayers()
+            elif node.params():
+                yield node
 
     def params(self) -> list[Param]:
-        out = []
-        for layer in self._layers_with_params():
-            out.extend(layer.params())
-        return out
+        return [p for layer in self._layers_with_params() for p in layer.params()]
 
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.params())
@@ -269,10 +268,11 @@ class Model:
         (alpha, beta) pair per crop. Records per-stage spatial sizes in
         last_stage_sizes.
 
-        Outputs depend only on the inputs and parameters, so infer-mode
-        forwards from concurrent callers are safe; the layer caches they
-        clobber are consumed only by backward, which (like training as a
-        whole) requires exclusive ownership.
+        An infer-mode forward keeps no layer cache (it only resets each
+        layer's cache to None) and leaves the parameters and batch-norm
+        statistics alone, so concurrent infer-mode forwards are safe.
+        Training, a train-mode forward plus its backward, needs exclusive
+        ownership of the model.
         """
         x = np.ascontiguousarray(np.asarray(x, dtype=self.dtype))
         if x.ndim != 3 or x.shape[1] != 1:
@@ -283,33 +283,16 @@ class Model:
                 f"length {self.spec.input_length}"
             )
         sizes = []
-        h = self.stem_conv.forward(x, train)
-        h = self.stem_pool.forward(h, train)
-        h = self.stem_bn.forward(h, train)
-        h = self.stem_relu.forward(h, train)
-        sizes.append(h.shape[2])
-        for group in self.groups:
-            for block in group:
-                h = block.forward(h, train)
-            sizes.append(h.shape[2])
-        h = self.global_pool.forward(h, train)
-        sizes.append(h.shape[2])
-        out = self.head_dense.forward(h, train)
-        out = self.head_softplus.forward(out, train)
+        for stage in self.stages:
+            x = _walk(stage, x, train)
+            sizes.append(x.shape[2])
         self.last_stage_sizes = sizes
-        return out
+        return _walk(self.head, x, train)
 
     def backward(self, grad_out: np.ndarray) -> None:
-        g = self.head_softplus.backward(grad_out)
-        g = self.head_dense.backward(g)
-        g = self.global_pool.backward(g)
-        for group in reversed(self.groups):
-            for block in reversed(group):
-                g = block.backward(g)
-        g = self.stem_relu.backward(g)
-        g = self.stem_bn.backward(g)
-        g = self.stem_pool.backward(g)
-        self.stem_conv.backward(g)
+        g = _walk_back(self.head, grad_out)
+        for stage in reversed(self.stages):
+            g = _walk_back(stage, g)
 
     def zero_grads(self) -> None:
         for p in self.params():
@@ -326,12 +309,6 @@ def build_model(preset: str, seed: int, *, bn_momentum: float = 0.1,
         )
     return Model(PRESETS[preset], seed, bn_momentum=bn_momentum, bn_eps=bn_eps,
                  dtype=dtype)
-
-
-def forward(model: Model, crops: np.ndarray, train: bool = False) -> list[BetaParams]:
-    """Forward a batch of crops and wrap each output row as BetaParams."""
-    out = model.forward(crops, train)
-    return [BetaParams(float(a), float(b)) for a, b in out]
 
 
 def loss_and_grads(model: Model, crops: np.ndarray, targets, label_eps: float) -> float:
@@ -496,30 +473,26 @@ def save_checkpoint(model: Model, path, config_echo: dict | None = None) -> None
             fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CorruptCheckpointError(f"checkpoint truncated while reading {what}")
-    return data
-
-
 def load_checkpoint(path) -> Model:
     """Reconstruct a model; the round trip reproduces forward passes bitwise."""
+    if not Path(path).exists():
+        raise CheckpointError(f"checkpoint file missing: {path}")
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise CorruptCheckpointError(
                 f"not a checkpoint file (magic {magic!r})"
             )
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        reader = BinaryReader(fh, CorruptCheckpointError)
+        (version,) = reader.unpack("<I", "version")
         if version != CHECKPOINT_VERSION:
             raise UnsupportedVersionError(
                 f"checkpoint format version {version} is not supported "
                 f"(expected {CHECKPOINT_VERSION})"
             )
-        (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
+        (meta_len,) = reader.unpack("<I", "header length")
         try:
-            meta = json.loads(_read_exact(fh, meta_len, "header").decode("utf-8"))
+            meta = json.loads(reader.read(meta_len, "header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorruptCheckpointError(f"unreadable checkpoint header: {exc}") from exc
         spec = ArchitectureSpec.from_json_dict(meta.get("spec", {}))
@@ -530,20 +503,18 @@ def load_checkpoint(path) -> Model:
             bn_eps=float(meta.get("bn_eps", 1e-5)),
         )
         targets = dict(model.named_entries())
-        (n_entries,) = struct.unpack("<I", _read_exact(fh, 4, "entry count"))
+        (n_entries,) = reader.unpack("<I", "entry count")
         seen = set()
         for _ in range(n_entries):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
+            (name_len,) = reader.unpack("<I", "name length")
             try:
-                name = _read_exact(fh, name_len, "entry name").decode("utf-8")
+                name = reader.read(name_len, "entry name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CorruptCheckpointError(
                     f"unreadable entry name: {exc}") from exc
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-            dims = struct.unpack(
-                f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
-            payload = _read_exact(
-                fh, 4 * int(np.prod(dims, dtype=np.int64)), f"data for {name}")
+            (rank,) = reader.unpack("<I", "rank")
+            dims = reader.unpack(f"<{rank}I", "dims")
+            payload = reader.read(4 * math.prod(dims), f"data for {name}")
             if name not in targets:
                 raise CorruptCheckpointError(
                     f"checkpoint entry {name!r} does not exist in architecture "

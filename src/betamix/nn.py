@@ -9,8 +9,10 @@ a float64 shadow copy for tight gradient checks.
 Conventions:
   - Activations are numpy arrays of shape (batch, channels, length),
     C-contiguous ("Tensor3" layout). The dense layer flattens internally.
-  - forward(x, train) caches whatever backward needs; backward(grad)
-    returns the input gradient and accumulates parameter gradients.
+  - Every layer derives from Layer. forward(x, train) keeps what backward
+    needs only when train is true; an infer-mode forward keeps nothing, and
+    a backward after it raises ValueError. backward(grad) returns the input
+    gradient and accumulates parameter gradients.
   - Convolution is cross-correlation (no kernel flip). "same" padding
     splits zeros as evenly as possible with the extra element on the
     right, and the accumulation order over (input channel, tap) is fixed
@@ -29,11 +31,6 @@ DEFAULT_DTYPE = np.float32
 # When enabled (tests, debugging) every forward/backward output is checked
 # for NaN/inf before it propagates further.
 DEBUG_FINITE_CHECKS = False
-
-
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    if DEBUG_FINITE_CHECKS and not np.isfinite(arr).all():
-        raise FloatingPointError(f"non-finite values leaving {name}")
 
 
 class Param:
@@ -123,7 +120,40 @@ def same_pad_amounts(length: int, kernel: int, stride: int) -> tuple[int, int, i
     return out_len, left, total - left
 
 
-class Conv1D:
+class Layer:
+    """The contract every layer keeps.
+
+    Subclasses set self.name and implement _forward(x, train) ->
+    (output, cache) and _backward(grad_out, cache) -> input gradient;
+    _forward may skip building the cache when train is false. forward keeps
+    the cache only in train mode, so an infer-mode forward leaves nothing
+    behind and a backward after it raises. With DEBUG_FINITE_CHECKS set,
+    every forward and backward output is checked for NaN/inf.
+    """
+
+    _cache = None
+
+    def params(self) -> list[Param]:
+        return []
+
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        y, cache = self._forward(x, train)
+        self._cache = cache if train else None
+        if DEBUG_FINITE_CHECKS and not np.isfinite(y).all():
+            raise FloatingPointError(f"non-finite values leaving {self.name}")
+        return y
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._cache is None:
+            raise ValueError(
+                f"{self.name}: backward requires a preceding train-mode forward")
+        dx = self._backward(grad_out, self._cache)
+        if DEBUG_FINITE_CHECKS and not np.isfinite(dx).all():
+            raise FloatingPointError(f"non-finite gradient leaving {self.name}")
+        return dx
+
+
+class Conv1D(Layer):
     """1-D cross-correlation with optional striding and same/none padding."""
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1,
@@ -145,7 +175,6 @@ class Conv1D:
             name=f"{name}.weight",
         )
         self.bias = Param(np.zeros(out_ch, dtype=dtype), name=f"{name}.bias")
-        self._cache = None
 
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
@@ -160,7 +189,7 @@ class Conv1D:
             )
         return (length - self.kernel_size) // self.stride + 1
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def _forward(self, x, train):
         b, c, length = x.shape
         if c != self.in_ch:
             raise ValueError(f"{self.name}: expected {self.in_ch} channels, got {c}")
@@ -180,14 +209,10 @@ class Conv1D:
         for ci in range(self.in_ch):
             for j in range(self.kernel_size):
                 y += windows[:, ci, :, j][:, None, :] * k[None, :, ci, j, None]
-        self._cache = (windows, x.shape, left, out_len)
-        _check_finite(self.name, y)
-        return y
+        return y, (windows, x.shape, left, out_len)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise ValueError(f"{self.name}: backward called before forward")
-        windows, x_shape, left, out_len = self._cache
+    def _backward(self, grad_out, cache):
+        windows, x_shape, left, out_len = cache
         b, c, length = x_shape
         if grad_out.shape != (b, self.out_ch, out_len):
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} does not "
@@ -200,9 +225,7 @@ class Conv1D:
         for j in range(self.kernel_size):
             contrib = np.einsum("bfo,fc->bco", grad_out, k[:, :, j])
             dxp[:, :, j : j + out_len * self.stride : self.stride] += contrib
-        dx = dxp[:, :, left : left + length]
-        _check_finite(self.name, dx)
-        return np.ascontiguousarray(dx)
+        return np.ascontiguousarray(dxp[:, :, left : left + length])
 
     def _padded_right(self, length: int) -> int:
         if self.pad == "none":
@@ -211,7 +234,7 @@ class Conv1D:
         return right
 
 
-class BatchNorm1D:
+class BatchNorm1D(Layer):
     """Per-channel batch normalization over the (batch, spatial) axes."""
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
@@ -226,12 +249,11 @@ class BatchNorm1D:
         self.shift = Param(np.zeros(channels, dtype=dtype), name=f"{name}.shift")
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self._cache = None
 
     def params(self) -> list[Param]:
         return [self.scale, self.shift]
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def _forward(self, x, train):
         b, c, length = x.shape
         if c != self.channels:
             raise ValueError(f"{self.name}: expected {self.channels} channels, got {c}")
@@ -243,53 +265,39 @@ class BatchNorm1D:
             m = self.momentum
             self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
             self.running_var[...] = (1.0 - m) * self.running_var + m * var
-            self._cache = (xhat, inv_std, b * length)
+            cache = (xhat, inv_std, b * length)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             xhat = (x - self.running_mean[None, :, None]) * inv_std[None, :, None]
-            self._cache = None
+            cache = None
         y = self.scale.value[None, :, None] * xhat + self.shift.value[None, :, None]
-        _check_finite(self.name, y)
-        return y
+        return y, cache
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise ValueError(
-                f"{self.name}: backward requires a preceding train-mode forward"
-            )
-        xhat, inv_std, n = self._cache
+    def _backward(self, grad_out, cache):
+        xhat, inv_std, n = cache
         self.scale.grad += (grad_out * xhat).sum(axis=(0, 2))
         self.shift.grad += grad_out.sum(axis=(0, 2))
         dxhat = grad_out * self.scale.value[None, :, None]
         sum_dxhat = dxhat.sum(axis=(0, 2), keepdims=True)
         sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
-        dx = (inv_std[None, :, None] / n) * (
+        return (inv_std[None, :, None] / n) * (
             n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat
         )
-        _check_finite(self.name, dx)
-        return dx
 
 
-class ReLU:
+class ReLU(Layer):
     def __init__(self, name: str = "relu"):
         self.name = name
-        self._mask = None
 
-    def params(self) -> list[Param]:
-        return []
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def _forward(self, x, train):
         # Gradient at exactly 0 is defined as 0, so the mask is strict.
-        self._mask = x > 0
-        return np.maximum(x, 0)
+        return np.maximum(x, 0), (x > 0 if train else None)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise ValueError(f"{self.name}: backward called before forward")
-        return grad_out * self._mask
+    def _backward(self, grad_out, mask):
+        return grad_out * mask
 
 
-class MaxPool1D:
+class MaxPool1D(Layer):
     """Windowed max pooling; gradient flows to the first max per window."""
 
     def __init__(self, window: int, stride: int, name: str = "pool"):
@@ -298,10 +306,6 @@ class MaxPool1D:
         self.window = window
         self.stride = stride
         self.name = name
-        self._cache = None
-
-    def params(self) -> list[Param]:
-        return []
 
     def output_length(self, length: int) -> int:
         if length < self.window:
@@ -310,18 +314,15 @@ class MaxPool1D:
             )
         return (length - self.window) // self.stride + 1
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def _forward(self, x, train):
         out_len = self.output_length(x.shape[2])
         windows = sliding_window_view(x, self.window, axis=2)[:, :, ::self.stride, :]
         argmax = windows.argmax(axis=3)
         y = np.take_along_axis(windows, argmax[..., None], axis=3)[..., 0]
-        self._cache = (argmax, x.shape, out_len)
-        return np.ascontiguousarray(y)
+        return np.ascontiguousarray(y), (argmax, x.shape, out_len)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise ValueError(f"{self.name}: backward called before forward")
-        argmax, x_shape, out_len = self._cache
+    def _backward(self, grad_out, cache):
+        argmax, x_shape, out_len = cache
         b, c, length = x_shape
         dx = np.zeros(x_shape, dtype=grad_out.dtype)
         positions = argmax + self.stride * np.arange(out_len)[None, None, :]
@@ -333,32 +334,25 @@ class MaxPool1D:
         return dx
 
 
-class GlobalMaxPool:
+class GlobalMaxPool(Layer):
     """Maximum over the whole spatial axis; output length is 1."""
 
     def __init__(self, name: str = "gpool"):
         self.name = name
-        self._cache = None
 
-    def params(self) -> list[Param]:
-        return []
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def _forward(self, x, train):
         argmax = x.argmax(axis=2)
         y = np.take_along_axis(x, argmax[..., None], axis=2)
-        self._cache = (argmax, x.shape)
-        return y
+        return y, (argmax, x.shape)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise ValueError(f"{self.name}: backward called before forward")
-        argmax, x_shape = self._cache
+    def _backward(self, grad_out, cache):
+        argmax, x_shape = cache
         dx = np.zeros(x_shape, dtype=grad_out.dtype)
         np.put_along_axis(dx, argmax[..., None], grad_out, axis=2)
         return dx
 
 
-class Dense:
+class Dense(Layer):
     """Fully-connected layer; flattens (batch, channels, length) input."""
 
     def __init__(self, in_features: int, out_features: int, *,
@@ -372,56 +366,44 @@ class Dense:
             name=f"{name}.weight",
         )
         self.bias = Param(np.zeros(out_features, dtype=dtype), name=f"{name}.bias")
-        self._cache = None
 
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def _forward(self, x, train):
         flat = x.reshape(x.shape[0], -1)
         if flat.shape[1] != self.in_features:
             raise ValueError(f"{self.name}: expected {self.in_features} features, "
                              f"got {flat.shape[1]}")
         y = np.einsum("bf,fo->bo", flat, self.weight.value) + self.bias.value
-        self._cache = (flat, x.shape)
-        _check_finite(self.name, y)
-        return y
+        return y, (flat, x.shape)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise ValueError(f"{self.name}: backward called before forward")
-        flat, x_shape = self._cache
+    def _backward(self, grad_out, cache):
+        flat, x_shape = cache
         self.weight.grad += np.einsum("bf,bo->fo", flat, grad_out)
         self.bias.grad += grad_out.sum(axis=0)
         dx = np.einsum("bo,fo->bf", grad_out, self.weight.value)
         return dx.reshape(x_shape)
 
 
-class Softplus:
+class Softplus(Layer):
     """Elementwise ln(1+exp(x)), optionally floored to keep outputs positive."""
 
     def __init__(self, floor: float = 0.0, name: str = "softplus"):
         self.floor = floor
         self.name = name
-        self._cache = None
 
-    def params(self) -> list[Param]:
-        return []
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def _forward(self, x, train):
         y = softplus(x)
         if self.floor > 0.0:
             flo_mask = y > self.floor
             y = np.maximum(y, np.asarray(self.floor, dtype=y.dtype))
         else:
             flo_mask = None
-        self._cache = (x, flo_mask)
-        return y
+        return y, (x, flo_mask)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise ValueError(f"{self.name}: backward called before forward")
-        x, flo_mask = self._cache
+    def _backward(self, grad_out, cache):
+        x, flo_mask = cache
         dx = grad_out * sigmoid(x)
         if flo_mask is not None:
             dx = dx * flo_mask

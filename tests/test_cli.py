@@ -5,6 +5,8 @@ are observable without subprocess overhead.
 """
 
 import json
+import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +157,32 @@ class TestPredict:
         root, data, ckpt = trained
         assert main(["predict", "--model", str(ckpt), "--data", str(data),
                      "--ids", "ghost", "--out", str(tmp_path / "x.jsonl")]) == 2
+
+    @pytest.mark.parametrize("case", ["missing_model", "dim_2**31",
+                                      "count_2**34", "count_2**61"])
+    def test_hostile_files_are_data_errors(self, trained, tmp_path, case):
+        """A missing checkpoint, or a length field declaring far more bytes
+        than the file holds, exits 2: no traceback, MemoryError or
+        OverflowError."""
+        _, data, ckpt = trained
+        model = Path(shutil.copy(ckpt, tmp_path / "model.bgc"))
+        data = Path(shutil.copytree(data, tmp_path / "data"))
+        if case == "missing_model":
+            model.unlink()
+        elif case == "dim_2**31":
+            blob = bytearray(model.read_bytes())
+            (meta_len,) = struct.unpack_from("<I", blob, 8)
+            (name_len,) = struct.unpack_from("<I", blob, 12 + meta_len + 4)
+            struct.pack_into("<I", blob, 12 + meta_len + 4 + 4 + name_len + 4,
+                             2**31)
+            model.write_bytes(bytes(blob))
+        else:
+            record = sorted((data / "records").iterdir())[0]
+            blob = bytearray(record.read_bytes())
+            struct.pack_into("<Q", blob, 16, 2 ** int(case.split("**")[1]))
+            record.write_bytes(bytes(blob))
+        assert main(["predict", "--model", str(model), "--data", str(data),
+                     "--out", str(tmp_path / "x.jsonl")]) == 2
 
     def test_missing_checkpoint_is_corrupt(self, trained, tmp_path):
         root, data, _ = trained

@@ -11,6 +11,7 @@ from betamix.betadist import BetaParams, beta_log_pdf, clip_label
 from betamix.config import RunConfig
 from betamix.data import Dataset, split_dataset, synth_generate
 from betamix.errors import (
+    CheckpointError,
     CorruptCheckpointError,
     TensorShapeError,
     UnsupportedVersionError,
@@ -19,7 +20,6 @@ from betamix.errors import (
 from betamix.model import (
     PRESETS,
     build_model,
-    forward,
     load_checkpoint,
     loss_and_grads,
     save_checkpoint,
@@ -90,10 +90,9 @@ class TestBuildModel:
 class TestForward:
     def test_outputs_positive_for_fresh_model(self, rng):
         model = build_model("tiny", seed=1)
-        params = forward(model, rng.normal(size=(4, 1, 256)).astype(np.float32))
-        assert len(params) == 4
-        for p in params:
-            assert p.alpha > 0 and p.beta > 0
+        out = model.forward(rng.normal(size=(4, 1, 256)).astype(np.float32))
+        assert out.shape == (4, 2)
+        assert (out > 0).all()
 
     def test_outputs_positive_for_extreme_inputs(self):
         model = build_model("tiny", seed=1)
@@ -330,8 +329,23 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_missing_file_is_error(self, tmp_path):
-        with pytest.raises(OSError):
+        with pytest.raises(CheckpointError, match="missing"):
             load_checkpoint(tmp_path / "absent.bgc")
+
+    def test_huge_dim_is_corrupt(self, tmp_path):
+        """A dim of 2**31 declares 40 GiB of data; the loader must flag the
+        file as corrupt before allocating anything."""
+        model = build_model("tiny", seed=9)
+        path = tmp_path / "model.bgc"
+        save_checkpoint(model, path)
+        data = bytearray(path.read_bytes())
+        (meta_len,) = struct.unpack_from("<I", data, 8)
+        offset = 12 + meta_len + 4
+        (name_len,) = struct.unpack_from("<I", data, offset)
+        struct.pack_into("<I", data, offset + 4 + name_len + 4, 2**31)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptCheckpointError, match="truncated"):
+            load_checkpoint(path)
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         model = build_model("tiny", seed=9)
@@ -343,7 +357,6 @@ class TestCheckpoint:
     def test_truncation_at_any_offset_is_a_checkpoint_error(self, tmp_path):
         """Cutting the file at every prefix length must yield a structured
         checkpoint error, never a raw struct/unicode/numpy exception."""
-        from betamix.errors import CheckpointError
         model = build_model("tiny", seed=9)
         path = tmp_path / "model.bgc"
         save_checkpoint(model, path)

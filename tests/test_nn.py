@@ -8,6 +8,7 @@ fine ones (h=1e-6, rel 1e-6).
 import numpy as np
 import pytest
 
+from betamix.model import ResidualBlock, build_model
 from betamix.nn import (
     AdamState,
     BatchNorm1D,
@@ -52,6 +53,19 @@ def naive_conv1d(x, kernel, bias, stride, pad):
                             * np.float32(kernel[f, ci, j]))
                 y[bi, f, o] = acc
     return y
+
+
+def one_of_each_layer(rng):
+    """An instance of every layer type with an input shape it accepts."""
+    return [
+        (Conv1D(2, 3, 3, rng=rng), (2, 2, 8)),
+        (BatchNorm1D(2), (3, 2, 8)),
+        (ReLU(), (2, 3, 8)),
+        (MaxPool1D(2, 2), (2, 2, 8)),
+        (GlobalMaxPool(), (2, 3, 9)),
+        (Dense(8, 3, rng=rng), (2, 4, 2)),
+        (Softplus(floor=1e-6), (3, 4)),
+    ]
 
 
 def projected_loss(layer, x, projection, train=True):
@@ -108,7 +122,7 @@ class TestConv1D:
     def test_bias_grad_is_per_channel_sum(self, rng):
         layer = Conv1D(2, 3, 3, rng=rng)
         x = rng.normal(size=(2, 2, 8)).astype(np.float32)
-        layer.forward(x)
+        layer.forward(x, train=True)
         grad_out = rng.normal(size=(2, 3, 8)).astype(np.float32)
         layer.backward(grad_out)
         np.testing.assert_allclose(layer.bias.grad, grad_out.sum(axis=(0, 2)),
@@ -117,7 +131,7 @@ class TestConv1D:
     def test_zero_grad_out_gives_zero_grads(self, rng):
         layer = Conv1D(2, 3, 3, rng=rng)
         x = rng.normal(size=(1, 2, 8)).astype(np.float32)
-        layer.forward(x)
+        layer.forward(x, train=True)
         dx = layer.backward(np.zeros((1, 3, 8), dtype=np.float32))
         assert not layer.weight.grad.any()
         assert not layer.bias.grad.any()
@@ -130,7 +144,7 @@ class TestConv1D:
         x = rng.normal(size=(1, 2, 8)).astype(dtype)
         projection = rng.normal(size=(1, 3, 4)).astype(dtype)
 
-        layer.forward(x)
+        layer.forward(x, train=True)
         dx = layer.backward(projection)
         analytic_w = layer.weight.grad.copy()
         analytic_b = layer.bias.grad.copy()
@@ -148,7 +162,7 @@ class TestConv1D:
         layer = Conv1D(2, 3, 3, rng=rng)
         with pytest.raises(ValueError):
             layer.forward(np.zeros((1, 4, 8), dtype=np.float32))
-        layer.forward(np.zeros((1, 2, 8), dtype=np.float32))
+        layer.forward(np.zeros((1, 2, 8), dtype=np.float32), train=True)
         with pytest.raises(ValueError):
             layer.backward(np.zeros((1, 3, 5), dtype=np.float32))
 
@@ -239,11 +253,19 @@ class TestBatchNorm1D:
                                    rtol=1e-5)
 
     def test_infer_backward_is_contract_violation(self, rng):
-        layer = BatchNorm1D(2)
-        x = rng.normal(size=(3, 2, 8)).astype(np.float32)
-        layer.forward(x, train=False)
-        with pytest.raises(ValueError):
-            layer.backward(x)
+        """Backward after an infer-mode forward raises, for every layer type
+        and for the residual block and the model, even when a train-mode
+        forward came before it."""
+        block = ResidualBlock(2, 3, 3, 2, rng=rng, bn_momentum=0.1,
+                              bn_eps=1e-5, dtype=np.float32, name="b")
+        cases = one_of_each_layer(rng) + [(block, (3, 2, 8)),
+                                          (build_model("tiny", 0), (2, 1, 256))]
+        for layer, shape in cases:
+            x = rng.normal(size=shape).astype(np.float32)
+            layer.forward(x, train=True)
+            y = layer.forward(x, train=False)
+            with pytest.raises(ValueError):
+                layer.backward(np.ones_like(y))
 
 
 class TestReLU:
@@ -255,7 +277,7 @@ class TestReLU:
     def test_backward_masks_nonpositive(self):
         layer = ReLU()
         x = np.array([[[-1.0, 0.0, 2.0]]], dtype=np.float32)
-        layer.forward(x)
+        layer.forward(x, train=True)
         dx = layer.backward(np.full((1, 1, 3), 5.0, dtype=np.float32))
         np.testing.assert_array_equal(dx, [[[0.0, 0.0, 5.0]]])
 
@@ -275,14 +297,14 @@ class TestMaxPool1D:
     def test_backward_routes_to_max(self):
         layer = MaxPool1D(2, 2)
         x = np.array([[[1.0, 3.0, 2.0, 5.0]]], dtype=np.float32)
-        layer.forward(x)
+        layer.forward(x, train=True)
         dx = layer.backward(np.ones((1, 1, 2), dtype=np.float32))
         np.testing.assert_array_equal(dx, [[[0.0, 1.0, 0.0, 1.0]]])
 
     def test_tie_routes_to_first(self):
         layer = MaxPool1D(2, 2)
         x = np.array([[[2.0, 2.0]]], dtype=np.float32)
-        layer.forward(x)
+        layer.forward(x, train=True)
         dx = layer.backward(np.ones((1, 1, 1), dtype=np.float32))
         np.testing.assert_array_equal(dx, [[[1.0, 0.0]]])
 
@@ -305,7 +327,7 @@ class TestMaxPool1D:
         # stride 1 window 2: a shared max receives both windows' gradient
         layer = MaxPool1D(2, 1)
         x = np.array([[[0.0, 9.0, 0.0]]], dtype=np.float32)
-        layer.forward(x)
+        layer.forward(x, train=True)
         dx = layer.backward(np.ones((1, 1, 2), dtype=np.float32))
         np.testing.assert_array_equal(dx, [[[0.0, 2.0, 0.0]]])
 
@@ -319,7 +341,7 @@ class TestGlobalMaxPool:
     def test_constant_channel_routes_to_first_index(self):
         layer = GlobalMaxPool()
         x = np.full((1, 1, 5), 2.5, dtype=np.float32)
-        layer.forward(x)
+        layer.forward(x, train=True)
         dx = layer.backward(np.ones((1, 1, 1), dtype=np.float32))
         np.testing.assert_array_equal(dx, [[[1.0, 0.0, 0.0, 0.0, 0.0]]])
 
@@ -335,7 +357,7 @@ class TestGlobalMaxPool:
     def test_backward_puts_grad_at_argmax(self, rng):
         layer = GlobalMaxPool()
         x = rng.normal(size=(2, 3, 9)).astype(np.float32)
-        layer.forward(x)
+        layer.forward(x, train=True)
         grad_out = rng.normal(size=(2, 3, 1)).astype(np.float32)
         dx = layer.backward(grad_out)
         assert dx.sum() == pytest.approx(grad_out.sum(), rel=1e-6)
@@ -364,7 +386,7 @@ class TestDense:
         layer = Dense(6, 3, rng=rng, dtype=dtype)
         x = rng.normal(size=(2, 2, 3)).astype(dtype)
         projection = rng.normal(size=(2, 3)).astype(dtype)
-        layer.forward(x)
+        layer.forward(x, train=True)
         dx = layer.backward(projection)
         analytic_w = layer.weight.grad.copy()
         fd_w = numeric_grad(lambda: projected_loss(layer, x, projection),
@@ -395,14 +417,14 @@ class TestSoftplus:
     def test_backward_is_sigmoid(self, rng):
         layer = Softplus()
         x = rng.normal(size=(2, 3)).astype(np.float32)
-        layer.forward(x)
+        layer.forward(x, train=True)
         dx = layer.backward(np.ones_like(x))
         np.testing.assert_allclose(dx, sigmoid(x), rtol=1e-6)
 
     def test_floor_clamps_and_blocks_grad(self):
         layer = Softplus(floor=1e-6)
         x = np.array([[-50.0, 0.0]], dtype=np.float32)
-        y = layer.forward(x)
+        y = layer.forward(x, train=True)
         assert y[0, 0] == pytest.approx(1e-6)
         assert y[0, 1] == pytest.approx(np.log(2.0), rel=1e-6)
         dx = layer.backward(np.ones_like(x))
@@ -414,7 +436,7 @@ class TestSoftplus:
         layer = Softplus()
         x = rng.normal(size=(3, 4)).astype(dtype)
         projection = rng.normal(size=(3, 4)).astype(dtype)
-        layer.forward(x)
+        layer.forward(x, train=True)
         dx = layer.backward(projection)
         fd_x = numeric_grad(lambda: projected_loss(layer, x, projection), x, h)
         assert rel_err(dx, fd_x) < tol
@@ -517,15 +539,20 @@ class TestDeterminism:
 
 class TestDebugFiniteChecks:
     def test_non_finite_output_raises_when_enabled(self, rng):
+        """Every layer type checks its forward and its backward output.
+        The inf inputs make inf - inf and inf * 0 on purpose, hence errstate."""
         import betamix.nn as nn_mod
-        layer = Conv1D(1, 2, 3, rng=np.random.default_rng(5))
-        bad = np.full((1, 1, 8), np.inf, dtype=np.float32)
-        good = rng.normal(size=(1, 1, 8)).astype(np.float32)
-        layer.forward(bad)  # silent by default
-        nn_mod.DEBUG_FINITE_CHECKS = True
-        try:
-            with pytest.raises(FloatingPointError):
-                layer.forward(bad)
-            layer.forward(good)
-        finally:
-            nn_mod.DEBUG_FINITE_CHECKS = False
+        for layer, shape in one_of_each_layer(np.random.default_rng(5)):
+            bad = np.full(shape, np.inf, dtype=np.float32)
+            good = rng.normal(size=shape).astype(np.float32)
+            with np.errstate(invalid="ignore"):
+                layer.forward(bad)  # silent by default
+                nn_mod.DEBUG_FINITE_CHECKS = True
+                try:
+                    with pytest.raises(FloatingPointError):
+                        layer.forward(bad)
+                    y = layer.forward(good, train=True)
+                    with pytest.raises(FloatingPointError):
+                        layer.backward(np.full_like(y, np.inf))
+                finally:
+                    nn_mod.DEBUG_FINITE_CHECKS = False

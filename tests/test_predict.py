@@ -1,5 +1,6 @@
 """Crop decomposition, full-signal prediction, and rejection rules."""
 
+import itertools
 import json
 import math
 
@@ -10,7 +11,7 @@ import betamix
 from betamix.betadist import BetaMixture, BetaParams, PredictiveSummary
 from betamix.data import SignalRecord
 from betamix.errors import UsageError
-from betamix.model import build_model
+from betamix.model import ResidualBlock, build_model
 from betamix.predict import (
     Prediction,
     decompose_crops,
@@ -121,6 +122,21 @@ class TestPredict:
         record = record_of_length(512)
         assert predict(model, record, 256, threshold=0.51).predicted_class == 0
         assert predict(model, record, 256, threshold=0.5).predicted_class == 1
+
+    def test_leaves_no_layer_cache(self, rng):
+        """predict runs infer-mode forwards only, so afterwards no layer
+        holds a backward cache, not even one a train step left behind."""
+        model = build_model("tiny", seed=21)
+        model.forward(rng.normal(size=(2, 1, 256)).astype(np.float32), train=True)
+        predict(model, record_of_length(900), 256)
+        layers = []
+        for node in itertools.chain(*model.stages, model.head):
+            if isinstance(node, ResidualBlock):
+                layers += node.main + node.shortcut + [node.join]
+            else:
+                layers.append(node)
+        assert len(layers) == 21
+        assert [l.name for l in layers if l._cache is not None] == []
 
 
 class TestRejectByUncertainty:
