@@ -15,6 +15,7 @@ from .betadist import (
     beta_nll_grad,
     clip_label,
     digamma,
+    hard_label,
     ln_beta_fn,
     mixture_density_grid,
     mixture_summary,

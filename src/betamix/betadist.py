@@ -29,6 +29,7 @@ __all__ = [
     "mixture_summary",
     "mixture_density_grid",
     "clip_label",
+    "hard_label",
 ]
 
 # Arguments below this are raised by recurrence before the asymptotic
@@ -277,3 +278,9 @@ def clip_label(t: float, eps: float) -> float:
     if not (0.0 < eps < 0.5):
         raise ValueError(f"eps must lie in (0, 0.5), got {eps!r}")
     return max(eps, min(1.0 - eps, t))
+
+
+def hard_label(p: float) -> int:
+    """The class of a probability or soft target: 1 iff p >= 0.5, so a tie
+    goes to class 1. Every class decision in the package cuts here."""
+    return 1 if p >= 0.5 else 0

@@ -15,8 +15,11 @@ from .model import PRESETS
 
 @dataclass
 class RunConfig:
+    """Every setting of a training run. The crop length is the preset's
+    input length and the class boundary is `betadist.hard_label`; neither
+    is a setting."""
+
     arch_preset: str = "paper"
-    crop_len: int = 2048
     batch_size: int = 256
     learning_rate: float = 1e-3
     epochs: int = 10
@@ -25,7 +28,6 @@ class RunConfig:
     resample_min: float = 0.8
     resample_max: float = 1.25
     augment: bool = True
-    decision_threshold: float = 0.5
     bn_momentum: float = 0.1
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -38,7 +40,6 @@ class RunConfig:
                 f"arch_preset must be one of {sorted(PRESETS)}, "
                 f"got {self.arch_preset!r}"
             )
-        _require(self.crop_len >= 8, f"crop_len must be >= 8, got {self.crop_len}")
         _require(self.batch_size >= 2 and self.batch_size % 2 == 0,
                  f"batch_size must be even and >= 2, got {self.batch_size}")
         _require(self.learning_rate >= 0.0,
@@ -50,8 +51,6 @@ class RunConfig:
         _require(0.0 < self.resample_min <= self.resample_max,
                  "resample range must satisfy 0 < min <= max, got "
                  f"[{self.resample_min}, {self.resample_max}]")
-        _require(0.0 <= self.decision_threshold <= 1.0,
-                 f"decision_threshold must lie in [0,1], got {self.decision_threshold}")
         _require(0.0 < self.bn_momentum < 1.0,
                  f"bn_momentum must lie in (0,1), got {self.bn_momentum}")
         _require(0.0 < self.adam_beta1 < 1.0,

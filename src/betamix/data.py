@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .betadist import hard_label
 from .errors import DataError, UsageError
 
 RECORD_MAGIC = b"BGS1"
@@ -68,6 +69,8 @@ class SignalRecord:
         self.samples = np.ascontiguousarray(self.samples, dtype=np.float32)
         if self.samples.size == 0:
             raise ValueError(f"record {self.id!r}: samples are empty")
+        if not np.isfinite(self.samples).all():
+            raise ValueError(f"record {self.id!r}: samples hold NaN or inf")
         if not (self.sampling_rate > 0):
             raise ValueError(f"record {self.id!r}: sampling rate must be positive")
         if not (0.0 <= self.target <= 1.0):
@@ -142,7 +145,7 @@ class AugmentConfig:
 def write_record(path, record: SignalRecord) -> None:
     rhythm = record.rhythm
     if rhythm is None:
-        rhythm = RhythmAnnotation(1 if record.target >= 0.5 else 0, ())
+        rhythm = RhythmAnnotation(hard_label(record.target), ())
     with open(path, "wb") as fh:
         fh.write(RECORD_MAGIC)
         fh.write(struct.pack("<I", RECORD_VERSION))
@@ -153,6 +156,22 @@ def write_record(path, record: SignalRecord) -> None:
         fh.write(struct.pack("<I", len(rhythm.changepoints)))
         for idx, tag in rhythm.changepoints:
             fh.write(struct.pack("<QB", idx, tag))
+
+
+def open_input(path, what: str, error: type[DataError] = DataError, *,
+               mode: str = "rb", newline: str | None = None):
+    """Open a file the user named (a record, a manifest, a checkpoint).
+
+    Every reason the file cannot be opened raises `error`: a missing file
+    as "<what> missing: <path>", anything else (a directory, no
+    permission) with the system's reason.
+    """
+    try:
+        return open(path, mode, newline=newline)
+    except FileNotFoundError as exc:
+        raise error(f"{what} missing: {path}") from exc
+    except OSError as exc:
+        raise error(f"cannot open {what} {path}: {exc.strerror}") from exc
 
 
 class BinaryReader:
@@ -169,21 +188,30 @@ class BinaryReader:
         self._left = os.fstat(fh.fileno()).st_size - fh.tell()
         self._error = error
 
-    def read(self, n: int, what: str) -> bytes:
+    def _claim(self, n: int, what: str) -> None:
         if n > self._left:
             raise self._error(f"{self._fh.name}: truncated while reading {what}")
         self._left -= n
+
+    def read(self, n: int, what: str) -> bytes:
+        self._claim(n, what)
         return self._fh.read(n)
+
+    def read_f32(self, count: int, what: str) -> np.ndarray:
+        """count little-endian float32 values, read straight into a new
+        array (no intermediate bytes object)."""
+        self._claim(4 * count, what)
+        out = np.empty(count, dtype="<f4")
+        if self._fh.readinto(out) != out.nbytes:
+            raise self._error(f"{self._fh.name}: truncated while reading {what}")
+        return out
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
 
 def read_record(path, record_id: str, target: float) -> SignalRecord:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"record file missing: {path}")
-    with open(path, "rb") as fh:
+    with open_input(path, "record file") as fh:
         magic = fh.read(4)
         if magic != RECORD_MAGIC:
             raise DataError(f"{path}: malformed header (magic {magic!r})")
@@ -193,7 +221,7 @@ def read_record(path, record_id: str, target: float) -> SignalRecord:
             raise DataError(f"{path}: unsupported record version {version}")
         (rate,) = reader.unpack("<d", "sampling rate")
         (count,) = reader.unpack("<Q", "sample count")
-        samples = np.frombuffer(reader.read(4 * count, "samples"), dtype="<f4").copy()
+        samples = reader.read_f32(count, "samples")
         (initial_tag,) = reader.unpack("<B", "initial tag")
         (n_cp,) = reader.unpack("<I", "changepoint count")
         cps = []
@@ -234,11 +262,9 @@ def _format_target(t: float) -> str:
 def load_dataset(manifest_path) -> Dataset:
     """Parse a manifest and every record it references, validating both."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise DataError(f"manifest missing: {manifest_path}")
     seed = None
     rows = []
-    with open(manifest_path, newline="") as fh:
+    with open_input(manifest_path, "manifest", mode="r", newline="") as fh:
         lines = []
         for raw in fh:
             if raw.startswith("#"):
@@ -342,8 +368,9 @@ def sample_crop_batch(records: list[SignalRecord], batch_size: int,
     """
     if batch_size < 2 or batch_size % 2 != 0:
         raise UsageError(f"batch_size must be even and >= 2, got {batch_size}")
-    by_class = ([r for r in records if r.target < 0.5],
-                [r for r in records if r.target >= 0.5])
+    by_class = ([], [])
+    for r in records:
+        by_class[hard_label(r.target)].append(r)
     if not by_class[0] or not by_class[1]:
         raise UsageError("both classes must be present to balance a batch")
     crops = np.empty((batch_size, 1, crop_len), dtype=np.float32)
@@ -449,8 +476,7 @@ def split_dataset(records: list[SignalRecord], train_fraction: float,
     rng = np.random.default_rng(seed)
     split_of = {}
     for cls in (0, 1):
-        members = [r.id for r in records
-                   if (1 if r.target >= 0.5 else 0) == cls]
+        members = [r.id for r in records if hard_label(r.target) == cls]
         if not members:
             continue
         order = rng.permutation(len(members))

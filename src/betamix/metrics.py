@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .betadist import hard_label
 from .errors import UsageError
 from .predict import Prediction, reject_by_uncertainty
 
@@ -47,7 +48,7 @@ class MetricsReport:
 
 def confusion(preds: list[Prediction], only_accepted: bool = False
               ) -> ConfusionCounts:
-    """Count the 2x2 table, binarizing soft true targets at 0.5."""
+    """Count the 2x2 table, binarizing soft true targets with hard_label."""
     tp = fp = fn = tn = 0
     for p in preds:
         if only_accepted and not p.accepted:
@@ -56,7 +57,7 @@ def confusion(preds: list[Prediction], only_accepted: bool = False
             raise UsageError(
                 f"prediction for {p.record_id!r} has no true target to evaluate"
             )
-        truth = 1 if p.true_target >= 0.5 else 0
+        truth = hard_label(p.true_target)
         if p.predicted_class == 1:
             if truth == 1:
                 tp += 1

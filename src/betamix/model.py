@@ -18,15 +18,15 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from . import predict as predict_mod
-from .betadist import BetaParams, beta_log_pdf, beta_nll_grad, clip_label
-from .data import (AugmentConfig, BinaryReader, sample_changepoint_batch,
-                   sample_crop_batch)
+from .betadist import (BetaParams, beta_log_pdf, beta_nll_grad, clip_label,
+                       hard_label)
+from .data import (AugmentConfig, BinaryReader, open_input,
+                   sample_changepoint_batch, sample_crop_batch)
 from .errors import (
     CheckpointError,
     CorruptCheckpointError,
@@ -65,14 +65,15 @@ class ArchitectureSpec:
     """Static description of one network variant.
 
     stem is (kernel, channels, pool); groups are (blocks, channels, kernel)
-    with the first block of every group striding by 2 spatially.
+    with the first block of every group striding by 2 spatially. The
+    input length is also the crop length of training and prediction; the
+    head always emits one (alpha, beta) pair.
     """
 
     preset_name: str
     input_length: int
     stem: tuple[int, int, int]
     groups: tuple[tuple[int, int, int], ...]
-    head_outputs: int = 2
 
     def stage_lengths(self) -> list[int]:
         """Spatial size after the stem, after each group, and after the
@@ -87,24 +88,17 @@ class ArchitectureSpec:
         sizes.append(1)
         return sizes
 
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["stem"] = list(self.stem)
-        d["groups"] = [list(g) for g in self.groups]
-        return d
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "ArchitectureSpec":
-        try:
-            return cls(
-                preset_name=str(d["preset_name"]),
-                input_length=int(d["input_length"]),
-                stem=tuple(int(v) for v in d["stem"]),
-                groups=tuple(tuple(int(v) for v in g) for g in d["groups"]),
-                head_outputs=int(d.get("head_outputs", 2)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptCheckpointError(f"bad architecture description: {exc}") from exc
+        """The inverse of asdict after a JSON round trip. Raises KeyError,
+        TypeError or ValueError on a malformed description; keys it does
+        not know (head_outputs of older files) are ignored."""
+        return cls(
+            preset_name=str(d["preset_name"]),
+            input_length=int(d["input_length"]),
+            stem=tuple(int(v) for v in d["stem"]),
+            groups=tuple(tuple(int(v) for v in g) for g in d["groups"]),
+        )
 
 
 PRESETS = {
@@ -217,8 +211,7 @@ class Model:
             self.groups.append(group)
 
         self.global_pool = GlobalMaxPool(name="head.gpool")
-        self.head_dense = Dense(in_ch, spec.head_outputs, rng=rng, dtype=dtype,
-                                name="head.dense")
+        self.head_dense = Dense(in_ch, 2, rng=rng, dtype=dtype, name="head.dense")
         self.head_softplus = Softplus(floor=HEAD_FLOOR, name="head.softplus")
 
         # The walk order; last_stage_sizes records the length after each stage.
@@ -372,7 +365,7 @@ def _validate_train_records(records, soft_targets: bool):
                 "soft-target training needs records with changepoint annotations"
             )
         return usable
-    classes = {1 if r.target >= 0.5 else 0 for r in records}
+    classes = {hard_label(r.target) for r in records}
     if classes != {0, 1}:
         raise UsageError(
             "training split must contain both classes for balanced batches"
@@ -386,16 +379,20 @@ def train(model: Model, dataset, config) -> TrainingLog:
     Each epoch draws ceil(n_train / batch_size) balanced crop batches
     (or changepoint segment batches when config.soft_targets is set),
     applies one Adam step per batch, and closes with a validation pass of
-    full-signal predictions. The batch schedule is a deterministic
-    function of config.seed and identical in every epoch (classic
-    fixed-dataset epochs), so a zero learning rate yields a constant loss
-    trace and two runs with the same seed match exactly.
+    full-signal predictions. Crops are model.spec.input_length samples
+    long, and the validation pass is `predict` itself, so each epoch's
+    val_macro_f1 is the F1 that `eval` reports for the same weights. The
+    batch schedule is a deterministic function of config.seed and
+    identical in every epoch (classic fixed-dataset epochs), so a zero
+    learning rate yields a constant loss trace and two runs with the same
+    seed match exactly.
     """
-    if config.crop_len != model.spec.input_length:
+    if config.arch_preset != model.spec.preset_name:
         raise UsageError(
-            f"config crop_len {config.crop_len} does not match model input "
-            f"length {model.spec.input_length}"
+            f"config arch_preset {config.arch_preset!r} does not match the "
+            f"model's preset {model.spec.preset_name!r}"
         )
+    crop_len = model.spec.input_length
     train_records = _validate_train_records(dataset.train_records(),
                                             config.soft_targets)
     val_records = dataset.val_records()
@@ -421,20 +418,17 @@ def train(model: Model, dataset, config) -> TrainingLog:
         for _ in range(steps_per_epoch):
             if config.soft_targets:
                 batch = sample_changepoint_batch(
-                    train_records, config.batch_size, config.crop_len, rng)
+                    train_records, config.batch_size, crop_len, rng)
             else:
                 batch = sample_crop_batch(
-                    train_records, config.batch_size, config.crop_len,
-                    augment, rng)
+                    train_records, config.batch_size, crop_len, augment, rng)
             loss = loss_and_grads(model, batch.crops, batch.targets,
                                   config.label_eps)
             adam_step(model.params(), model.adam)
             loss_sum += loss
         stats = EpochStats(epoch=epoch, train_loss=loss_sum / steps_per_epoch)
         if val_records:
-            preds = [predict_mod.predict(model, r, config.crop_len,
-                                         threshold=config.decision_threshold)
-                     for r in val_records]
+            preds = [predict_mod.predict(model, r, crop_len) for r in val_records]
             rep = metrics_mod.report(metrics_mod.confusion(preds))
             stats.val_macro_f1 = rep.macro_f1
             stats.val_misclassified = rep.n_misclassified
@@ -449,7 +443,7 @@ def train(model: Model, dataset, config) -> TrainingLog:
 def save_checkpoint(model: Model, path, config_echo: dict | None = None) -> None:
     """Write the model to the binary checkpoint format (little-endian)."""
     meta = {
-        "spec": model.spec.to_json_dict(),
+        "spec": asdict(model.spec),
         "bn_momentum": model.bn_momentum,
         "bn_eps": model.bn_eps,
         "step_count": model.adam.step_count,
@@ -474,10 +468,12 @@ def save_checkpoint(model: Model, path, config_echo: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> Model:
-    """Reconstruct a model; the round trip reproduces forward passes bitwise."""
-    if not Path(path).exists():
-        raise CheckpointError(f"checkpoint file missing: {path}")
-    with open(path, "rb") as fh:
+    """Reconstruct a model; the round trip reproduces forward passes bitwise.
+
+    A file that cannot be opened, or whose header or tensors do not
+    describe a complete, finite model, raises a CheckpointError.
+    """
+    with open_input(path, "checkpoint file", CheckpointError) as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise CorruptCheckpointError(
@@ -491,17 +487,16 @@ def load_checkpoint(path) -> Model:
                 f"(expected {CHECKPOINT_VERSION})"
             )
         (meta_len,) = reader.unpack("<I", "header length")
+        header = reader.read(meta_len, "header")
         try:
-            meta = json.loads(reader.read(meta_len, "header").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptCheckpointError(f"unreadable checkpoint header: {exc}") from exc
-        spec = ArchitectureSpec.from_json_dict(meta.get("spec", {}))
-        model = Model(
-            spec,
-            seed=0,
-            bn_momentum=float(meta.get("bn_momentum", 0.1)),
-            bn_eps=float(meta.get("bn_eps", 1e-5)),
-        )
+            meta = json.loads(header.decode("utf-8"))
+            spec = ArchitectureSpec.from_json_dict(meta["spec"])
+            model = Model(spec, seed=0, bn_momentum=float(meta["bn_momentum"]),
+                          bn_eps=float(meta["bn_eps"]))
+            step_count = int(meta["step_count"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CorruptCheckpointError(
+                f"{path}: bad checkpoint header: {exc!r}") from exc
         targets = dict(model.named_entries())
         (n_entries,) = reader.unpack("<I", "entry count")
         seen = set()
@@ -514,13 +509,15 @@ def load_checkpoint(path) -> Model:
                     f"unreadable entry name: {exc}") from exc
             (rank,) = reader.unpack("<I", "rank")
             dims = reader.unpack(f"<{rank}I", "dims")
-            payload = reader.read(4 * math.prod(dims), f"data for {name}")
+            arr = reader.read_f32(math.prod(dims), f"data for {name}").reshape(dims)
             if name not in targets:
                 raise CorruptCheckpointError(
                     f"checkpoint entry {name!r} does not exist in architecture "
                     f"{spec.preset_name!r}"
                 )
-            arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
+            if not np.isfinite(arr).all():
+                raise CorruptCheckpointError(
+                    f"{path}: entry {name!r} holds NaN or inf")
             dest = targets[name]
             if dest.shape != arr.shape:
                 raise TensorShapeError(
@@ -536,5 +533,5 @@ def load_checkpoint(path) -> Model:
                 if len(missing) > 4 else
                 f"checkpoint is missing entries: {sorted(missing)}"
             )
-    model.adam.step_count = int(meta.get("step_count", 0))
+    model.adam.step_count = step_count
     return model

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .betadist import BetaMixture, BetaParams, PredictiveSummary, mixture_summary
+from .betadist import (BetaMixture, BetaParams, PredictiveSummary, hard_label,
+                       mixture_summary)
 from .data import SignalRecord, orient_signal, pad_to_length
 from .errors import UsageError
 
@@ -54,9 +55,12 @@ def decompose_crops(r: SignalRecord, crop_len: int) -> list[np.ndarray]:
     return windows
 
 
-def predict(model, r: SignalRecord, crop_len: int,
-            threshold: float = 0.5) -> Prediction:
-    """Orient, decompose, forward every crop, and summarize the mixture."""
+def predict(model, r: SignalRecord, crop_len: int) -> Prediction:
+    """Orient, decompose, forward every crop, and summarize the mixture.
+
+    crop_len must be the model's input length (model.spec.input_length).
+    The predicted class is hard_label of the mixture mean.
+    """
     oriented = orient_signal(r)
     windows = decompose_crops(oriented, crop_len)
     batch = np.stack(windows)[:, None, :]
@@ -68,7 +72,7 @@ def predict(model, r: SignalRecord, crop_len: int,
         record_id=r.id,
         summary=summary,
         components=mixture,
-        predicted_class=1 if summary.mean >= threshold else 0,
+        predicted_class=hard_label(summary.mean),
         true_target=r.target,
     )
 

@@ -1,4 +1,5 @@
-"""Shared test oracles: quadrature, finite differences, peak detection.
+"""Shared test oracles: quadrature, finite differences, peak detection,
+plus a checkpoint header rewriter for hostile-file tests.
 
 Everything here is deliberately independent of the library's own code
 paths (naive loops and textbook formulas only), so a test failure points
@@ -6,7 +7,10 @@ at the implementation, not at a shared bug.
 """
 
 import functools
+import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +96,17 @@ def detect_peak_times(samples: np.ndarray, fs: float,
             continue
         kept.append(i)
     return np.asarray(kept, dtype=np.float64) / fs
+
+
+def rewrite_checkpoint_header(path, edit) -> None:
+    """Replace a checkpoint's JSON header by edit(parsed header) and fix
+    the header length field; the tensors after it stay as they are."""
+    blob = Path(path).read_bytes()
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    meta = edit(json.loads(blob[12:12 + meta_len]))
+    header = json.dumps(meta, sort_keys=True).encode("utf-8")
+    Path(path).write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                           + blob[12 + meta_len:])
 
 
 @pytest.fixture

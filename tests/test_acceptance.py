@@ -44,15 +44,14 @@ from conftest import mixture_moments_by_quadrature, numeric_grad, rel_err
 N_SEEDS = 5
 KEEP_FRACTION = 0.9
 
-DESK_CONFIG = dict(arch_preset="tiny", crop_len=256, batch_size=32,
+DESK_CONFIG = dict(arch_preset="tiny", batch_size=32,
                    learning_rate=5e-3, epochs=35, augment=True)
-SOFT_CONFIG = dict(arch_preset="tiny", crop_len=256, batch_size=32,
+SOFT_CONFIG = dict(arch_preset="tiny", batch_size=32,
                    learning_rate=3e-3, epochs=20, augment=False,
                    soft_targets=True)
 
 DESK_CONFIG_FILE = """\
 arch_preset = tiny
-crop_len = 256
 batch_size = 32
 learning_rate = 0.005
 epochs = 35
@@ -95,7 +94,7 @@ def desk_runs():
         model = build_model("tiny", config.seed,
                             bn_momentum=config.bn_momentum)
         log = train(model, dataset, config)
-        preds = [predict(model, r, config.crop_len)
+        preds = [predict(model, r, model.spec.input_length)
                  for r in dataset.val_records()]
         elapsed = time.monotonic() - start
 
@@ -304,7 +303,7 @@ class TestAcceptance:
 
             crop = self._centered_half_fraction_segment(
                 synth_generate_changepoints(8, seed=seed + 1000),
-                config.crop_len)
+                model.spec.input_length)
             out = model.forward(crop[None, None, :], train=False)
             mixture = BetaMixture((BetaParams(float(out[0, 0]),
                                               float(out[0, 1])),))

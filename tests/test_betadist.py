@@ -19,6 +19,7 @@ from betamix.betadist import (
     beta_nll_grad,
     clip_label,
     digamma,
+    hard_label,
     ln_beta_fn,
     mixture_density_grid,
     mixture_summary,
@@ -328,6 +329,18 @@ class TestClipLabel:
             clip_label(1.5, 0.01)
         with pytest.raises(ValueError):
             clip_label(0.5, 0.6)
+
+
+class TestHardLabel:
+    @pytest.mark.parametrize("p,expected", [
+        (0.0, 0),
+        (math.nextafter(0.5, 0.0), 0),
+        (0.5, 1),
+        (1.0, 1),
+    ])
+    def test_boundary(self, p, expected):
+        """A tie at 0.5 goes to class 1; the next float below it does not."""
+        assert hard_label(p) == expected
 
 
 class TestBetaParamsInvariants:

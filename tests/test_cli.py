@@ -14,10 +14,10 @@ import pytest
 
 from betamix.cli import main
 from betamix.model import load_checkpoint
+from conftest import rewrite_checkpoint_header
 
 TRAIN_CONFIG = """
 arch_preset = tiny
-crop_len = 256
 batch_size = 8
 learning_rate = 0.003
 epochs = 2
@@ -158,31 +158,58 @@ class TestPredict:
         assert main(["predict", "--model", str(ckpt), "--data", str(data),
                      "--ids", "ghost", "--out", str(tmp_path / "x.jsonl")]) == 2
 
-    @pytest.mark.parametrize("case", ["missing_model", "dim_2**31",
-                                      "count_2**34", "count_2**61"])
-    def test_hostile_files_are_data_errors(self, trained, tmp_path, case):
-        """A missing checkpoint, or a length field declaring far more bytes
-        than the file holds, exits 2: no traceback, MemoryError or
-        OverflowError."""
+    HEADER_EDITS = {
+        "header_bn_momentum_9.1": lambda m: {**m, "bn_momentum": 9.1},
+        "header_stem_kernel_0": lambda m: {
+            **m, "spec": {**m["spec"], "stem": [0, *m["spec"]["stem"][1:]]}},
+        "header_not_object": lambda m: [m],
+        "header_step_count_inf": lambda m: {**m, "step_count": float("inf")},
+    }
+
+    @pytest.mark.parametrize("case", [
+        "missing_model", "dim_2**31", "count_2**34", "count_2**61",
+        "model_is_directory", "record_is_directory", "nan_sample",
+        "nan_weight", *HEADER_EDITS])
+    def test_hostile_files_are_data_errors(self, trained, tmp_path, capsys,
+                                           case):
+        """A missing or directory input, a length field declaring far more
+        bytes than the file holds, a NaN sample or weight, or a malformed
+        checkpoint header exits 2 with a one-line data error: no
+        traceback, MemoryError, OverflowError or internal error."""
         _, data, ckpt = trained
         model = Path(shutil.copy(ckpt, tmp_path / "model.bgc"))
         data = Path(shutil.copytree(data, tmp_path / "data"))
+        record = sorted((data / "records").iterdir())[0]
         if case == "missing_model":
             model.unlink()
-        elif case == "dim_2**31":
+        elif case.endswith("_is_directory"):
+            path = model if case == "model_is_directory" else record
+            path.unlink()
+            path.mkdir()
+        elif case in ("dim_2**31", "nan_weight"):
             blob = bytearray(model.read_bytes())
             (meta_len,) = struct.unpack_from("<I", blob, 8)
             (name_len,) = struct.unpack_from("<I", blob, 12 + meta_len + 4)
-            struct.pack_into("<I", blob, 12 + meta_len + 4 + 4 + name_len + 4,
-                             2**31)
+            rank_at = 12 + meta_len + 4 + 4 + name_len
+            if case == "dim_2**31":
+                struct.pack_into("<I", blob, rank_at + 4, 2**31)
+            else:
+                (rank,) = struct.unpack_from("<I", blob, rank_at)
+                struct.pack_into("<f", blob, rank_at + 4 + 4 * rank, float("nan"))
             model.write_bytes(bytes(blob))
+        elif case in self.HEADER_EDITS:
+            rewrite_checkpoint_header(model, self.HEADER_EDITS[case])
         else:
-            record = sorted((data / "records").iterdir())[0]
             blob = bytearray(record.read_bytes())
-            struct.pack_into("<Q", blob, 16, 2 ** int(case.split("**")[1]))
+            if case == "nan_sample":
+                struct.pack_into("<f", blob, 24, float("nan"))
+            else:
+                struct.pack_into("<Q", blob, 16, 2 ** int(case.split("**")[1]))
             record.write_bytes(bytes(blob))
         assert main(["predict", "--model", str(model), "--data", str(data),
                      "--out", str(tmp_path / "x.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
 
     def test_missing_checkpoint_is_corrupt(self, trained, tmp_path):
         root, data, _ = trained
@@ -203,6 +230,12 @@ class TestEval:
         accepted_rows = [l.split(",", 1)[1] for l in lines
                          if l.startswith("accepted,")]
         assert all_rows == accepted_rows
+        # Training validated with predict's own class boundary, so its last
+        # epoch's F1 is eval's F1 over all records.
+        log = json.loads((root / "model.bgc.train_log.json").read_text())
+        overall = all_rows[-1].split(",")
+        assert overall[0] == "Overall"
+        assert float(overall[-1]) == log["epochs"][-1]["val_macro_f1"]
 
     def test_layout(self, trained, tmp_path):
         root, data, ckpt = trained

@@ -26,7 +26,7 @@ from betamix.model import (
     train,
 )
 from betamix.nn import adam_step
-from conftest import numeric_grad, rel_err
+from conftest import numeric_grad, rel_err, rewrite_checkpoint_header
 
 # Softplus inverse of 1: forcing the head bias here makes every output
 # (alpha, beta) = (1, 1).
@@ -40,7 +40,7 @@ def tiny_dataset(seed=5, n_per_class=12, ambiguous=0.0):
 
 
 def tiny_config(**overrides):
-    defaults = dict(arch_preset="tiny", crop_len=256, batch_size=8,
+    defaults = dict(arch_preset="tiny", batch_size=8,
                     learning_rate=3e-3, epochs=2, seed=5, augment=False)
     defaults.update(overrides)
     return RunConfig(**defaults).validate()
@@ -226,7 +226,7 @@ class TestTrain:
         ds = tiny_dataset()
         model = build_model("tiny", 0)
         with pytest.raises(UsageError):
-            train(model, ds, tiny_config(crop_len=2048, arch_preset="paper"))
+            train(model, ds, tiny_config(arch_preset="paper"))
 
     def test_zero_epochs_trains_nothing(self):
         ds = tiny_dataset()
@@ -346,6 +346,23 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptCheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    def test_header_keys_of_older_files_are_ignored(self, tmp_path, rng):
+        """Older headers carry the spec's head_outputs and the crop_len and
+        decision_threshold config keys; such files load and predict
+        bit-identically."""
+        model = build_model("tiny", seed=9)
+        path = tmp_path / "model.bgc"
+        save_checkpoint(model, path, config_echo={"seed": 9})
+
+        def add_old_keys(meta):
+            meta["spec"]["head_outputs"] = 2
+            meta["config"].update(crop_len=256, decision_threshold=0.7)
+            return meta
+
+        rewrite_checkpoint_header(path, add_old_keys)
+        x = rng.normal(size=(5, 1, 256)).astype(np.float32)
+        np.testing.assert_array_equal(model.forward(x), load_checkpoint(path).forward(x))
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         model = build_model("tiny", seed=9)

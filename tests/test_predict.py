@@ -86,7 +86,7 @@ class TestPredict:
         pred = predict(model, record, 256)
         assert pred.summary.mean == pytest.approx(0.5, abs=1e-5)
         assert pred.summary.uncertainty == pytest.approx(1.0 / 3.0, abs=1e-4)
-        assert pred.predicted_class == 1  # mean >= threshold
+        assert pred.predicted_class == 1  # a tie at 0.5 goes to class 1
 
     def test_single_crop_signal_gives_one_component(self):
         model = build_model("tiny", seed=21)
@@ -116,12 +116,6 @@ class TestPredict:
         assert pred.summary.uncertainty == pytest.approx(
             4.0 * pred.summary.variance, rel=1e-12)
         assert 0.0 <= pred.summary.uncertainty <= 1.0
-
-    def test_threshold_controls_class(self):
-        model = self.uniform_head_model()
-        record = record_of_length(512)
-        assert predict(model, record, 256, threshold=0.51).predicted_class == 0
-        assert predict(model, record, 256, threshold=0.5).predicted_class == 1
 
     def test_leaves_no_layer_cache(self, rng):
         """predict runs infer-mode forwards only, so afterwards no layer
