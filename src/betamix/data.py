@@ -160,14 +160,16 @@ def write_record(path, record: SignalRecord) -> None:
 
 def open_input(path, what: str, error: type[DataError] = DataError, *,
                mode: str = "rb", newline: str | None = None):
-    """Open a file the user named (a record, a manifest, a checkpoint).
+    """Open a file the user named (a record, a manifest, a checkpoint);
+    a text-mode file is decoded as UTF-8.
 
     Every reason the file cannot be opened raises `error`: a missing file
     as "<what> missing: <path>", anything else (a directory, no
     permission) with the system's reason.
     """
+    encoding = None if "b" in mode else "utf-8"
     try:
-        return open(path, mode, newline=newline)
+        return open(path, mode, encoding=encoding, newline=newline)
     except FileNotFoundError as exc:
         raise error(f"{what} missing: {path}") from exc
     except OSError as exc:
@@ -240,7 +242,7 @@ def write_dataset(records: list[SignalRecord], manifest: DatasetManifest,
     out_dir = Path(out_dir)
     (out_dir / "records").mkdir(parents=True, exist_ok=True)
     by_id = {r.id: r for r in records}
-    with open(out_dir / "manifest.csv", "w", newline="") as fh:
+    with open(out_dir / "manifest.csv", "w", encoding="utf-8", newline="") as fh:
         if manifest.seed is not None:
             fh.write(f"# split_seed={manifest.seed}\n")
         writer = csv.writer(fh)
@@ -259,14 +261,28 @@ def _format_target(t: float) -> str:
     return repr(float(t))
 
 
+def _inside_dataset(rel_path: str) -> bool:
+    """Whether a manifest path names a file under the dataset directory:
+    relative, with no ".." component. A string check, so no filesystem
+    call per record."""
+    return (not os.path.isabs(rel_path)
+            and ".." not in rel_path.replace("\\", "/").split("/"))
+
+
 def load_dataset(manifest_path) -> Dataset:
-    """Parse a manifest and every record it references, validating both."""
+    """Parse a UTF-8 manifest and every record it references, validating
+    both."""
     manifest_path = Path(manifest_path)
     seed = None
     rows = []
     with open_input(manifest_path, "manifest", mode="r", newline="") as fh:
+        try:
+            raw_lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{manifest_path}: not UTF-8 text ({exc.reason})") from exc
         lines = []
-        for raw in fh:
+        for raw in raw_lines:
             if raw.startswith("#"):
                 stripped = raw[1:].strip()
                 if stripped.startswith("split_seed="):
@@ -307,6 +323,9 @@ def load_dataset(manifest_path) -> Dataset:
         if split not in ("train", "val"):
             raise DataError(
                 f"{manifest_path}: unknown split {split!r} for {rec_id!r}")
+        if not _inside_dataset(rel_path):
+            raise DataError(f"{manifest_path}: record path {rel_path!r} for "
+                            f"{rec_id!r} leaves the dataset directory")
         entries.append(ManifestEntry(rec_id, rel_path, target, split))
         records.append(read_record(manifest_path.parent / rel_path, rec_id, target))
     return Dataset(records, DatasetManifest(entries, seed))

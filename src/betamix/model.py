@@ -55,6 +55,10 @@ CHECKPOINT_VERSION = 1
 # float32 softplus underflows.
 HEAD_FLOOR = 1e-6
 
+# Every batch-norm layer of the network uses this epsilon; checkpoints
+# record it, and a file declaring another value is rejected.
+BN_EPS = 1e-5
+
 # Crop draws per training record per epoch; the batch schedule repeats
 # this many windows of coverage deterministically every epoch.
 CROPS_PER_RECORD = 4
@@ -79,8 +83,8 @@ class ArchitectureSpec:
         """Spatial size after the stem, after each group, and after the
         global pool: the analytic halving chain."""
         _, _, pool = self.stem
-        length = self.input_length  # stem conv: stride 1, same padding
-        length = (length - pool) // pool + 1
+        # The stem conv keeps the length; its pool drops the remainder.
+        length = self.input_length // pool
         sizes = [length]
         for _ in self.groups:
             length = -(-length // 2)
@@ -140,19 +144,19 @@ class ResidualBlock:
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int, *,
-                 rng, bn_momentum: float, bn_eps: float, dtype, name: str):
+                 rng, bn_momentum: float, dtype, name: str):
         self.name = name
-        self.conv1 = Conv1D(in_ch, out_ch, kernel, stride, "same",
+        self.conv1 = Conv1D(in_ch, out_ch, kernel, stride,
                             rng=rng, dtype=dtype, name=f"{name}.conv1")
-        self.bn1 = BatchNorm1D(out_ch, bn_momentum, bn_eps, dtype=dtype,
+        self.bn1 = BatchNorm1D(out_ch, bn_momentum, BN_EPS, dtype=dtype,
                                name=f"{name}.bn1")
         self.relu_inner = ReLU(name=f"{name}.relu1")
-        self.conv2 = Conv1D(out_ch, out_ch, kernel, 1, "same",
+        self.conv2 = Conv1D(out_ch, out_ch, kernel, 1,
                             rng=rng, dtype=dtype, name=f"{name}.conv2")
-        self.bn2 = BatchNorm1D(out_ch, bn_momentum, bn_eps, dtype=dtype,
+        self.bn2 = BatchNorm1D(out_ch, bn_momentum, BN_EPS, dtype=dtype,
                                name=f"{name}.bn2")
         if stride != 1 or in_ch != out_ch:
-            self.proj = Conv1D(in_ch, out_ch, 1, stride, "same",
+            self.proj = Conv1D(in_ch, out_ch, 1, stride,
                                rng=rng, dtype=dtype, name=f"{name}.proj")
         else:
             self.proj = None
@@ -180,20 +184,18 @@ class Model:
     """The assembled network: stem, residual groups, beta-parameter head."""
 
     def __init__(self, spec: ArchitectureSpec, seed: int, *,
-                 bn_momentum: float = 0.1, bn_eps: float = 1e-5,
-                 dtype=DEFAULT_DTYPE):
+                 bn_momentum: float = 0.1, dtype=DEFAULT_DTYPE):
         self.spec = spec
         self.rng_seed = int(seed)
         self.bn_momentum = float(bn_momentum)
-        self.bn_eps = float(bn_eps)
         self.dtype = dtype
         rng = np.random.default_rng(self.rng_seed)
 
         stem_kernel, stem_ch, stem_pool = spec.stem
-        self.stem_conv = Conv1D(1, stem_ch, stem_kernel, 1, "same",
+        self.stem_conv = Conv1D(1, stem_ch, stem_kernel, 1,
                                 rng=rng, dtype=dtype, name="stem.conv")
-        self.stem_pool = MaxPool1D(stem_pool, stem_pool, name="stem.pool")
-        self.stem_bn = BatchNorm1D(stem_ch, bn_momentum, bn_eps, dtype=dtype,
+        self.stem_pool = MaxPool1D(stem_pool, name="stem.pool")
+        self.stem_bn = BatchNorm1D(stem_ch, bn_momentum, BN_EPS, dtype=dtype,
                                    name="stem.bn")
         self.stem_relu = ReLU(name="stem.relu")
 
@@ -205,8 +207,7 @@ class Model:
                 stride = 2 if bi == 0 else 1
                 group.append(ResidualBlock(
                     in_ch, channels, kernel, stride, rng=rng,
-                    bn_momentum=bn_momentum, bn_eps=bn_eps, dtype=dtype,
-                    name=f"g{gi}.b{bi}"))
+                    bn_momentum=bn_momentum, dtype=dtype, name=f"g{gi}.b{bi}"))
                 in_ch = channels
             self.groups.append(group)
 
@@ -293,15 +294,14 @@ class Model:
 
 
 def build_model(preset: str, seed: int, *, bn_momentum: float = 0.1,
-                bn_eps: float = 1e-5, dtype=DEFAULT_DTYPE) -> Model:
+                dtype=DEFAULT_DTYPE) -> Model:
     """Construct a freshly initialized model from a named preset."""
     if preset not in PRESETS:
         raise UsageError(
             f"unknown architecture preset {preset!r}; available: "
             f"{sorted(PRESETS)}"
         )
-    return Model(PRESETS[preset], seed, bn_momentum=bn_momentum, bn_eps=bn_eps,
-                 dtype=dtype)
+    return Model(PRESETS[preset], seed, bn_momentum=bn_momentum, dtype=dtype)
 
 
 def loss_and_grads(model: Model, crops: np.ndarray, targets, label_eps: float) -> float:
@@ -445,7 +445,7 @@ def save_checkpoint(model: Model, path, config_echo: dict | None = None) -> None
     meta = {
         "spec": asdict(model.spec),
         "bn_momentum": model.bn_momentum,
-        "bn_eps": model.bn_eps,
+        "bn_eps": BN_EPS,
         "step_count": model.adam.step_count,
         "config": config_echo,
     }
@@ -491,8 +491,9 @@ def load_checkpoint(path) -> Model:
         try:
             meta = json.loads(header.decode("utf-8"))
             spec = ArchitectureSpec.from_json_dict(meta["spec"])
-            model = Model(spec, seed=0, bn_momentum=float(meta["bn_momentum"]),
-                          bn_eps=float(meta["bn_eps"]))
+            if float(meta["bn_eps"]) != BN_EPS:
+                raise ValueError(f"bn_eps {meta['bn_eps']!r} is not {BN_EPS}")
+            model = Model(spec, seed=0, bn_momentum=float(meta["bn_momentum"]))
             step_count = int(meta["step_count"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorruptCheckpointError(

@@ -1,10 +1,11 @@
 """Differentiable layer set with manual forward/backward passes.
 
 Just enough machinery for a 1-D convolutional ResNet: convolution, batch
-normalization, ReLU, max pooling (windowed and global), a fully-connected
-layer, softplus, Xavier initialization, and the Adam update. Storage is
-float32 throughout; every layer accepts a dtype override so tests can run
-a float64 shadow copy for tight gradient checks.
+normalization, ReLU, max pooling (non-overlapping windows and global), a
+fully-connected layer, floored softplus, Xavier initialization, and the
+Adam update. Each layer supports only the shapes the network builds.
+Storage is float32 throughout; every layer accepts a dtype override so
+tests can run a float64 shadow copy for tight gradient checks.
 
 Conventions:
   - Activations are numpy arrays of shape (batch, channels, length),
@@ -13,10 +14,11 @@ Conventions:
     needs only when train is true; an infer-mode forward keeps nothing, and
     a backward after it raises ValueError. backward(grad) returns the input
     gradient and accumulates parameter gradients.
-  - Convolution is cross-correlation (no kernel flip). "same" padding
-    splits zeros as evenly as possible with the extra element on the
-    right, and the accumulation order over (input channel, tap) is fixed
-    so outputs are reproducible bit for bit.
+  - Convolution is cross-correlation (no kernel flip) with "same"
+    padding only: the output length is ceil(length / stride), the zeros
+    are split as evenly as possible with the extra element on the right,
+    and the accumulation order over (input channel, tap) is fixed so
+    outputs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -154,20 +156,17 @@ class Layer:
 
 
 class Conv1D(Layer):
-    """1-D cross-correlation with optional striding and same/none padding."""
+    """1-D cross-correlation with optional striding and "same" padding:
+    the output length is ceil(length / stride)."""
 
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1,
-                 pad: str = "same", *, rng: np.random.Generator,
-                 dtype=DEFAULT_DTYPE, name: str = "conv"):
+    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1, *,
+                 rng: np.random.Generator, dtype=DEFAULT_DTYPE, name: str = "conv"):
         if stride < 1:
             raise ValueError("stride must be >= 1")
-        if pad not in ("same", "none"):
-            raise ValueError(f"pad must be 'same' or 'none', got {pad!r}")
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.kernel_size = kernel
         self.stride = stride
-        self.pad = pad
         self.name = name
         self.weight = Param(
             xavier_init((out_ch, in_ch, kernel), in_ch * kernel, out_ch * kernel,
@@ -179,27 +178,12 @@ class Conv1D(Layer):
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
 
-    def output_length(self, length: int) -> int:
-        if self.pad == "same":
-            return -(-length // self.stride)
-        if length < self.kernel_size:
-            raise ValueError(
-                f"{self.name}: input length {length} shorter than kernel "
-                f"{self.kernel_size} with pad='none'"
-            )
-        return (length - self.kernel_size) // self.stride + 1
-
     def _forward(self, x, train):
         b, c, length = x.shape
         if c != self.in_ch:
             raise ValueError(f"{self.name}: expected {self.in_ch} channels, got {c}")
-        out_len = self.output_length(length)
-        if self.pad == "same":
-            _, left, right = same_pad_amounts(length, self.kernel_size, self.stride)
-            xp = np.pad(x, ((0, 0), (0, 0), (left, right)))
-        else:
-            left = 0
-            xp = x
+        out_len, left, right = same_pad_amounts(length, self.kernel_size, self.stride)
+        xp = np.pad(x, ((0, 0), (0, 0), (left, right)))
         windows = sliding_window_view(xp, self.kernel_size, axis=2)[:, :, ::self.stride, :]
         k = self.weight.value
         y = np.empty((b, self.out_ch, out_len), dtype=x.dtype)
@@ -209,29 +193,22 @@ class Conv1D(Layer):
         for ci in range(self.in_ch):
             for j in range(self.kernel_size):
                 y += windows[:, ci, :, j][:, None, :] * k[None, :, ci, j, None]
-        return y, (windows, x.shape, left, out_len)
+        return y, (windows, length, left, xp.shape[2])
 
     def _backward(self, grad_out, cache):
-        windows, x_shape, left, out_len = cache
-        b, c, length = x_shape
+        windows, length, left, padded_len = cache
+        b, _, out_len, _ = windows.shape
         if grad_out.shape != (b, self.out_ch, out_len):
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} does not "
                              f"match forward output {(b, self.out_ch, out_len)}")
         self.bias.grad += grad_out.sum(axis=(0, 2))
         self.weight.grad += np.einsum("bfo,bcok->fck", grad_out, windows)
-        padded_len = left + length + self._padded_right(length)
         dxp = np.zeros((b, self.in_ch, padded_len), dtype=grad_out.dtype)
         k = self.weight.value
         for j in range(self.kernel_size):
             contrib = np.einsum("bfo,fc->bco", grad_out, k[:, :, j])
             dxp[:, :, j : j + out_len * self.stride : self.stride] += contrib
         return np.ascontiguousarray(dxp[:, :, left : left + length])
-
-    def _padded_right(self, length: int) -> int:
-        if self.pad == "none":
-            return 0
-        _, _, right = same_pad_amounts(length, self.kernel_size, self.stride)
-        return right
 
 
 class BatchNorm1D(Layer):
@@ -298,39 +275,36 @@ class ReLU(Layer):
 
 
 class MaxPool1D(Layer):
-    """Windowed max pooling; gradient flows to the first max per window."""
+    """Max pooling over non-overlapping windows (the stride is the window
+    size); a trailing remainder shorter than a window is dropped. The
+    gradient flows to the first max of each window."""
 
-    def __init__(self, window: int, stride: int, name: str = "pool"):
-        if window < 1 or stride < 1:
-            raise ValueError("window and stride must be >= 1")
-        self.window = window
-        self.stride = stride
+    def __init__(self, size: int, name: str = "pool"):
+        if size < 1:
+            raise ValueError("size must be >= 1")
+        self.size = size
         self.name = name
 
-    def output_length(self, length: int) -> int:
-        if length < self.window:
-            raise ValueError(
-                f"{self.name}: input length {length} shorter than window {self.window}"
-            )
-        return (length - self.window) // self.stride + 1
-
     def _forward(self, x, train):
-        out_len = self.output_length(x.shape[2])
-        windows = sliding_window_view(x, self.window, axis=2)[:, :, ::self.stride, :]
-        argmax = windows.argmax(axis=3)
-        y = np.take_along_axis(windows, argmax[..., None], axis=3)[..., 0]
-        return np.ascontiguousarray(y), (argmax, x.shape, out_len)
+        b, c, length = x.shape
+        if length < self.size:
+            raise ValueError(
+                f"{self.name}: input length {length} shorter than window {self.size}"
+            )
+        out_len = length // self.size
+        windows = x[:, :, :out_len * self.size].reshape(b, c, out_len, self.size)
+        argmax = windows.argmax(axis=3)[..., None]
+        y = np.take_along_axis(windows, argmax, axis=3)[..., 0]
+        return y, (argmax, length)
 
     def _backward(self, grad_out, cache):
-        argmax, x_shape, out_len = cache
-        b, c, length = x_shape
-        dx = np.zeros(x_shape, dtype=grad_out.dtype)
-        positions = argmax + self.stride * np.arange(out_len)[None, None, :]
-        flat_dx = dx.reshape(b * c, length)
-        flat_pos = positions.reshape(b * c, out_len)
-        rows = np.arange(b * c)[:, None]
-        # Windows may overlap when stride < window, so scatter-add.
-        np.add.at(flat_dx, (rows, flat_pos), grad_out.reshape(b * c, out_len))
+        argmax, length = cache
+        b, c, out_len, _ = argmax.shape
+        dwin = np.zeros((b, c, out_len, self.size), dtype=grad_out.dtype)
+        np.put_along_axis(dwin, argmax, grad_out[..., None], axis=3)
+        dx = dwin.reshape(b, c, out_len * self.size)
+        if dx.shape[2] < length:  # the dropped remainder gets zero gradient
+            dx = np.pad(dx, ((0, 0), (0, 0), (0, length - dx.shape[2])))
         return dx
 
 
@@ -387,7 +361,8 @@ class Dense(Layer):
 
 
 class Softplus(Layer):
-    """Elementwise ln(1+exp(x)), optionally floored to keep outputs positive."""
+    """Elementwise ln(1+exp(x)), floored to keep outputs positive; the
+    clamped elements get zero gradient."""
 
     def __init__(self, floor: float = 0.0, name: str = "softplus"):
         self.floor = floor
@@ -395,16 +370,10 @@ class Softplus(Layer):
 
     def _forward(self, x, train):
         y = softplus(x)
-        if self.floor > 0.0:
-            flo_mask = y > self.floor
-            y = np.maximum(y, np.asarray(self.floor, dtype=y.dtype))
-        else:
-            flo_mask = None
+        flo_mask = y > self.floor
+        y = np.maximum(y, np.asarray(self.floor, dtype=y.dtype))
         return y, (x, flo_mask)
 
     def _backward(self, grad_out, cache):
         x, flo_mask = cache
-        dx = grad_out * sigmoid(x)
-        if flo_mask is not None:
-            dx = dx * flo_mask
-        return dx
+        return grad_out * sigmoid(x) * flo_mask

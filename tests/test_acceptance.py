@@ -200,7 +200,7 @@ class TestAcceptance:
                 ("batchnorm", BatchNorm1D(2, dtype=dtype),
                  (4, 2, 6), (4, 2, 6), True),
                 ("relu", ReLU(), (2, 3, 8), (2, 3, 8), False),
-                ("maxpool", MaxPool1D(2, 2), (2, 2, 12), (2, 2, 6), False),
+                ("maxpool", MaxPool1D(2), (2, 2, 12), (2, 2, 6), False),
                 ("gpool", GlobalMaxPool(), (2, 3, 9), (2, 3, 1), False),
                 ("dense", Dense(8, 3, rng=gen, dtype=dtype),
                  (2, 4, 2), (2, 3), True),

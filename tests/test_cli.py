@@ -164,18 +164,23 @@ class TestPredict:
             **m, "spec": {**m["spec"], "stem": [0, *m["spec"]["stem"][1:]]}},
         "header_not_object": lambda m: [m],
         "header_step_count_inf": lambda m: {**m, "step_count": float("inf")},
+        "header_bn_eps_-1": lambda m: {**m, "bn_eps": -1.0},
+        "header_bn_eps_1e-3": lambda m: {**m, "bn_eps": 1e-3},
     }
 
     @pytest.mark.parametrize("case", [
         "missing_model", "dim_2**31", "count_2**34", "count_2**61",
         "model_is_directory", "record_is_directory", "nan_sample",
-        "nan_weight", *HEADER_EDITS])
+        "nan_weight", "manifest_not_utf8", "manifest_path_parent",
+        "manifest_path_absolute", *HEADER_EDITS])
     def test_hostile_files_are_data_errors(self, trained, tmp_path, capsys,
                                            case):
         """A missing or directory input, a length field declaring far more
-        bytes than the file holds, a NaN sample or weight, or a malformed
-        checkpoint header exits 2 with a one-line data error: no
-        traceback, MemoryError, OverflowError or internal error."""
+        bytes than the file holds, a NaN sample or weight, a malformed
+        checkpoint header, a manifest that is not UTF-8 or a manifest path
+        leading out of the dataset directory exits 2 with a one-line data
+        error: no traceback, MemoryError, OverflowError or internal
+        error."""
         _, data, ckpt = trained
         model = Path(shutil.copy(ckpt, tmp_path / "model.bgc"))
         data = Path(shutil.copytree(data, tmp_path / "data"))
@@ -199,6 +204,20 @@ class TestPredict:
             model.write_bytes(bytes(blob))
         elif case in self.HEADER_EDITS:
             rewrite_checkpoint_header(model, self.HEADER_EDITS[case])
+        elif case == "manifest_not_utf8":
+            (data / "manifest.csv").write_bytes(b"\xff\xfe\x00garbage")
+        elif case.startswith("manifest_path_"):
+            # The named file exists, so only the containment check stops it.
+            if case == "manifest_path_parent":
+                shutil.copytree(record.parent, tmp_path / "secret")
+                path = f"../secret/{record.name}"
+            else:
+                path = str(record)
+            manifest = data / "manifest.csv"
+            text = manifest.read_text(encoding="utf-8")
+            rel = record.relative_to(data).as_posix()
+            assert rel in text
+            manifest.write_text(text.replace(rel, path), encoding="utf-8")
         else:
             blob = bytearray(record.read_bytes())
             if case == "nan_sample":

@@ -28,19 +28,15 @@ from betamix.nn import (
 from conftest import numeric_grad, rel_err
 
 
-def naive_conv1d(x, kernel, bias, stride, pad):
-    """Quadruple-loop cross-correlation with float32 accumulation in the
-    same (channel, tap) order the layer uses."""
+def naive_conv1d(x, kernel, bias, stride):
+    """Quadruple-loop "same"-padded cross-correlation with float32
+    accumulation in the same (channel, tap) order the layer uses."""
     b, c, length = x.shape
     out_ch, _, k = kernel.shape
-    if pad == "same":
-        out_len = -(-length // stride)
-        total = max(0, (out_len - 1) * stride + k - length)
-        left = total // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (left, total - left)))
-    else:
-        out_len = (length - k) // stride + 1
-        xp = x
+    out_len = -(-length // stride)
+    total = max(0, (out_len - 1) * stride + k - length)
+    left = total // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (left, total - left)))
     y = np.zeros((b, out_ch, out_len), dtype=np.float32)
     for bi in range(b):
         for f in range(out_ch):
@@ -61,7 +57,7 @@ def one_of_each_layer(rng):
         (Conv1D(2, 3, 3, rng=rng), (2, 2, 8)),
         (BatchNorm1D(2), (3, 2, 8)),
         (ReLU(), (2, 3, 8)),
-        (MaxPool1D(2, 2), (2, 2, 8)),
+        (MaxPool1D(2), (2, 2, 8)),
         (GlobalMaxPool(), (2, 3, 9)),
         (Dense(8, 3, rng=rng), (2, 4, 2)),
         (Softplus(floor=1e-6), (3, 4)),
@@ -89,20 +85,20 @@ class TestConv1D:
         x = np.array([[[1.0, 2.0, 3.0, 4.0]]], dtype=np.float32)
         np.testing.assert_allclose(layer.forward(x)[0, 0], [3.0, 6.0, 9.0, 7.0])
 
-    @pytest.mark.parametrize("stride,pad", [(1, "same"), (2, "same"),
-                                            (1, "none"), (3, "same"), (2, "none")])
-    def test_matches_naive_oracle_bitwise(self, rng, stride, pad):
-        layer = Conv1D(3, 4, 5, stride=stride, pad=pad, rng=rng)
+    # Ids such as "2-same" name the stride and the padding of each case.
+    @pytest.mark.parametrize("stride", [1, 2, 3], ids=lambda s: f"{s}-same")
+    def test_matches_naive_oracle_bitwise(self, rng, stride):
+        layer = Conv1D(3, 4, 5, stride=stride, rng=rng)
         x = rng.normal(size=(2, 3, 17)).astype(np.float32)
         got = layer.forward(x)
         expected = naive_conv1d(x, layer.weight.value, layer.bias.value,
-                                stride, pad)
+                                stride)
         np.testing.assert_array_equal(got, expected)
 
     def test_same_pad_preserves_length(self, rng):
         for k in (1, 3, 5):
             for length in range(1, 65):
-                layer = Conv1D(1, 1, k, stride=1, pad="same", rng=rng)
+                layer = Conv1D(1, 1, k, stride=1, rng=rng)
                 x = rng.normal(size=(1, 1, length)).astype(np.float32)
                 assert layer.forward(x).shape[2] == length
 
@@ -114,7 +110,7 @@ class TestConv1D:
         assert (out_len, left, right) == (10, 1, 2)
 
     def test_strided_output_length(self, rng):
-        layer = Conv1D(1, 2, 3, stride=2, pad="same", rng=rng)
+        layer = Conv1D(1, 2, 3, stride=2, rng=rng)
         for length in (7, 8, 9, 2048):
             x = np.zeros((1, 1, length), dtype=np.float32)
             assert layer.forward(x).shape[2] == -(-length // 2)
@@ -257,7 +253,7 @@ class TestBatchNorm1D:
         and for the residual block and the model, even when a train-mode
         forward came before it."""
         block = ResidualBlock(2, 3, 3, 2, rng=rng, bn_momentum=0.1,
-                              bn_eps=1e-5, dtype=np.float32, name="b")
+                              dtype=np.float32, name="b")
         cases = one_of_each_layer(rng) + [(block, (3, 2, 8)),
                                           (build_model("tiny", 0), (2, 1, 256))]
         for layer, shape in cases:
@@ -290,46 +286,57 @@ class TestReLU:
 
 class TestMaxPool1D:
     def test_hand_example(self):
-        layer = MaxPool1D(2, 2)
+        layer = MaxPool1D(2)
         x = np.array([[[1.0, 3.0, 2.0, 5.0]]], dtype=np.float32)
         np.testing.assert_array_equal(layer.forward(x), [[[3.0, 5.0]]])
 
     def test_backward_routes_to_max(self):
-        layer = MaxPool1D(2, 2)
+        layer = MaxPool1D(2)
         x = np.array([[[1.0, 3.0, 2.0, 5.0]]], dtype=np.float32)
         layer.forward(x, train=True)
         dx = layer.backward(np.ones((1, 1, 2), dtype=np.float32))
         np.testing.assert_array_equal(dx, [[[0.0, 1.0, 0.0, 1.0]]])
 
     def test_tie_routes_to_first(self):
-        layer = MaxPool1D(2, 2)
+        layer = MaxPool1D(2)
         x = np.array([[[2.0, 2.0]]], dtype=np.float32)
         layer.forward(x, train=True)
         dx = layer.backward(np.ones((1, 1, 1), dtype=np.float32))
         np.testing.assert_array_equal(dx, [[[1.0, 0.0]]])
 
     def test_window_longer_than_input_rejected(self):
-        layer = MaxPool1D(4, 2)
+        layer = MaxPool1D(4)
         with pytest.raises(ValueError):
             layer.forward(np.zeros((1, 1, 3), dtype=np.float32))
 
     def test_matches_naive_scan(self, rng):
-        layer = MaxPool1D(3, 2)
+        layer = MaxPool1D(3)
         x = rng.normal(size=(2, 2, 11)).astype(np.float32)
         y = layer.forward(x)
-        out_len = (11 - 3) // 2 + 1
+        out_len = 11 // 3
+        assert y.shape == (2, 2, out_len)
         for b in range(2):
             for c in range(2):
                 for o in range(out_len):
-                    assert y[b, c, o] == x[b, c, 2 * o:2 * o + 3].max()
+                    assert y[b, c, o] == x[b, c, 3 * o:3 * o + 3].max()
 
-    def test_overlapping_windows_accumulate_grads(self, rng):
-        # stride 1 window 2: a shared max receives both windows' gradient
-        layer = MaxPool1D(2, 1)
-        x = np.array([[[0.0, 9.0, 0.0]]], dtype=np.float32)
+    def test_backward_matches_naive_loop(self, rng):
+        # Small integers make ties common; every window's gradient goes to
+        # its first max, and the two trailing samples get none.
+        layer = MaxPool1D(3)
+        x = rng.integers(0, 3, size=(2, 2, 11)).astype(np.float32)
         layer.forward(x, train=True)
-        dx = layer.backward(np.ones((1, 1, 2), dtype=np.float32))
-        np.testing.assert_array_equal(dx, [[[0.0, 2.0, 0.0]]])
+        grad_out = rng.normal(size=(2, 2, 3)).astype(np.float32)
+        dx = layer.backward(grad_out)
+        expected = np.zeros_like(x)
+        for b in range(2):
+            for c in range(2):
+                for o in range(3):
+                    window = list(x[b, c, 3 * o:3 * o + 3])
+                    first_max = 3 * o + window.index(max(window))
+                    expected[b, c, first_max] = grad_out[b, c, o]
+        np.testing.assert_array_equal(dx, expected)
+        assert not dx[:, :, 9:].any()
 
 
 class TestGlobalMaxPool:
