@@ -30,17 +30,11 @@ DENSITY_GRID_EPS = 1e-4
 
 
 def cmd_synth(args) -> int:
-    if args.n_per_class < 1:
-        raise UsageError(f"--n-per-class must be >= 1, got {args.n_per_class}")
     records = synth_generate(args.n_per_class, seed=args.seed,
                              ambiguous_fraction=args.ambiguous_fraction)
     manifest = split_dataset(records, 0.8, args.seed)
-    out_dir = Path(args.out)
-    try:
-        write_dataset(records, manifest, out_dir)
-    except OSError as exc:
-        raise DataError(f"cannot write dataset to {out_dir}: {exc}") from exc
-    print(f"wrote {len(records)} records to {out_dir}")
+    write_dataset(records, manifest, args.out)
+    print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 
@@ -51,13 +45,10 @@ def cmd_train(args) -> int:
                         bn_momentum=config.bn_momentum)
     log = train(model, dataset, config)
     out = Path(args.out)
-    try:
-        save_checkpoint(model, out, config_echo=config.to_dict())
-        with open(out.with_suffix(out.suffix + ".train_log.json"), "w") as fh:
-            json.dump(log.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise DataError(f"cannot write checkpoint to {out}: {exc}") from exc
+    save_checkpoint(model, out, config_echo=config.to_dict())
+    with open(out.with_suffix(out.suffix + ".train_log.json"), "w") as fh:
+        json.dump(log.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     if log.epochs:
         last = log.epochs[-1]
         print(f"trained {len(log.epochs)} epochs, final loss {last.train_loss:.6f}, "
@@ -83,10 +74,7 @@ def cmd_predict(args) -> int:
     _, records = _load_records(args.data, args.ids)
     crop_len = model.spec.input_length
     preds = [predict(model, r, crop_len) for r in records]
-    try:
-        write_predictions(preds, args.out)
-    except OSError as exc:
-        raise DataError(f"cannot write predictions to {args.out}: {exc}") from exc
+    write_predictions(preds, args.out)
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
 
@@ -106,20 +94,17 @@ def cmd_eval(args) -> int:
     flagged, threshold = reject_by_uncertainty(preds, args.keep_fraction)
     accepted_report = metrics_mod.report(
         metrics_mod.confusion(flagged, only_accepted=True))
-    try:
-        with open(args.out, "w") as fh:
-            fh.write("subset,class,precision,recall,f1\n")
-            for subset, rep in (("all", all_report), ("accepted", accepted_report)):
-                for row in metrics_mod.report_csv_rows(rep):
-                    fh.write(",".join([subset] + row))
-                    fh.write("\n")
-            fh.write(f"uncertainty_threshold,{threshold!r}\n")
-            fh.write(f"n_all,{all_report.n_evaluated}\n")
-            fh.write(f"n_accepted,{accepted_report.n_evaluated}\n")
-            fh.write(f"misclassified_all,{all_report.n_misclassified}\n")
-            fh.write(f"misclassified_accepted,{accepted_report.n_misclassified}\n")
-    except OSError as exc:
-        raise DataError(f"cannot write report to {args.out}: {exc}") from exc
+    with open(args.out, "w") as fh:
+        fh.write("subset,class,precision,recall,f1\n")
+        for subset, rep in (("all", all_report), ("accepted", accepted_report)):
+            for row in metrics_mod.report_csv_rows(rep):
+                fh.write(",".join([subset] + row))
+                fh.write("\n")
+        fh.write(f"uncertainty_threshold,{threshold!r}\n")
+        fh.write(f"n_all,{all_report.n_evaluated}\n")
+        fh.write(f"n_accepted,{accepted_report.n_evaluated}\n")
+        fh.write(f"misclassified_all,{all_report.n_misclassified}\n")
+        fh.write(f"misclassified_accepted,{accepted_report.n_misclassified}\n")
     print(f"macro F1 all={all_report.macro_f1:.4f} "
           f"accepted={accepted_report.macro_f1:.4f} "
           f"misclassified {all_report.n_misclassified}->"
@@ -134,13 +119,10 @@ def cmd_density(args) -> int:
     _, records = _load_records(args.data, [args.id])
     pred = predict(model, records[0], model.spec.input_length)
     grid = mixture_density_grid(pred.components, args.points, DENSITY_GRID_EPS)
-    try:
-        with open(args.out, "w") as fh:
-            fh.write("t,pdf\n")
-            for t, pdf in grid:
-                fh.write(f"{t!r},{pdf!r}\n")
-    except OSError as exc:
-        raise DataError(f"cannot write density grid to {args.out}: {exc}") from exc
+    with open(args.out, "w") as fh:
+        fh.write("t,pdf\n")
+        for t, pdf in grid:
+            fh.write(f"{t!r},{pdf!r}\n")
     print(f"wrote {len(grid)} density points for {args.id} to {args.out}")
     return 0
 
@@ -207,7 +189,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
+        # Every input file opens through data.open_input and the config
+        # file through parse_config, both of which raise their own errors,
+        # so an OSError here is an output that could not be written; its
+        # text names the path.
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (InternalError, ValueError, FloatingPointError, AssertionError) as exc:

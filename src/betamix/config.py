@@ -1,12 +1,14 @@
 """Flat key=value run configuration.
 
-One option per line, `#` comments and blank lines allowed. Unknown keys
-are rejected and every value is validated against its domain at parse
-time, so a typo fails the run before any compute happens.
+A UTF-8 file with one option per line, `#` comments and blank lines
+allowed. Unknown keys are rejected and every value is validated against
+its domain at parse time (floats must be finite), so a typo fails the run
+before any compute happens.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import UsageError
@@ -84,10 +86,12 @@ def parse_config(path) -> RunConfig:
     known = {f.name for f in fields(RunConfig)}
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -107,6 +111,8 @@ def parse_config(path) -> RunConfig:
                 values[key] = int(value)
             elif isinstance(default, float):
                 values[key] = float(value)
+                if not math.isfinite(values[key]):
+                    raise ValueError(f"{value!r} is not finite")
             else:
                 values[key] = value
         except ValueError as exc:

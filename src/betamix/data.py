@@ -161,13 +161,14 @@ def write_record(path, record: SignalRecord) -> None:
 def open_input(path, what: str, error: type[DataError] = DataError, *,
                mode: str = "rb", newline: str | None = None):
     """Open a file the user named (a record, a manifest, a checkpoint);
-    a text-mode file is decoded as UTF-8.
+    a text-mode file is decoded as UTF-8, skipping a leading byte-order
+    mark.
 
     Every reason the file cannot be opened raises `error`: a missing file
     as "<what> missing: <path>", anything else (a directory, no
     permission) with the system's reason.
     """
-    encoding = None if "b" in mode else "utf-8"
+    encoding = None if "b" in mode else "utf-8-sig"
     try:
         return open(path, mode, encoding=encoding, newline=newline)
     except FileNotFoundError as exc:
@@ -472,8 +473,7 @@ def sample_changepoint_batch(records: list[SignalRecord], batch_size: int,
     for i in range(batch_size):
         record = usable[int(rng.integers(len(usable)))]
         samples, flipped = _orient_samples(record.samples)
-        oriented = replace(record, samples=samples)
-        start, target = sample_changepoint_segments(oriented, crop_len, 1, rng)[0]
+        start, target = sample_changepoint_segments(record, crop_len, 1, rng)[0]
         crops[i, 0, :] = samples[start:start + crop_len]
         targets[i] = target
         provenance.append(CropProvenance(record.id, start, 1.0, flipped, False))

@@ -79,31 +79,6 @@ class ArchitectureSpec:
     stem: tuple[int, int, int]
     groups: tuple[tuple[int, int, int], ...]
 
-    def stage_lengths(self) -> list[int]:
-        """Spatial size after the stem, after each group, and after the
-        global pool: the analytic halving chain."""
-        _, _, pool = self.stem
-        # The stem conv keeps the length; its pool drops the remainder.
-        length = self.input_length // pool
-        sizes = [length]
-        for _ in self.groups:
-            length = -(-length // 2)
-            sizes.append(length)
-        sizes.append(1)
-        return sizes
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ArchitectureSpec":
-        """The inverse of asdict after a JSON round trip. Raises KeyError,
-        TypeError or ValueError on a malformed description; keys it does
-        not know (head_outputs of older files) are ignored."""
-        return cls(
-            preset_name=str(d["preset_name"]),
-            input_length=int(d["input_length"]),
-            stem=tuple(int(v) for v in d["stem"]),
-            groups=tuple(tuple(int(v) for v in g) for g in d["groups"]),
-        )
-
 
 PRESETS = {
     "paper": ArchitectureSpec(
@@ -490,7 +465,13 @@ def load_checkpoint(path) -> Model:
         header = reader.read(meta_len, "header")
         try:
             meta = json.loads(header.decode("utf-8"))
-            spec = ArchitectureSpec.from_json_dict(meta["spec"])
+            # The header names a preset and must repeat its sizes, so a
+            # header can only pick one of the networks of known size.
+            spec = PRESETS[meta["spec"]["preset_name"]]
+            for key, value in json.loads(json.dumps(asdict(spec))).items():
+                if meta["spec"][key] != value:
+                    raise ValueError(f"{key} {meta['spec'][key]!r} is not "
+                                     f"preset {spec.preset_name!r}'s {value!r}")
             if float(meta["bn_eps"]) != BN_EPS:
                 raise ValueError(f"bn_eps {meta['bn_eps']!r} is not {BN_EPS}")
             model = Model(spec, seed=0, bn_momentum=float(meta["bn_momentum"]))

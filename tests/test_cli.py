@@ -108,6 +108,25 @@ class TestTrain:
                      "--data", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "m.bgc")]) == 2
 
+    HOSTILE_CONFIGS = {
+        "not_utf8": TRAIN_CONFIG.encode() + b"# \xff\n",
+        "resample_max_inf": f"{TRAIN_CONFIG}resample_max = inf\n".encode(),
+        "learning_rate_inf": TRAIN_CONFIG.replace(
+            "learning_rate = 0.003", "learning_rate = inf").encode(),
+    }
+
+    @pytest.mark.parametrize("case", HOSTILE_CONFIGS)
+    def test_hostile_config_is_usage_error(self, tmp_path, capsys, case):
+        """A config file that does not decode or holds a non-finite number
+        exits 1 before any compute: no traceback or internal error."""
+        data = synth_dataset(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_bytes(self.HOSTILE_CONFIGS[case])
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "m.bgc")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -166,6 +185,13 @@ class TestPredict:
         "header_step_count_inf": lambda m: {**m, "step_count": float("inf")},
         "header_bn_eps_-1": lambda m: {**m, "bn_eps": -1.0},
         "header_bn_eps_1e-3": lambda m: {**m, "bn_eps": 1e-3},
+        "header_stem_channels_2**40": lambda m: {
+            **m, "spec": {**m["spec"], "stem": [5, 2**40, 2]}},
+        "header_group_channels_3000": lambda m: {
+            **m, "spec": {**m["spec"],
+                          "groups": [[1, 4, 3], [1, 3000, 3]]}},
+        "header_preset_unknown": lambda m: {
+            **m, "spec": {**m["spec"], "preset_name": "custom"}},
     }
 
     @pytest.mark.parametrize("case", [
@@ -177,7 +203,8 @@ class TestPredict:
                                            case):
         """A missing or directory input, a length field declaring far more
         bytes than the file holds, a NaN sample or weight, a malformed
-        checkpoint header, a manifest that is not UTF-8 or a manifest path
+        checkpoint header (including one that names no preset or changes a
+        preset's sizes), a manifest that is not UTF-8 or a manifest path
         leading out of the dataset directory exits 2 with a one-line data
         error: no traceback, MemoryError, OverflowError or internal
         error."""
@@ -303,6 +330,33 @@ class TestDensity:
         assert main(["density", "--model", str(ckpt), "--data", str(data),
                      "--id", "ghost", "--points", "10",
                      "--out", str(tmp_path / "d.csv")]) == 2
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command", [
+        "synth", "train", "predict", "eval", "density"])
+    def test_unwritable_output_is_data_error(self, trained, tmp_path, capsys,
+                                             command):
+        """An output that cannot be written (an existing directory, or an
+        existing file where synth makes its dataset directory) exits 2
+        with a one-line data error."""
+        root, data, ckpt = trained
+        out = tmp_path / "taken"
+        if command == "synth":
+            out.write_text("")
+            argv = ["synth", "--n-per-class", "1"]
+        else:
+            out.mkdir()
+            if command == "train":
+                argv = ["train", "--config", str(write_config(tmp_path)),
+                        "--data", str(data)]
+            else:
+                argv = [command, "--model", str(ckpt), "--data", str(data)]
+                if command == "density":
+                    argv += ["--id", "no0000", "--points", "11"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
 
 
 class TestArgumentHandling:

@@ -131,6 +131,19 @@ class TestDatasetIO:
         assert [r.id for r in loaded.train_records()] == ["a", "b"]
         assert [r.id for r in loaded.val_records()] == ["c"]
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        """Spreadsheet tools save CSV with a leading UTF-8 byte-order mark."""
+        records = synth_generate(3, crop_budget_s=10.0, seed=8)
+        write_dataset(records, split_dataset(records, 0.8, seed=8), tmp_path)
+        path = tmp_path / "manifest.csv"
+        plain = load_dataset(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked = load_dataset(path)
+        assert marked.manifest == plain.manifest
+        for a, b in zip(plain.records, marked.records, strict=True):
+            assert a.id == b.id
+            np.testing.assert_array_equal(a.samples, b.samples)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest missing"):
             load_dataset(tmp_path / "manifest.csv")
@@ -342,6 +355,20 @@ class TestChangepointSegments:
         assert batch.crops.shape == (6, 1, 80)
         assert all(p.record_id == "tri" for p in batch.provenance)
         assert ((batch.targets >= 0.0) & (batch.targets <= 1.0)).all()
+
+    def test_batch_crops_are_oriented_windows(self, rng):
+        records = synth_generate_changepoints(4, seed=3)
+        by_id = {r.id: r for r in records}
+        crop_len = 256
+        batch = sample_changepoint_batch(records, 32, crop_len, rng)
+        for crop, target, prov in zip(batch.crops, batch.targets,
+                                      batch.provenance, strict=True):
+            record = by_id[prov.record_id]
+            oriented = orient_signal(record).samples
+            np.testing.assert_array_equal(
+                crop[0], oriented[prov.start:prov.start + crop_len])
+            assert target == soft_target_for_segment(record, prov.start,
+                                                     crop_len)
 
 
 class TestSplitDataset:
