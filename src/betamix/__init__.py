@@ -63,7 +63,6 @@ from .predict import (
     Prediction,
     decompose_crops,
     predict,
-    reject_by_threshold,
     reject_by_uncertainty,
     write_predictions,
 )

@@ -41,8 +41,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = parse_config(args.config)
     dataset = load_dataset(Path(args.data) / "manifest.csv")
-    model = build_model(config.arch_preset, config.seed,
-                        bn_momentum=config.bn_momentum)
+    model = build_model(config.arch_preset, config.seed)
     log = train(model, dataset, config)
     out = Path(args.out)
     save_checkpoint(model, out, config_echo=config.to_dict())

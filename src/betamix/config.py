@@ -17,23 +17,20 @@ from .model import PRESETS
 
 @dataclass
 class RunConfig:
-    """Every setting of a training run. The crop length is the preset's
-    input length and the class boundary is `betadist.hard_label`; neither
-    is a setting."""
+    """Every setting of a training run; only what runs vary is a setting.
+
+    The crop length is the preset's input length and the class boundary
+    is `betadist.hard_label`. Adam's moments (`nn.ADAM_BETA1/2`,
+    `nn.ADAM_EPS`), the batch-norm momentum (`model.BN_MOMENTUM`), the
+    label clip (`model.LABEL_EPS`) and the resample range
+    (`data.AugmentConfig`) are constants."""
 
     arch_preset: str = "paper"
     batch_size: int = 256
     learning_rate: float = 1e-3
     epochs: int = 10
     seed: int = 0
-    label_eps: float = 0.01
-    resample_min: float = 0.8
-    resample_max: float = 1.25
     augment: bool = True
-    bn_momentum: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     soft_targets: bool = False
 
     def validate(self) -> "RunConfig":
@@ -48,18 +45,6 @@ class RunConfig:
                  f"learning_rate must be >= 0, got {self.learning_rate}")
         _require(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
         _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        _require(0.0 < self.label_eps < 0.5,
-                 f"label_eps must lie in (0, 0.5), got {self.label_eps}")
-        _require(0.0 < self.resample_min <= self.resample_max,
-                 "resample range must satisfy 0 < min <= max, got "
-                 f"[{self.resample_min}, {self.resample_max}]")
-        _require(0.0 < self.bn_momentum < 1.0,
-                 f"bn_momentum must lie in (0,1), got {self.bn_momentum}")
-        _require(0.0 < self.adam_beta1 < 1.0,
-                 f"adam_beta1 must lie in (0,1), got {self.adam_beta1}")
-        _require(0.0 < self.adam_beta2 < 1.0,
-                 f"adam_beta2 must lie in (0,1), got {self.adam_beta2}")
-        _require(self.adam_eps > 0.0, f"adam_eps must be > 0, got {self.adam_eps}")
         return self
 
     def to_dict(self) -> dict:

@@ -135,6 +135,8 @@ class CropBatch:
 
 @dataclass(frozen=True)
 class AugmentConfig:
+    """The range of the random resampling factor of training crops."""
+
     resample_min: float = 0.8
     resample_max: float = 1.25
 

@@ -55,9 +55,14 @@ CHECKPOINT_VERSION = 1
 # float32 softplus underflows.
 HEAD_FLOOR = 1e-6
 
-# Every batch-norm layer of the network uses this epsilon; checkpoints
-# record it, and a file declaring another value is rejected.
+# Every batch-norm layer of the network uses this momentum and epsilon;
+# checkpoints record both, and a file declaring other values is rejected.
+BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+
+# Hard labels are clipped into [LABEL_EPS, 1 - LABEL_EPS] before the beta
+# log-density is evaluated at them.
+LABEL_EPS = 0.01
 
 # Crop draws per training record per epoch; the batch schedule repeats
 # this many windows of coverage deterministically every epoch.
@@ -119,16 +124,16 @@ class ResidualBlock:
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int, *,
-                 rng, bn_momentum: float, dtype, name: str):
+                 rng, dtype, name: str):
         self.name = name
         self.conv1 = Conv1D(in_ch, out_ch, kernel, stride,
                             rng=rng, dtype=dtype, name=f"{name}.conv1")
-        self.bn1 = BatchNorm1D(out_ch, bn_momentum, BN_EPS, dtype=dtype,
+        self.bn1 = BatchNorm1D(out_ch, BN_MOMENTUM, BN_EPS, dtype=dtype,
                                name=f"{name}.bn1")
         self.relu_inner = ReLU(name=f"{name}.relu1")
         self.conv2 = Conv1D(out_ch, out_ch, kernel, 1,
                             rng=rng, dtype=dtype, name=f"{name}.conv2")
-        self.bn2 = BatchNorm1D(out_ch, bn_momentum, BN_EPS, dtype=dtype,
+        self.bn2 = BatchNorm1D(out_ch, BN_MOMENTUM, BN_EPS, dtype=dtype,
                                name=f"{name}.bn2")
         if stride != 1 or in_ch != out_ch:
             self.proj = Conv1D(in_ch, out_ch, 1, stride,
@@ -159,10 +164,9 @@ class Model:
     """The assembled network: stem, residual groups, beta-parameter head."""
 
     def __init__(self, spec: ArchitectureSpec, seed: int, *,
-                 bn_momentum: float = 0.1, dtype=DEFAULT_DTYPE):
+                 dtype=DEFAULT_DTYPE):
         self.spec = spec
         self.rng_seed = int(seed)
-        self.bn_momentum = float(bn_momentum)
         self.dtype = dtype
         rng = np.random.default_rng(self.rng_seed)
 
@@ -170,7 +174,7 @@ class Model:
         self.stem_conv = Conv1D(1, stem_ch, stem_kernel, 1,
                                 rng=rng, dtype=dtype, name="stem.conv")
         self.stem_pool = MaxPool1D(stem_pool, name="stem.pool")
-        self.stem_bn = BatchNorm1D(stem_ch, bn_momentum, BN_EPS, dtype=dtype,
+        self.stem_bn = BatchNorm1D(stem_ch, BN_MOMENTUM, BN_EPS, dtype=dtype,
                                    name="stem.bn")
         self.stem_relu = ReLU(name="stem.relu")
 
@@ -181,8 +185,8 @@ class Model:
             for bi in range(blocks):
                 stride = 2 if bi == 0 else 1
                 group.append(ResidualBlock(
-                    in_ch, channels, kernel, stride, rng=rng,
-                    bn_momentum=bn_momentum, dtype=dtype, name=f"g{gi}.b{bi}"))
+                    in_ch, channels, kernel, stride, rng=rng, dtype=dtype,
+                    name=f"g{gi}.b{bi}"))
                 in_ch = channels
             self.groups.append(group)
 
@@ -268,15 +272,14 @@ class Model:
             p.zero_grad()
 
 
-def build_model(preset: str, seed: int, *, bn_momentum: float = 0.1,
-                dtype=DEFAULT_DTYPE) -> Model:
+def build_model(preset: str, seed: int, *, dtype=DEFAULT_DTYPE) -> Model:
     """Construct a freshly initialized model from a named preset."""
     if preset not in PRESETS:
         raise UsageError(
             f"unknown architecture preset {preset!r}; available: "
             f"{sorted(PRESETS)}"
         )
-    return Model(PRESETS[preset], seed, bn_momentum=bn_momentum, dtype=dtype)
+    return Model(PRESETS[preset], seed, dtype=dtype)
 
 
 def loss_and_grads(model: Model, crops: np.ndarray, targets, label_eps: float) -> float:
@@ -370,17 +373,16 @@ def train(model: Model, dataset, config) -> TrainingLog:
     crop_len = model.spec.input_length
     train_records = _validate_train_records(dataset.train_records(),
                                             config.soft_targets)
+    # One epoch's worth of crops bounds the batch, checked before any
+    # batch is allocated.
+    if config.batch_size > CROPS_PER_RECORD * len(train_records):
+        raise UsageError(
+            f"batch_size {config.batch_size} exceeds {CROPS_PER_RECORD} crops "
+            f"per training record ({len(train_records)} records)")
     val_records = dataset.val_records()
 
-    model.adam = AdamState(
-        learning_rate=config.learning_rate,
-        beta1=config.adam_beta1,
-        beta2=config.adam_beta2,
-        epsilon=config.adam_eps,
-        step_count=model.adam.step_count,
-    )
-    augment = (AugmentConfig(config.resample_min, config.resample_max)
-               if config.augment else None)
+    model.adam.learning_rate = config.learning_rate
+    augment = AugmentConfig() if config.augment else None
     # Each record contributes ~CROPS_PER_RECORD windows per epoch; one
     # window per record is too sparse for stable fits on small datasets.
     steps_per_epoch = max(1, math.ceil(
@@ -398,7 +400,7 @@ def train(model: Model, dataset, config) -> TrainingLog:
                 batch = sample_crop_batch(
                     train_records, config.batch_size, crop_len, augment, rng)
             loss = loss_and_grads(model, batch.crops, batch.targets,
-                                  config.label_eps)
+                                  LABEL_EPS)
             adam_step(model.params(), model.adam)
             loss_sum += loss
         stats = EpochStats(epoch=epoch, train_loss=loss_sum / steps_per_epoch)
@@ -419,7 +421,7 @@ def save_checkpoint(model: Model, path, config_echo: dict | None = None) -> None
     """Write the model to the binary checkpoint format (little-endian)."""
     meta = {
         "spec": asdict(model.spec),
-        "bn_momentum": model.bn_momentum,
+        "bn_momentum": BN_MOMENTUM,
         "bn_eps": BN_EPS,
         "step_count": model.adam.step_count,
         "config": config_echo,
@@ -472,11 +474,13 @@ def load_checkpoint(path) -> Model:
                 if meta["spec"][key] != value:
                     raise ValueError(f"{key} {meta['spec'][key]!r} is not "
                                      f"preset {spec.preset_name!r}'s {value!r}")
-            if float(meta["bn_eps"]) != BN_EPS:
-                raise ValueError(f"bn_eps {meta['bn_eps']!r} is not {BN_EPS}")
-            model = Model(spec, seed=0, bn_momentum=float(meta["bn_momentum"]))
+            for key, value in (("bn_momentum", BN_MOMENTUM), ("bn_eps", BN_EPS)):
+                if float(meta[key]) != value:
+                    raise ValueError(f"{key} {meta[key]!r} is not {value}")
+            model = Model(spec, seed=0)
             step_count = int(meta["step_count"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError,
+                RecursionError) as exc:
             raise CorruptCheckpointError(
                 f"{path}: bad checkpoint header: {exc!r}") from exc
         targets = dict(model.named_entries())

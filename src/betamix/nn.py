@@ -55,14 +55,17 @@ class Param:
         self.grad[...] = 0
 
 
+# Adam's moment decay rates and denominator epsilon (Kingma & Ba 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Optimizer hyperparameters plus the shared step counter."""
+    """The optimizer's step size plus the shared step counter."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
 
 
@@ -83,7 +86,7 @@ def adam_step(params: list[Param], state: AdamState) -> None:
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1.0 - b1 ** t
     correction2 = 1.0 - b2 ** t
     for p in params:
@@ -92,7 +95,7 @@ def adam_step(params: list[Param], state: AdamState) -> None:
         p.adam_v[...] = b2 * p.adam_v + (1.0 - b2) * (g * g)
         m_hat = p.adam_m / correction1
         v_hat = p.adam_v / correction2
-        p.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        p.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p.zero_grad()
 
 
@@ -216,8 +219,6 @@ class BatchNorm1D(Layer):
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
                  *, dtype=DEFAULT_DTYPE, name: str = "bn"):
-        if not (0.0 < momentum < 1.0):
-            raise ValueError("momentum must lie in (0, 1)")
         self.channels = channels
         self.momentum = momentum
         self.eps = eps

@@ -4,8 +4,7 @@ A recording is oriented, cut into consecutive non-overlapping crops, and
 each crop's (alpha, beta) output becomes one component of an equal-weight
 beta mixture. The mixture mean is the class-probability point estimate;
 four times the mixture variance is the uncertainty in [0, 1]. Rejection
-comes in two flavors: keep the most certain fraction, or compare against
-an absolute uncertainty threshold.
+keeps the most certain fraction.
 """
 
 from __future__ import annotations
@@ -97,13 +96,6 @@ def reject_by_uncertainty(preds: list[Prediction], keep_fraction: float
     flagged = [replace(p, accepted=(i in accepted_idx))
                for i, p in enumerate(preds)]
     return flagged, threshold
-
-
-def reject_by_threshold(preds: list[Prediction], tau: float) -> list[Prediction]:
-    """Accept every prediction whose uncertainty does not exceed tau."""
-    if not (0.0 <= tau <= 1.0):
-        raise UsageError(f"tau must lie in [0,1], got {tau}")
-    return [replace(p, accepted=p.summary.uncertainty <= tau) for p in preds]
 
 
 def prediction_json_line(p: Prediction) -> str:

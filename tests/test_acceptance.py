@@ -91,8 +91,7 @@ def desk_runs():
                                  ambiguous_fraction=0.1)
         dataset = Dataset(records, split_dataset(records, 0.8, seed=seed))
         config = RunConfig(seed=seed, **DESK_CONFIG).validate()
-        model = build_model("tiny", config.seed,
-                            bn_momentum=config.bn_momentum)
+        model = build_model("tiny", config.seed)
         log = train(model, dataset, config)
         preds = [predict(model, r, model.spec.input_length)
                  for r in dataset.val_records()]
@@ -297,8 +296,7 @@ class TestAcceptance:
             records = synth_generate_changepoints(60, seed=seed)
             dataset = Dataset(records, split_dataset(records, 0.8, seed=seed))
             config = RunConfig(seed=seed, **SOFT_CONFIG).validate()
-            model = build_model("tiny", config.seed,
-                                bn_momentum=config.bn_momentum)
+            model = build_model("tiny", config.seed)
             train(model, dataset, config)
 
             crop = self._centered_half_fraction_segment(

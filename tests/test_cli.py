@@ -110,15 +110,21 @@ class TestTrain:
 
     HOSTILE_CONFIGS = {
         "not_utf8": TRAIN_CONFIG.encode() + b"# \xff\n",
-        "resample_max_inf": f"{TRAIN_CONFIG}resample_max = inf\n".encode(),
+        "learning_rate_nan": TRAIN_CONFIG.replace(
+            "learning_rate = 0.003", "learning_rate = nan").encode(),
         "learning_rate_inf": TRAIN_CONFIG.replace(
             "learning_rate = 0.003", "learning_rate = inf").encode(),
+        "label_eps_1e-300": f"{TRAIN_CONFIG}label_eps = 1e-300\n".encode(),
+        "batch_size_10**12": TRAIN_CONFIG.replace(
+            "batch_size = 8", "batch_size = 1000000000000").encode(),
     }
 
     @pytest.mark.parametrize("case", HOSTILE_CONFIGS)
     def test_hostile_config_is_usage_error(self, tmp_path, capsys, case):
-        """A config file that does not decode or holds a non-finite number
-        exits 1 before any compute: no traceback or internal error."""
+        """A config file that does not decode, holds a non-finite number,
+        names a key that is no longer a setting or asks for a batch larger
+        than an epoch's worth of crops exits 1 before any compute: no
+        traceback, MemoryError or internal error."""
         data = synth_dataset(tmp_path)
         config = tmp_path / "run.cfg"
         config.write_bytes(self.HOSTILE_CONFIGS[case])
@@ -198,13 +204,13 @@ class TestPredict:
         "missing_model", "dim_2**31", "count_2**34", "count_2**61",
         "model_is_directory", "record_is_directory", "nan_sample",
         "nan_weight", "manifest_not_utf8", "manifest_path_parent",
-        "manifest_path_absolute", *HEADER_EDITS])
+        "manifest_path_absolute", "header_nested_100000", *HEADER_EDITS])
     def test_hostile_files_are_data_errors(self, trained, tmp_path, capsys,
                                            case):
         """A missing or directory input, a length field declaring far more
         bytes than the file holds, a NaN sample or weight, a malformed
-        checkpoint header (including one that names no preset or changes a
-        preset's sizes), a manifest that is not UTF-8 or a manifest path
+        checkpoint header (including one that names no preset, changes a
+        preset's sizes or nests too deeply to parse), a manifest that is not UTF-8 or a manifest path
         leading out of the dataset directory exits 2 with a one-line data
         error: no traceback, MemoryError, OverflowError or internal
         error."""
@@ -231,6 +237,12 @@ class TestPredict:
             model.write_bytes(bytes(blob))
         elif case in self.HEADER_EDITS:
             rewrite_checkpoint_header(model, self.HEADER_EDITS[case])
+        elif case == "header_nested_100000":
+            # json.dumps cannot build this header, so write its bytes.
+            blob = model.read_bytes()
+            (meta_len,) = struct.unpack_from("<I", blob, 8)
+            model.write_bytes(blob[:8] + struct.pack("<I", 100000) + b"[" * 100000
+                              + blob[12 + meta_len:])
         elif case == "manifest_not_utf8":
             (data / "manifest.csv").write_bytes(b"\xff\xfe\x00garbage")
         elif case.startswith("manifest_path_"):

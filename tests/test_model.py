@@ -272,13 +272,12 @@ class TestCheckpoint:
         np.testing.assert_array_equal(model.forward(x), loaded.forward(x))
 
     def test_metadata_round_trip(self, tmp_path):
-        model = build_model("tiny", seed=9, bn_momentum=0.25)
+        model = build_model("tiny", seed=9)
         model.adam.step_count = 321
         path = tmp_path / "model.bgc"
         save_checkpoint(model, path, config_echo={"note": "x"})
         loaded = load_checkpoint(path)
         assert loaded.spec == model.spec
-        assert loaded.bn_momentum == 0.25
         assert loaded.adam.step_count == 321
 
     def test_truncated_file_is_corrupt(self, tmp_path):
@@ -345,16 +344,20 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_header_keys_of_older_files_are_ignored(self, tmp_path, rng):
-        """Older headers carry the spec's head_outputs and the crop_len and
-        decision_threshold config keys; such files load and predict
-        bit-identically."""
+        """Older headers carry the spec's head_outputs and config keys that
+        are no longer settings (crop_len, decision_threshold, the Adam
+        moments, bn_momentum, label_eps and the resample range); such files
+        load and predict bit-identically."""
         model = build_model("tiny", seed=9)
         path = tmp_path / "model.bgc"
         save_checkpoint(model, path, config_echo={"seed": 9})
 
         def add_old_keys(meta):
             meta["spec"]["head_outputs"] = 2
-            meta["config"].update(crop_len=256, decision_threshold=0.7)
+            meta["config"].update(
+                crop_len=256, decision_threshold=0.7, adam_beta1=0.9,
+                adam_beta2=0.999, adam_eps=1e-8, bn_momentum=0.1,
+                label_eps=0.01, resample_min=0.8, resample_max=1.25)
             return meta
 
         rewrite_checkpoint_header(path, add_old_keys)

@@ -17,7 +17,6 @@ from betamix.predict import (
     decompose_crops,
     predict,
     prediction_json_line,
-    reject_by_threshold,
     reject_by_uncertainty,
     write_predictions,
 )
@@ -179,33 +178,6 @@ class TestRejectByUncertainty:
                  enumerate([0.9, 0.1, 0.5])]
         flagged, _ = reject_by_uncertainty(preds, 0.67)
         assert [p.record_id for p in flagged] == ["p0", "p1", "p2"]
-
-
-class TestRejectByThreshold:
-    def test_tau_one_accepts_all(self):
-        preds = [fake_prediction(f"p{i}", u) for i, u in
-                 enumerate([0.0, 0.5, 1.0])]
-        assert all(p.accepted for p in reject_by_threshold(preds, 1.0))
-
-    def test_tau_zero_accepts_only_zero_uncertainty(self):
-        preds = [fake_prediction("a", 0.0), fake_prediction("b", 1e-9)]
-        flagged = reject_by_threshold(preds, 0.0)
-        assert [p.accepted for p in flagged] == [True, False]
-
-    def test_monotone_in_tau(self):
-        rng = np.random.default_rng(1)
-        preds = [fake_prediction(f"p{i}", float(u))
-                 for i, u in enumerate(rng.uniform(0, 1, 20))]
-        previous = set()
-        for tau in (0.1, 0.4, 0.7, 1.0):
-            accepted = {p.record_id for p in reject_by_threshold(preds, tau)
-                        if p.accepted}
-            assert previous <= accepted
-            previous = accepted
-
-    def test_bad_tau_rejected(self):
-        with pytest.raises(UsageError):
-            reject_by_threshold([fake_prediction("p", 0.1)], 1.5)
 
 
 class TestPredictionExport:
