@@ -41,8 +41,11 @@ class RunConfig:
             )
         _require(self.batch_size >= 2 and self.batch_size % 2 == 0,
                  f"batch_size must be even and >= 2, got {self.batch_size}")
-        _require(self.learning_rate >= 0.0,
-                 f"learning_rate must be >= 0, got {self.learning_rate}")
+        # Adam moves each weight by up to about learning_rate per step, and
+        # every initial weight of both presets lies within its Xavier bound
+        # (at most 0.87), so a step above 1 only blows the network up.
+        _require(0.0 <= self.learning_rate <= 1.0,
+                 f"learning_rate must be in [0, 1], got {self.learning_rate}")
         _require(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
         _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         return self

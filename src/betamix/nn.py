@@ -16,9 +16,12 @@ Conventions:
     gradient and accumulates parameter gradients.
   - Convolution is cross-correlation (no kernel flip) with "same"
     padding only: the output length is ceil(length / stride), the zeros
-    are split as evenly as possible with the extra element on the right,
-    and the accumulation order over (input channel, tap) is fixed so
-    outputs are reproducible bit for bit.
+    are split as evenly as possible with the extra element on the right.
+    The forward's accumulation order over (input channel, tap) is fixed,
+    and its bits are the pinned contract. The backward is two GEMMs
+    (im2col for the kernel gradient, one matmul plus col2im for the input
+    gradient): reproducible from run to run and checked against a naive
+    oracle, but its bits follow the BLAS build and are not pinned.
 """
 
 from __future__ import annotations
@@ -160,7 +163,12 @@ class Layer:
 
 class Conv1D(Layer):
     """1-D cross-correlation with optional striding and "same" padding:
-    the output length is ceil(length / stride)."""
+    the output length is ceil(length / stride).
+
+    The forward sums over (input channel, tap) in a fixed order, so its
+    output is pinned bit for bit. The backward is two BLAS matrix products
+    (Chellapilla et al. 2006): reproducible from run to run and matched
+    against a naive oracle, not bit-pinned."""
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1, *,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE, name: str = "conv"):
@@ -205,12 +213,16 @@ class Conv1D(Layer):
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} does not "
                              f"match forward output {(b, self.out_ch, out_len)}")
         self.bias.grad += grad_out.sum(axis=(0, 2))
-        self.weight.grad += np.einsum("bfo,bcok->fck", grad_out, windows)
+        # dW: im2col (tensordot copies the windows to (b*out_len, in_ch*kernel))
+        # and one GEMM over the batch and output positions.
+        self.weight.grad += np.tensordot(grad_out, windows, axes=([0, 2], [0, 2]))
+        # dX: one matmul gives every tap's contribution, then col2im adds
+        # each tap's columns into the padded input at its stride.
+        k = self.weight.value.reshape(self.out_ch, self.in_ch * self.kernel_size)
+        cols = (k.T @ grad_out).reshape(b, self.in_ch, self.kernel_size, out_len)
         dxp = np.zeros((b, self.in_ch, padded_len), dtype=grad_out.dtype)
-        k = self.weight.value
         for j in range(self.kernel_size):
-            contrib = np.einsum("bfo,fc->bco", grad_out, k[:, :, j])
-            dxp[:, :, j : j + out_len * self.stride : self.stride] += contrib
+            dxp[:, :, j : j + out_len * self.stride : self.stride] += cols[:, :, j]
         return np.ascontiguousarray(dxp[:, :, left : left + length])
 
 

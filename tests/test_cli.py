@@ -114,6 +114,8 @@ class TestTrain:
             "learning_rate = 0.003", "learning_rate = nan").encode(),
         "learning_rate_inf": TRAIN_CONFIG.replace(
             "learning_rate = 0.003", "learning_rate = inf").encode(),
+        "learning_rate_1e30": TRAIN_CONFIG.replace(
+            "learning_rate = 0.003", "learning_rate = 1e30").encode(),
         "label_eps_1e-300": f"{TRAIN_CONFIG}label_eps = 1e-300\n".encode(),
         "batch_size_10**12": TRAIN_CONFIG.replace(
             "batch_size = 8", "batch_size = 1000000000000").encode(),
@@ -122,9 +124,10 @@ class TestTrain:
     @pytest.mark.parametrize("case", HOSTILE_CONFIGS)
     def test_hostile_config_is_usage_error(self, tmp_path, capsys, case):
         """A config file that does not decode, holds a non-finite number,
-        names a key that is no longer a setting or asks for a batch larger
-        than an epoch's worth of crops exits 1 before any compute: no
-        traceback, MemoryError or internal error."""
+        asks for a learning rate above 1, names a key that is no longer a
+        setting or asks for a batch larger than an epoch's worth of crops
+        exits 1 before any compute: no traceback, MemoryError or internal
+        error."""
         data = synth_dataset(tmp_path)
         config = tmp_path / "run.cfg"
         config.write_bytes(self.HOSTILE_CONFIGS[case])

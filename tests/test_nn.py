@@ -51,6 +51,28 @@ def naive_conv1d(x, kernel, bias, stride):
     return y
 
 
+def naive_conv1d_backward(x, kernel, grad_out, stride):
+    """(dx, dW) of the "same"-padded cross-correlation by float64 loops:
+    every output element sends its gradient back through each tap."""
+    b, c, length = x.shape
+    out_ch, _, k = kernel.shape
+    out_len = grad_out.shape[2]
+    total = max(0, (out_len - 1) * stride + k - length)
+    left = total // 2
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (left, total - left)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros(kernel.shape, dtype=np.float64)
+    for bi in range(b):
+        for f in range(out_ch):
+            for o in range(out_len):
+                g = float(grad_out[bi, f, o])
+                for ci in range(c):
+                    for j in range(k):
+                        dxp[bi, ci, o * stride + j] += g * float(kernel[f, ci, j])
+                        dw[f, ci, j] += g * xp[bi, ci, o * stride + j]
+    return dxp[:, :, left : left + length], dw
+
+
 def one_of_each_layer(rng):
     """An instance of every layer type with an input shape it accepts."""
     return [
@@ -94,6 +116,21 @@ class TestConv1D:
         expected = naive_conv1d(x, layer.weight.value, layer.bias.value,
                                 stride)
         np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_backward_matches_naive_oracle(self, rng, kernel, stride):
+        layer = Conv1D(3, 4, kernel, stride=stride, rng=rng, dtype=np.float64)
+        x = rng.normal(size=(2, 3, 17))
+        layer.forward(x, train=True)
+        grad_out = rng.normal(size=(2, 4, -(-17 // stride)))
+        dx = layer.backward(grad_out)
+        expected_dx, expected_dw = naive_conv1d_backward(
+            x, layer.weight.value, grad_out, stride)
+        np.testing.assert_allclose(dx, expected_dx, rtol=1e-10)
+        np.testing.assert_allclose(layer.weight.grad, expected_dw, rtol=1e-10)
+        np.testing.assert_allclose(layer.bias.grad, grad_out.sum(axis=(0, 2)),
+                                   rtol=1e-10)
 
     def test_same_pad_preserves_length(self, rng):
         for k in (1, 3, 5):
