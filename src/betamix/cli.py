@@ -27,6 +27,10 @@ from .predict import predict, reject_by_uncertainty, write_predictions
 from .betadist import mixture_density_grid
 
 DENSITY_GRID_EPS = 1e-4
+# The grid is built point by point in Python, 5-10 us a point per mixture
+# component, so the bound keeps a run of a paper model (up to 9 crops, so
+# 9 components) to a few seconds.
+DENSITY_MAX_POINTS = 100_001
 
 
 def cmd_synth(args) -> int:
@@ -112,8 +116,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.points < 2:
-        raise UsageError(f"--points must be >= 2, got {args.points}")
+    if not 2 <= args.points <= DENSITY_MAX_POINTS:
+        raise UsageError(f"--points must lie in [2, {DENSITY_MAX_POINTS}], "
+                         f"got {args.points}")
     model = load_checkpoint(args.model)
     _, records = _load_records(args.data, [args.id])
     pred = predict(model, records[0], model.spec.input_length)
@@ -168,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--id", required=True, help="record id")
-    p.add_argument("--points", type=int, default=2001)
+    p.add_argument("--points", type=int, default=2001,
+                   help=f"grid points, 2 to {DENSITY_MAX_POINTS} "
+                        f"(default 2001)")
     p.add_argument("--out", required=True, help="output CSV grid")
     p.set_defaults(func=cmd_density)
 

@@ -23,7 +23,7 @@ import csv
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,13 +57,21 @@ class RhythmAnnotation:
 
 @dataclass
 class SignalRecord:
-    """One recording: samples, rate, target, optional rhythm annotation."""
+    """One recording: samples, rate, target, optional rhythm annotation.
+
+    The orientation (see `orientation`) is computed on first use and kept
+    for as long as `samples` is the same array, so rebinding `samples`
+    gets a fresh one; the array must not be written in place.
+    """
 
     id: str
     sampling_rate: float
     samples: np.ndarray
     target: float
     rhythm: RhythmAnnotation | None = None
+    # (samples array it was computed from, median, flipped)
+    _orientation: tuple | None = field(default=None, init=False,
+                                       compare=False, repr=False)
 
     def __post_init__(self):
         self.samples = np.ascontiguousarray(self.samples, dtype=np.float32)
@@ -85,6 +93,28 @@ class SignalRecord:
 
     def __len__(self) -> int:
         return int(self.samples.size)
+
+    def orientation(self) -> tuple[np.float32, bool]:
+        """(median, flipped): the float32 sample median, and whether the
+        median-removed samples are negated so the dominant peak points up
+        (|min| > |max| after removing the median; ties stay unflipped)."""
+        cached = self._orientation
+        if cached is None or cached[0] is not self.samples:
+            samples = self.samples
+            med = np.float32(np.median(samples))
+            # Subtracting a constant rounds monotonically, so the extremes
+            # of the centered samples are the centered extremes.
+            flipped = bool(abs(samples.min() - med) > abs(samples.max() - med))
+            cached = self._orientation = (samples, med, flipped)
+        return cached[1], cached[2]
+
+    def oriented(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The oriented samples[lo:hi]: median removed, negated if flipped."""
+        med, flipped = self.orientation()
+        window = self.samples[lo:hi] - med
+        if flipped:
+            np.negative(window, out=window)
+        return window
 
 
 @dataclass(frozen=True)
@@ -337,25 +367,14 @@ def load_dataset(manifest_path) -> Dataset:
 # -- signal operations -------------------------------------------------------
 
 
-def _orient_samples(samples: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Median-remove, then flip iff the dominant peak points down."""
-    med = float(np.median(samples))
-    centered = samples - np.float32(med)
-    lo = float(centered.min())
-    hi = float(centered.max())
-    if abs(lo) > abs(hi):
-        return -centered, True
-    return centered, False
-
-
 def orient_signal(r: SignalRecord) -> SignalRecord:
     """Return the record with dominant peaks pointing up.
 
     Removes the sample median, then negates iff |min| > |max| afterwards
-    (ties stay unflipped).
+    (ties stay unflipped). The median and the flip are computed once per
+    record, on first use, and shared with the crop samplers.
     """
-    oriented, _ = _orient_samples(r.samples)
-    return replace(r, samples=oriented)
+    return replace(r, samples=r.oriented())
 
 
 def _resample_samples(samples: np.ndarray, factor: float) -> np.ndarray:
@@ -366,6 +385,19 @@ def _resample_samples(samples: np.ndarray, factor: float) -> np.ndarray:
     positions = np.minimum(np.arange(new_n, dtype=np.float64) / factor, n - 1)
     return np.interp(positions, np.arange(n, dtype=np.float64),
                      samples.astype(np.float64)).astype(np.float32)
+
+
+def _resample_window(record: SignalRecord, factor: float, start: int,
+                     length: int) -> np.ndarray:
+    """_resample_samples(record.oriented(), factor)[start:start + length],
+    interpolated over only the samples those positions fall between."""
+    n = len(record)
+    positions = np.minimum(
+        np.arange(start, start + length, dtype=np.float64) / factor, n - 1)
+    lo = int(positions[0])
+    hi = min(int(positions[-1]) + 2, n)
+    return np.interp(positions, np.arange(lo, hi, dtype=np.float64),
+                     record.oriented(lo, hi).astype(np.float64))
 
 
 def pad_to_length(samples: np.ndarray, length: int) -> np.ndarray:
@@ -387,6 +419,11 @@ def sample_crop_batch(records: list[SignalRecord], batch_size: int,
     often. Each crop is oriented, optionally resampled by a random factor,
     and cut at a uniform random start. Records too short for a full crop
     are symmetric-edge-padded and flagged in provenance.
+
+    Every crop is byte-identical to orienting the whole record, resampling
+    all of it and cutting the window, but only the window is computed: the
+    record's orientation is computed once, on first use, and a resampled
+    crop interpolates just its own positions.
     """
     if batch_size < 2 or batch_size % 2 != 0:
         raise UsageError(f"batch_size must be even and >= 2, got {batch_size}")
@@ -402,19 +439,25 @@ def sample_crop_batch(records: list[SignalRecord], batch_size: int,
     for i in range(batch_size):
         pool = by_class[0] if i < half else by_class[1]
         record = pool[int(rng.integers(len(pool)))]
-        samples, flipped = _orient_samples(record.samples)
+        n = len(record)
         factor = 1.0
         if augment is not None:
             factor = float(rng.uniform(augment.resample_min, augment.resample_max))
+        new_n = n if factor == 1.0 else max(1, int(round(n * factor)))
+        padded = new_n < crop_len
+        start = int(rng.integers(max(new_n - crop_len, 0) + 1))
+        if padded:
+            samples = record.oriented()
             if factor != 1.0:
                 samples = _resample_samples(samples, factor)
-        padded = samples.size < crop_len
-        if padded:
-            samples = pad_to_length(samples, crop_len)
-        start = int(rng.integers(samples.size - crop_len + 1))
-        crops[i, 0, :] = samples[start:start + crop_len]
+            crops[i, 0, :] = pad_to_length(samples, crop_len)
+        elif factor == 1.0:
+            crops[i, 0, :] = record.oriented(start, start + crop_len)
+        else:
+            crops[i, 0, :] = _resample_window(record, factor, start, crop_len)
         targets[i] = record.target
-        provenance.append(CropProvenance(record.id, start, factor, flipped, padded))
+        provenance.append(CropProvenance(record.id, start, factor,
+                                         record.orientation()[1], padded))
     return CropBatch(crops, targets, provenance)
 
 
@@ -474,11 +517,11 @@ def sample_changepoint_batch(records: list[SignalRecord], batch_size: int,
     provenance = []
     for i in range(batch_size):
         record = usable[int(rng.integers(len(usable)))]
-        samples, flipped = _orient_samples(record.samples)
         start, target = sample_changepoint_segments(record, crop_len, 1, rng)[0]
-        crops[i, 0, :] = samples[start:start + crop_len]
+        crops[i, 0, :] = record.oriented(start, start + crop_len)
         targets[i] = target
-        provenance.append(CropProvenance(record.id, start, 1.0, flipped, False))
+        provenance.append(CropProvenance(record.id, start, 1.0,
+                                         record.orientation()[1], False))
     return CropBatch(crops, targets, provenance)
 
 

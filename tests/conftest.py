@@ -1,5 +1,6 @@
 """Shared test oracles: quadrature, finite differences, peak detection,
-plus a checkpoint header rewriter for hostile-file tests.
+the per-crop training sampler, plus a checkpoint header rewriter for
+hostile-file tests.
 
 Everything here is deliberately independent of the library's own code
 paths (naive loops and textbook formulas only), so a test failure points
@@ -96,6 +97,60 @@ def detect_peak_times(samples: np.ndarray, fs: float,
             continue
         kept.append(i)
     return np.asarray(kept, dtype=np.float64) / fs
+
+
+def naive_orient(samples: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Whole-record orientation: remove the float32 median, then negate
+    iff |min| > |max| (ties stay unflipped)."""
+    centered = samples - np.float32(float(np.median(samples)))
+    if abs(float(centered.min())) > abs(float(centered.max())):
+        return -centered, True
+    return centered, False
+
+
+def naive_resample(samples: np.ndarray, factor: float) -> np.ndarray:
+    """Whole-record linear interpolation onto round(n * factor) points at
+    positions j / factor, clamped to the last sample."""
+    n = samples.size
+    positions = np.minimum(
+        np.arange(max(1, int(round(n * factor))), dtype=np.float64) / factor,
+        n - 1)
+    return np.interp(positions, np.arange(n, dtype=np.float64),
+                     samples.astype(np.float64)).astype(np.float32)
+
+
+def naive_crop_batch(records, batch_size: int, crop_len: int, augment, rng):
+    """The training sampler defined one crop at a time: orient the whole
+    record, resample all of it, edge-pad it to crop_len, cut the window.
+
+    Returns (crops, targets, provenance tuples (id, start, factor, flipped,
+    padded)) and draws from rng in the library's order: record, factor,
+    start.
+    """
+    by_class = ([r for r in records if r.target < 0.5],
+                [r for r in records if r.target >= 0.5])
+    crops = np.empty((batch_size, 1, crop_len), dtype=np.float32)
+    targets = np.empty(batch_size, dtype=np.float64)
+    provenance = []
+    for i in range(batch_size):
+        pool = by_class[0] if i < batch_size // 2 else by_class[1]
+        record = pool[int(rng.integers(len(pool)))]
+        samples, flipped = naive_orient(record.samples)
+        factor = 1.0
+        if augment is not None:
+            factor = float(rng.uniform(augment.resample_min, augment.resample_max))
+            if factor != 1.0:
+                samples = naive_resample(samples, factor)
+        padded = samples.size < crop_len
+        if padded:
+            deficit = crop_len - samples.size
+            samples = np.pad(samples, (deficit // 2, deficit - deficit // 2),
+                             mode="edge")
+        start = int(rng.integers(samples.size - crop_len + 1))
+        crops[i, 0, :] = samples[start:start + crop_len]
+        targets[i] = record.target
+        provenance.append((record.id, start, factor, flipped, padded))
+    return crops, targets, provenance
 
 
 def rewrite_checkpoint_header(path, edit) -> None:

@@ -29,7 +29,6 @@ from betamix.cli import main
 from betamix.config import RunConfig
 from betamix.data import (
     Dataset,
-    _orient_samples,
     soft_target_for_segment,
     split_dataset,
     synth_generate,
@@ -324,7 +323,7 @@ class TestAcceptance:
     def _centered_half_fraction_segment(records, crop_len):
         half = crop_len // 2
         for r in records:
-            oriented, _ = _orient_samples(r.samples)
+            oriented = r.oriented()
             for cp, _tag in r.rhythm.changepoints:
                 if cp - half < 0 or cp + half > len(r):
                     continue

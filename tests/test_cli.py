@@ -340,6 +340,21 @@ class TestDensity:
         pdf = np.array([float(p) for _, p in rows])
         assert np.trapezoid(pdf, ts) == pytest.approx(1.0, abs=1e-2)
 
+    @pytest.mark.parametrize("points", ["1", "100002", "1000000000000"])
+    def test_points_out_of_range_is_usage_error(self, tmp_path, capsys,
+                                                monkeypatch, points):
+        """--points outside [2, 100001] exits 1 with a one-line error
+        before any file is read or any grid point computed."""
+        def no_grid(*args):
+            raise AssertionError("the grid loop started")
+        monkeypatch.setattr("betamix.cli.mixture_density_grid", no_grid)
+        assert main(["density", "--model", str(tmp_path / "none.bgc"),
+                     "--data", str(tmp_path), "--id", "no0000",
+                     "--points", points,
+                     "--out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --points") and err.count("\n") == 1, err
+
     def test_unknown_id_fails(self, trained, tmp_path):
         root, data, ckpt = trained
         assert main(["density", "--model", str(ckpt), "--data", str(data),

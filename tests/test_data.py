@@ -1,6 +1,7 @@
 """Dataset I/O, signal operations, sampling, and the synthetic generator."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from betamix.data import (
     write_record,
 )
 from betamix.errors import DataError, UsageError
-from conftest import detect_peak_times
+from conftest import detect_peak_times, naive_crop_batch, naive_orient
 
 
 def spike_record(record_id="r0", n=400, positive=True, target=0.0):
@@ -193,6 +194,16 @@ class TestOrientSignal:
         oriented = orient_signal(record)
         np.testing.assert_array_equal(oriented.samples, samples)
 
+    def test_rebound_samples_get_fresh_orientation(self):
+        record = spike_record(positive=True)
+        assert record.orientation()[1] is False
+        record.samples = -record.samples
+        assert record.orientation()[1] is True
+        expected, _ = naive_orient(record.samples)
+        np.testing.assert_array_equal(record.oriented(), expected)
+        upright = replace(record, samples=spike_record(positive=True).samples)
+        assert upright.orientation()[1] is False
+
     def test_idempotent(self, rng):
         samples = rng.normal(size=501).astype(np.float32) + 2.0
         samples[::40] -= 5.0  # downward peaks, median offset
@@ -264,6 +275,65 @@ class TestSampleCropBatch:
             if prov.record_id == "short":
                 assert prov.padded
                 assert prov.start == 0
+
+    @staticmethod
+    def oracle_records():
+        """Synth records (a quarter of them upside down), records shorter
+        than either crop length, and records whose resampled length
+        straddles 256 or 2048; the even-indexed extra records point down."""
+        records = synth_generate(6, crop_budget_s=12.0, seed=11)
+        rng = np.random.default_rng(5)
+        for i, n in enumerate((100, 240, 256, 300, 1500, 1900, 2048, 2300)):
+            x = rng.normal(size=n).astype(np.float32)
+            x[::37] += 6.0 if i % 2 else -6.0
+            records.append(SignalRecord(f"len{n}", 300.0, x, float(i % 2)))
+        return records
+
+    @staticmethod
+    def assert_matches_oracle(records, batch_size, crop_len, augment, seed):
+        batch = sample_crop_batch(records, batch_size, crop_len, augment,
+                                  np.random.default_rng(seed))
+        crops, targets, provenance = naive_crop_batch(
+            records, batch_size, crop_len, augment, np.random.default_rng(seed))
+        assert batch.crops.tobytes() == crops.tobytes()
+        assert batch.targets.tobytes() == targets.tobytes()
+        assert [(p.record_id, p.start, p.resample_factor, p.flipped, p.padded)
+                for p in batch.provenance] == provenance
+        return provenance
+
+    @pytest.mark.parametrize("augment", [None, AugmentConfig()],
+                             ids=["plain", "augment"])
+    @pytest.mark.parametrize("crop_len", [256, 2048])
+    def test_matches_per_crop_oracle_bytewise(self, crop_len, augment):
+        records = self.oracle_records()
+        padded_by_id = {}
+        for seed in range(6):
+            for rid, _, _, flipped, padded in self.assert_matches_oracle(
+                    records, 32, crop_len, augment, seed):
+                padded_by_id.setdefault(rid, set()).add(padded)
+        flips = {p.flipped for p in
+                 sample_crop_batch(records, 64, crop_len, None,
+                                   np.random.default_rng(0)).provenance}
+        assert flips == {False, True}
+        assert any(True in seen for seen in padded_by_id.values())
+        if augment is not None:
+            # some record was padded at one factor and long enough at another
+            assert {False, True} in padded_by_id.values()
+
+    @pytest.mark.parametrize("crop_len, factor, n",
+                             [(256, 0.9, 284), (2048, 0.85, 2409)])
+    def test_clamped_last_positions_match_oracle(self, crop_len, factor, n):
+        # The resampled record is exactly one crop long, so the crop starts
+        # at 0 and its last positions lie past n - 1 and clamp to it.
+        assert round(n * factor) == crop_len
+        assert (crop_len - 1) / factor > n - 1
+        x = np.random.default_rng(7).normal(size=n).astype(np.float32)
+        records = [SignalRecord("up", 300.0, x, 0.0),
+                   SignalRecord("down", 300.0, -x, 1.0)]
+        for seed in range(3):
+            provenance = self.assert_matches_oracle(
+                records, 4, crop_len, AugmentConfig(factor, factor), seed)
+            assert {(p[1], p[4]) for p in provenance} == {(0, False)}
 
     def test_odd_batch_size_rejected(self, rng):
         with pytest.raises(UsageError):
