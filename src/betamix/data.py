@@ -377,20 +377,12 @@ def orient_signal(r: SignalRecord) -> SignalRecord:
     return replace(r, samples=r.oriented())
 
 
-def _resample_samples(samples: np.ndarray, factor: float) -> np.ndarray:
-    """Linear interpolation onto round(n * factor) points at positions
-    j / factor, clamped to the final sample."""
-    n = samples.size
-    new_n = max(1, int(round(n * factor)))
-    positions = np.minimum(np.arange(new_n, dtype=np.float64) / factor, n - 1)
-    return np.interp(positions, np.arange(n, dtype=np.float64),
-                     samples.astype(np.float64)).astype(np.float32)
-
-
 def _resample_window(record: SignalRecord, factor: float, start: int,
                      length: int) -> np.ndarray:
-    """_resample_samples(record.oriented(), factor)[start:start + length],
-    interpolated over only the samples those positions fall between."""
+    """Points start .. start + length - 1 of the oriented record linearly
+    resampled onto round(n * factor) points: point j sits at position
+    j / factor, clamped to the final sample. Only the samples those
+    positions fall between are oriented and interpolated."""
     n = len(record)
     positions = np.minimum(
         np.arange(start, start + length, dtype=np.float64) / factor, n - 1)
@@ -446,15 +438,12 @@ def sample_crop_batch(records: list[SignalRecord], batch_size: int,
         new_n = n if factor == 1.0 else max(1, int(round(n * factor)))
         padded = new_n < crop_len
         start = int(rng.integers(max(new_n - crop_len, 0) + 1))
-        if padded:
-            samples = record.oriented()
-            if factor != 1.0:
-                samples = _resample_samples(samples, factor)
-            crops[i, 0, :] = pad_to_length(samples, crop_len)
-        elif factor == 1.0:
-            crops[i, 0, :] = record.oriented(start, start + crop_len)
+        length = min(new_n, crop_len)
+        if factor == 1.0:
+            window = record.oriented(start, start + length)
         else:
-            crops[i, 0, :] = _resample_window(record, factor, start, crop_len)
+            window = _resample_window(record, factor, start, length)
+        crops[i, 0, :] = pad_to_length(window, crop_len)
         targets[i] = record.target
         provenance.append(CropProvenance(record.id, start, factor,
                                          record.orientation()[1], padded))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from betamix.data import (
-    _resample_samples,
+    _resample_window,
     AugmentConfig,
     Dataset,
     DatasetManifest,
@@ -215,24 +215,45 @@ class TestOrientSignal:
 
 class TestResample:
     def test_half_factor_hand_example(self):
-        out = _resample_samples(np.array([0, 1, 2, 3], dtype=np.float32), 0.5)
-        np.testing.assert_array_equal(out, [0.0, 2.0])
+        # Median 0 and a tie between the extremes: oriented == samples.
+        record = SignalRecord("h", 10.0, np.arange(-2, 3, dtype=np.float32), 0.0)
+        out = _resample_window(record, 0.5, 0, 2)
+        np.testing.assert_array_equal(out, [-2.0, 0.0])
 
     def test_against_pointwise_oracle(self, rng):
-        samples = rng.normal(size=73).astype(np.float32)
+        record = SignalRecord("p", 10.0, rng.normal(size=73).astype(np.float32), 0.0)
         factor = 1.3
-        out = _resample_samples(samples, factor)
         n_new = round(73 * factor)
+        out = _resample_window(record, factor, 0, n_new)
         assert out.size == n_new
-        for j in range(n_new):
-            pos = min(j / factor, 72.0)
-            lo = int(pos)
-            frac = pos - lo
-            if lo >= 72:
-                expected = samples[72]
-            else:
-                expected = samples[lo] * (1 - frac) + samples[lo + 1] * frac
-            assert out[j] == pytest.approx(expected, rel=1e-5, abs=1e-6)
+        np.testing.assert_allclose(out, pointwise_resample(record, factor, 0, n_new),
+                                   rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("factor,start", [(1.3, 40), (0.8, 50)])
+    def test_window_against_pointwise_oracle(self, rng, factor, start):
+        record = SignalRecord("w", 10.0, rng.normal(size=73).astype(np.float32), 0.0)
+        length = round(73 * factor) - start
+        out = _resample_window(record, factor, start, length)
+        np.testing.assert_allclose(
+            out, pointwise_resample(record, factor, start, length),
+            rtol=1e-5, atol=1e-6)
+
+
+def pointwise_resample(record, factor, start, length):
+    """Points start .. start + length - 1 of the oriented record resampled
+    by `factor`, one textbook interpolation at a time."""
+    samples = record.oriented()
+    last = len(record) - 1
+    out = []
+    for j in range(start, start + length):
+        pos = min(j / factor, float(last))
+        lo = int(pos)
+        frac = pos - lo
+        if lo >= last:
+            out.append(samples[last])
+        else:
+            out.append(samples[lo] * (1 - frac) + samples[lo + 1] * frac)
+    return np.array(out)
 
 
 class TestSampleCropBatch:
