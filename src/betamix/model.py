@@ -152,12 +152,17 @@ class ResidualBlock:
         return [p for layer in self.sublayers() for p in layer.params()]
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        z = _walk(self.main, x, train) + _walk(self.shortcut, x, train)
+        # The main path's output is a fresh array, so the join adds into it;
+        # x itself (the identity shortcut) is never written.
+        z = _walk(self.main, x, train)
+        z += _walk(self.shortcut, x, train)
         return self.join.forward(z, train)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         gz = self.join.backward(grad_out)
-        return _walk_back(self.main, gz) + _walk_back(self.shortcut, gz)
+        g = _walk_back(self.main, gz)
+        g += _walk_back(self.shortcut, gz)
+        return g
 
 
 class Model:

@@ -17,11 +17,16 @@ Conventions:
   - Convolution is cross-correlation (no kernel flip) with "same"
     padding only: the output length is ceil(length / stride), the zeros
     are split as evenly as possible with the extra element on the right.
-    The forward's accumulation order over (input channel, tap) is fixed,
-    and its bits are the pinned contract. The backward is two GEMMs
-    (im2col for the kernel gradient, one matmul plus col2im for the input
-    gradient): reproducible from run to run and checked against a naive
-    oracle, but its bits follow the BLAS build and are not pinned.
+    The forward is lane-major: it copies the strided windows once into
+    columns of shape (in_ch, kernel, batch * out_len), adds one column at
+    a time into an (out_ch, batch * out_len) accumulator started at the
+    bias, input channel by input channel and tap by tap within each, and
+    transposes the result once to (batch, out_ch, out_len). That
+    accumulation order is fixed, and its bits are the pinned contract.
+    The backward is two GEMMs (im2col for the kernel gradient, one matmul
+    plus col2im for the input gradient): reproducible from run to run and
+    checked against a naive oracle, but its bits follow the BLAS build and
+    are not pinned.
 """
 
 from __future__ import annotations
@@ -165,10 +170,12 @@ class Conv1D(Layer):
     """1-D cross-correlation with optional striding and "same" padding:
     the output length is ceil(length / stride).
 
-    The forward sums over (input channel, tap) in a fixed order, so its
-    output is pinned bit for bit. The backward is two BLAS matrix products
-    (Chellapilla et al. 2006): reproducible from run to run and matched
-    against a naive oracle, not bit-pinned."""
+    The forward lays the windows out as (in_ch, kernel, batch * out_len)
+    columns (the im2col layout of Chellapilla et al. 2006, without a
+    GEMM) and sums them into the output in a fixed (input channel, tap)
+    order, so its output is pinned bit for bit. The backward is two BLAS
+    matrix products: reproducible from run to run and matched against a
+    naive oracle, not bit-pinned."""
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1, *,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE, name: str = "conv"):
@@ -196,14 +203,19 @@ class Conv1D(Layer):
         out_len, left, right = same_pad_amounts(length, self.kernel_size, self.stride)
         xp = np.pad(x, ((0, 0), (0, 0), (left, right)))
         windows = sliding_window_view(xp, self.kernel_size, axis=2)[:, :, ::self.stride, :]
+        # Lane-major columns: one contiguous run of batch * out_len samples
+        # per (input channel, tap), copied once from the strided windows.
+        cols = windows.transpose(1, 3, 0, 2).reshape(c, self.kernel_size, b * out_len)
         k = self.weight.value
-        y = np.empty((b, self.out_ch, out_len), dtype=x.dtype)
-        y[...] = self.bias.value[None, :, None]
+        acc = np.empty((self.out_ch, b * out_len), dtype=x.dtype)
+        acc[...] = self.bias.value[:, None]
         # Accumulate channel-major then tap-major so the summation order per
         # output element is fixed (bitwise-reproducible, oracle-matchable).
         for ci in range(self.in_ch):
             for j in range(self.kernel_size):
-                y += windows[:, ci, :, j][:, None, :] * k[None, :, ci, j, None]
+                acc += k[:, ci, j, None] * cols[ci, j]
+        y = np.ascontiguousarray(
+            acc.reshape(self.out_ch, b, out_len).transpose(1, 0, 2))
         return y, (windows, length, left, xp.shape[2])
 
     def _backward(self, grad_out, cache):
@@ -227,7 +239,10 @@ class Conv1D(Layer):
 
 
 class BatchNorm1D(Layer):
-    """Per-channel batch normalization over the (batch, spatial) axes."""
+    """Per-channel batch normalization over the (batch, spatial) axes.
+
+    The train-mode output, running statistics and gradients are bit for
+    bit those of the np.mean / np.var formula."""
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
                  *, dtype=DEFAULT_DTYPE, name: str = "bn"):
@@ -248,31 +263,40 @@ class BatchNorm1D(Layer):
         if c != self.channels:
             raise ValueError(f"{self.name}: expected {self.channels} channels, got {c}")
         if train:
+            # The batch is centered once; the variance is the mean square of
+            # that centered copy, the float ops np.var runs.
+            n = b * length
             mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+            xhat = x - mean[None, :, None]
+            var = np.square(xhat).sum(axis=(0, 2)) / n
             m = self.momentum
             self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
             self.running_var[...] = (1.0 - m) * self.running_var + m * var
-            cache = (xhat, inv_std, b * length)
         else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean[None, :, None]) * inv_std[None, :, None]
-            cache = None
-        y = self.scale.value[None, :, None] * xhat + self.shift.value[None, :, None]
-        return y, cache
+            xhat = x - self.running_mean[None, :, None]
+            var = self.running_var
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat *= inv_std[None, :, None]
+        y = self.scale.value[None, :, None] * xhat
+        y += self.shift.value[None, :, None]
+        return y, ((xhat, inv_std, n) if train else None)
 
     def _backward(self, grad_out, cache):
         xhat, inv_std, n = cache
-        self.scale.grad += (grad_out * xhat).sum(axis=(0, 2))
+        # One scratch array holds each full-size product in turn, and dxhat
+        # turns into the input gradient in place.
+        scratch = grad_out * xhat
+        self.scale.grad += scratch.sum(axis=(0, 2))
         self.shift.grad += grad_out.sum(axis=(0, 2))
         dxhat = grad_out * self.scale.value[None, :, None]
         sum_dxhat = dxhat.sum(axis=(0, 2), keepdims=True)
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
-        return (inv_std[None, :, None] / n) * (
-            n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat
-        )
+        sum_dxhat_xhat = np.multiply(dxhat, xhat, out=scratch).sum(
+            axis=(0, 2), keepdims=True)
+        dxhat *= n
+        dxhat -= sum_dxhat
+        dxhat -= np.multiply(xhat, sum_dxhat_xhat, out=scratch)
+        dxhat *= inv_std[None, :, None] / n
+        return dxhat
 
 
 class ReLU(Layer):
@@ -290,7 +314,8 @@ class ReLU(Layer):
 class MaxPool1D(Layer):
     """Max pooling over non-overlapping windows (the stride is the window
     size); a trailing remainder shorter than a window is dropped. The
-    gradient flows to the first max of each window."""
+    gradient flows to the first max of each window; a NaN in a window makes
+    its output NaN."""
 
     def __init__(self, size: int, name: str = "pool"):
         if size < 1:
@@ -306,9 +331,16 @@ class MaxPool1D(Layer):
             )
         out_len = length // self.size
         windows = x[:, :, :out_len * self.size].reshape(b, c, out_len, self.size)
-        argmax = windows.argmax(axis=3)[..., None]
-        y = np.take_along_axis(windows, argmax, axis=3)[..., 0]
-        return y, (argmax, length)
+        # A running maximum over the window positions; a position wins only
+        # when strictly greater, so a tie keeps the first max.
+        y = windows[..., 0].copy()
+        argmax = np.zeros((b, c, out_len), dtype=np.intp) if train else None
+        for j in range(1, self.size):
+            column = windows[..., j]
+            if train:
+                np.copyto(argmax, j, where=column > y)
+            np.maximum(y, column, out=y)
+        return y, ((argmax[..., None], length) if train else None)
 
     def _backward(self, grad_out, cache):
         argmax, length = cache

@@ -1,6 +1,6 @@
 """Shared test oracles: quadrature, finite differences, peak detection,
-the per-crop training sampler, plus a checkpoint header rewriter for
-hostile-file tests.
+the per-crop training sampler, the batch-norm and max-pool layers in their
+textbook forms, plus a checkpoint header rewriter for hostile-file tests.
 
 Everything here is deliberately independent of the library's own code
 paths (naive loops and textbook formulas only), so a test failure points
@@ -151,6 +151,43 @@ def naive_crop_batch(records, batch_size: int, crop_len: int, augment, rng):
         targets[i] = record.target
         provenance.append((record.id, start, factor, flipped, padded))
     return crops, targets, provenance
+
+
+def batchnorm_train_reference(x, scale, shift, running_mean, running_var,
+                              momentum, eps, grad_out):
+    """Train-mode batch norm as np.mean and np.var define it, with the
+    textbook backward. Returns (y, new running mean, new running var,
+    input gradient, scale gradient, shift gradient)."""
+    mean = x.mean(axis=(0, 2))
+    var = x.var(axis=(0, 2))
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+    y = scale[None, :, None] * xhat + shift[None, :, None]
+    new_mean = (1.0 - momentum) * running_mean + momentum * mean
+    new_var = (1.0 - momentum) * running_var + momentum * var
+    n = x.shape[0] * x.shape[2]
+    dxhat = grad_out * scale[None, :, None]
+    sum_dxhat = dxhat.sum(axis=(0, 2), keepdims=True)
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
+    dx = (inv_std[None, :, None] / n) * (
+        n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    return (y, new_mean, new_var, dx, (grad_out * xhat).sum(axis=(0, 2)),
+            grad_out.sum(axis=(0, 2)))
+
+
+def maxpool_argmax_reference(x, size, grad_out):
+    """Non-overlapping max pooling through np.argmax (the first max wins):
+    returns (y, input gradient), the remainder getting zero gradient."""
+    b, c, length = x.shape
+    out_len = length // size
+    windows = x[:, :, :out_len * size].reshape(b, c, out_len, size)
+    argmax = windows.argmax(axis=3)[..., None]
+    y = np.take_along_axis(windows, argmax, axis=3)[..., 0]
+    dwin = np.zeros(windows.shape, dtype=grad_out.dtype)
+    np.put_along_axis(dwin, argmax, grad_out[..., None], axis=3)
+    dx = np.zeros(x.shape, dtype=grad_out.dtype)
+    dx[:, :, :out_len * size] = dwin.reshape(b, c, out_len * size)
+    return y, dx
 
 
 def rewrite_checkpoint_header(path, edit) -> None:

@@ -18,6 +18,7 @@ from betamix.errors import (
     UsageError,
 )
 from betamix.model import (
+    ResidualBlock,
     build_model,
     load_checkpoint,
     loss_and_grads,
@@ -115,6 +116,45 @@ class TestForward:
             [0.6968430876731873, 0.30049872398376465],
         ], dtype=np.float32)
         np.testing.assert_array_equal(model.forward(x), expected)
+
+    def test_golden_paper_forward_frozen(self):
+        """Regression pin of the paper preset (seed 2024, fixed input):
+        infer mode, then a train-mode forward with batch statistics."""
+        model = build_model("paper", seed=2024)
+        x = np.random.default_rng(77).normal(size=(3, 1, 2048)).astype(np.float32)
+        infer = np.array([
+            [0.7919394969940186, 0.6561169028282166],
+            [0.7705014944076538, 0.5842325091362],
+            [0.8153009414672852, 0.5521161556243896],
+        ], dtype=np.float32)
+        train = np.array([
+            [0.06997286528348923, 0.23431935906410217],
+            [0.776700496673584, 0.24486179649829865],
+            [0.07068662345409393, 0.040761083364486694],
+        ], dtype=np.float32)
+        np.testing.assert_array_equal(model.forward(x), infer)
+        np.testing.assert_array_equal(model.forward(x, train=True), train)
+        assert model.stem_bn.running_var[0] == np.float32(0.9198675155639648)
+
+    @pytest.mark.parametrize("in_ch,stride", [(4, 1), (3, 2)],
+                             ids=["identity", "projection"])
+    def test_residual_join_leaves_inputs_untouched(self, rng, in_ch, stride):
+        block = ResidualBlock(in_ch, 4, 3, stride, rng=rng, dtype=np.float32,
+                              name="b")
+        x = rng.normal(size=(2, in_ch, 16)).astype(np.float32)
+        x_before = x.copy()
+        main = x_before
+        for layer in block.main:
+            main = layer.forward(main, train=True)
+        shortcut = block.proj.forward(x_before) if block.proj else x_before
+        y = block.forward(x, train=True)
+        np.testing.assert_array_equal(y, np.maximum(main + shortcut, 0))
+        grad_out = rng.normal(size=y.shape).astype(np.float32)
+        grad_before = grad_out.copy()
+        dx = block.backward(grad_out)
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(grad_out, grad_before)
+        assert dx.shape == x.shape
 
     def test_wrong_crop_length_rejected(self):
         model = build_model("tiny", seed=1)

@@ -25,28 +25,33 @@ from betamix.nn import (
     softplus,
     xavier_init,
 )
-from conftest import numeric_grad, rel_err
+from conftest import (
+    batchnorm_train_reference,
+    maxpool_argmax_reference,
+    numeric_grad,
+    rel_err,
+)
 
 
 def naive_conv1d(x, kernel, bias, stride):
-    """Quadruple-loop "same"-padded cross-correlation with float32
-    accumulation in the same (channel, tap) order the layer uses."""
+    """Quadruple-loop "same"-padded cross-correlation accumulating in the
+    input's float type, in the same (channel, tap) order the layer uses."""
     b, c, length = x.shape
     out_ch, _, k = kernel.shape
+    real = x.dtype.type
     out_len = -(-length // stride)
     total = max(0, (out_len - 1) * stride + k - length)
     left = total // 2
     xp = np.pad(x, ((0, 0), (0, 0), (left, total - left)))
-    y = np.zeros((b, out_ch, out_len), dtype=np.float32)
+    y = np.zeros((b, out_ch, out_len), dtype=x.dtype)
     for bi in range(b):
         for f in range(out_ch):
             for o in range(out_len):
-                acc = np.float32(bias[f])
+                acc = real(bias[f])
                 for ci in range(c):
                     for j in range(k):
-                        acc = np.float32(
-                            acc + np.float32(xp[bi, ci, o * stride + j])
-                            * np.float32(kernel[f, ci, j]))
+                        acc = real(acc + real(xp[bi, ci, o * stride + j])
+                                   * real(kernel[f, ci, j]))
                 y[bi, f, o] = acc
     return y
 
@@ -107,12 +112,30 @@ class TestConv1D:
         x = np.array([[[1.0, 2.0, 3.0, 4.0]]], dtype=np.float32)
         np.testing.assert_allclose(layer.forward(x)[0, 0], [3.0, 6.0, 9.0, 7.0])
 
-    # Ids such as "2-same" name the stride and the padding of each case.
-    @pytest.mark.parametrize("stride", [1, 2, 3], ids=lambda s: f"{s}-same")
-    def test_matches_naive_oracle_bitwise(self, rng, stride):
-        layer = Conv1D(3, 4, 5, stride=stride, rng=rng)
-        x = rng.normal(size=(2, 3, 17)).astype(np.float32)
+    # (batch, in_ch, out_ch, kernel, stride, length, dtype). Ids such as
+    # "2-same" name the stride and the padding of a case; the named ones
+    # are the edges of the forward's (in_ch, kernel, batch * out_len)
+    # column layout.
+    @pytest.mark.parametrize("batch,in_ch,out_ch,kernel,stride,length,dtype", [
+        (2, 3, 4, 5, 1, 17, np.float32),
+        (2, 3, 4, 5, 2, 17, np.float32),
+        (2, 3, 4, 5, 3, 17, np.float32),
+        (1, 3, 4, 3, 1, 9, np.float32),
+        (3, 2, 3, 3, 2, 1, np.float32),
+        (3, 2, 3, 3, 2, 2, np.float32),
+        (4, 1, 8, 5, 1, 32, np.float32),
+        (4, 8, 8, 1, 2, 16, np.float32),
+        (64, 20, 20, 3, 1, 8, np.float32),
+        (2, 3, 4, 5, 2, 17, np.float64),
+    ], ids=["1-same", "2-same", "3-same", "batch1", "out_len1-len1",
+            "out_len1-len2", "stem", "projection", "batch64-20ch", "float64"])
+    def test_matches_naive_oracle_bitwise(self, rng, batch, in_ch, out_ch,
+                                          kernel, stride, length, dtype):
+        layer = Conv1D(in_ch, out_ch, kernel, stride=stride, rng=rng, dtype=dtype)
+        layer.bias.value[...] = rng.normal(size=out_ch)
+        x = rng.normal(size=(batch, in_ch, length)).astype(dtype)
         got = layer.forward(x)
+        assert got.dtype == dtype and got.flags.c_contiguous
         expected = naive_conv1d(x, layer.weight.value, layer.bias.value,
                                 stride)
         np.testing.assert_array_equal(got, expected)
@@ -244,6 +267,37 @@ class TestBatchNorm1D:
         assert layer.running_mean[0] == pytest.approx(
             0.9 * 0.1 * batch_mean + 0.1 * batch_mean, rel=1e-5)
 
+    @pytest.mark.parametrize("shape,dtype", [
+        ((16, 8, 1024), np.float32),
+        ((64, 20, 8), np.float32),
+        ((1, 3, 1), np.float32),
+        ((4, 2, 6), np.float64),
+    ], ids=["stem", "deep", "single", "float64"])
+    def test_train_pass_matches_reference_bitwise(self, rng, shape, dtype):
+        """Two train steps against the np.mean/np.var formula: output,
+        running statistics and every gradient agree bit for bit."""
+        c = shape[1]
+        layer = BatchNorm1D(c, dtype=dtype)
+        layer.scale.value[...] = rng.uniform(0.5, 1.5, size=c)
+        layer.shift.value[...] = rng.normal(size=c)
+        for _ in range(2):
+            x = (rng.normal(size=shape) * 3.0 + 1.5).astype(dtype)
+            grad_out = rng.normal(size=shape).astype(dtype)
+            expected = batchnorm_train_reference(
+                x, layer.scale.value, layer.shift.value, layer.running_mean,
+                layer.running_var, layer.momentum, layer.eps, grad_out)
+            x_before = x.copy()
+            y = layer.forward(x, train=True)
+            dx = layer.backward(grad_out)
+            got = (y, layer.running_mean, layer.running_var, dx,
+                   layer.scale.grad, layer.shift.grad)
+            for g, e in zip(got, expected):
+                assert g.dtype == dtype
+                np.testing.assert_array_equal(g, e)
+            np.testing.assert_array_equal(x, x_before)
+            layer.scale.zero_grad()
+            layer.shift.zero_grad()
+
     @pytest.mark.parametrize("dtype,h,tol", [(np.float32, 1e-2, 1e-3),
                                              (np.float64, 1e-6, 1e-6)])
     def test_backward_finite_difference(self, rng, dtype, h, tol):
@@ -373,6 +427,27 @@ class TestMaxPool1D:
                     expected[b, c, first_max] = grad_out[b, c, o]
         np.testing.assert_array_equal(dx, expected)
         assert not dx[:, :, 9:].any()
+
+    @pytest.mark.parametrize("size,length", [(2, 2048), (2, 9), (3, 11), (1, 5)],
+                             ids=["stem", "remainder", "size3", "size1"])
+    def test_matches_argmax_oracle_bitwise(self, rng, size, length):
+        """Small integers make ties common; forward and backward equal the
+        np.argmax formulation exactly."""
+        layer = MaxPool1D(size)
+        x = rng.integers(-2, 3, size=(4, 3, length)).astype(np.float32)
+        grad_out = rng.normal(size=(4, 3, length // size)).astype(np.float32)
+        expected_y, expected_dx = maxpool_argmax_reference(x, size, grad_out)
+        y = layer.forward(x, train=True)
+        np.testing.assert_array_equal(y, expected_y)
+        np.testing.assert_array_equal(layer.backward(grad_out), expected_dx)
+        np.testing.assert_array_equal(layer.forward(x), expected_y)
+
+    def test_nan_window_gives_nan(self):
+        layer = MaxPool1D(3)
+        x = np.array([[[np.nan, 1.0, 2.0, 1.0, np.nan, 0.0, 4.0, 5.0, 6.0]]],
+                     dtype=np.float32)
+        y = layer.forward(x)
+        assert np.isnan(y[0, 0, :2]).all() and y[0, 0, 2] == 6.0
 
 
 class TestGlobalMaxPool:
