@@ -35,6 +35,12 @@ RECORD_MAGIC = b"BGS1"
 RECORD_VERSION = 1
 SYNTH_SAMPLING_RATE = 300.0
 
+# Largest sample magnitude a record may hold: far above any ADC count
+# (2**32 is about 4.3e9) and far below float32 overflow (3.4e38). A record
+# at the bound trains and predicts without overflow in both presets; one
+# at 3e38 overflowed the conv sums into NaN.
+MAX_ABS_SAMPLE = 1e12
+
 
 @dataclass(frozen=True)
 class RhythmAnnotation:
@@ -77,8 +83,12 @@ class SignalRecord:
         self.samples = np.ascontiguousarray(self.samples, dtype=np.float32)
         if self.samples.size == 0:
             raise ValueError(f"record {self.id!r}: samples are empty")
-        if not np.isfinite(self.samples).all():
+        peak = np.abs(self.samples).max()
+        if not np.isfinite(peak):
             raise ValueError(f"record {self.id!r}: samples hold NaN or inf")
+        if peak > MAX_ABS_SAMPLE:
+            raise ValueError(f"record {self.id!r}: sample magnitude {peak:.3g} "
+                             f"exceeds {MAX_ABS_SAMPLE:.0e}")
         if not (self.sampling_rate > 0):
             raise ValueError(f"record {self.id!r}: sampling rate must be positive")
         if not (0.0 <= self.target <= 1.0):

@@ -17,16 +17,20 @@ Conventions:
   - Convolution is cross-correlation (no kernel flip) with "same"
     padding only: the output length is ceil(length / stride), the zeros
     are split as evenly as possible with the extra element on the right.
-    The forward is lane-major: it copies the strided windows once into
-    columns of shape (in_ch, kernel, batch * out_len), adds one column at
-    a time into an (out_ch, batch * out_len) accumulator started at the
-    bias, input channel by input channel and tap by tap within each, and
-    transposes the result once to (batch, out_ch, out_len). That
-    accumulation order is fixed, and its bits are the pinned contract.
-    The backward is two GEMMs (im2col for the kernel gradient, one matmul
-    plus col2im for the input gradient): reproducible from run to run and
-    checked against a naive oracle, but its bits follow the BLAS build and
-    are not pinned.
+    The input is copied once into a zeroed padded buffer, and the windows
+    are a strided view over it. The forward is lane-major: it copies the
+    windows once into columns of shape (in_ch, kernel, batch * out_len),
+    adds one column at a time into an (out_ch, batch * out_len)
+    accumulator started at the bias, input channel by input channel and
+    tap by tap within each, and transposes the result once to (batch,
+    out_ch, out_len). That accumulation order is fixed, and its bits are
+    pinned. The backward is two GEMMs. The input gradient is one matmul
+    for every tap followed by a col2im that adds the taps in order; its
+    adds are pinned. The kernel gradient is one GEMM over the windows
+    copied to (batch * out_len, in_ch * kernel) rows, the operand layout
+    np.tensordot builds, so its bits equal tensordot's and follow the
+    BLAS build. Training is chaotic, so those bits decide where a run
+    ends up.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_DTYPE = np.float32
 
@@ -174,8 +177,11 @@ class Conv1D(Layer):
     columns (the im2col layout of Chellapilla et al. 2006, without a
     GEMM) and sums them into the output in a fixed (input channel, tap)
     order, so its output is pinned bit for bit. The backward is two BLAS
-    matrix products: reproducible from run to run and matched against a
-    naive oracle, not bit-pinned."""
+    matrix products. The input gradient's col2im adds the taps in a fixed
+    order, straight into the unpadded gradient. The kernel gradient is
+    np.tensordot's GEMM on the same (batch * out_len, in_ch * kernel)
+    operand, filled one tap at a time, so its bits are tensordot's and
+    follow the BLAS build."""
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1, *,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE, name: str = "conv"):
@@ -200,42 +206,65 @@ class Conv1D(Layer):
         b, c, length = x.shape
         if c != self.in_ch:
             raise ValueError(f"{self.name}: expected {self.in_ch} channels, got {c}")
-        out_len, left, right = same_pad_amounts(length, self.kernel_size, self.stride)
-        xp = np.pad(x, ((0, 0), (0, 0), (left, right)))
-        windows = sliding_window_view(xp, self.kernel_size, axis=2)[:, :, ::self.stride, :]
+        kernel, stride = self.kernel_size, self.stride
+        out_len, left, right = same_pad_amounts(length, kernel, stride)
+        xp = np.zeros((b, c, left + length + right), dtype=x.dtype)
+        xp[:, :, left : left + length] = x
+        # (b, in_ch, out_len, kernel) windows as a read-only strided view
+        # over the padded buffer: window i, tap j reads xp[..., i*stride + j].
+        s0, s1, s2 = xp.strides
+        windows = np.ndarray((b, c, out_len, kernel), xp.dtype, xp, 0,
+                             (s0, s1, s2 * stride, s2))
+        windows.flags.writeable = False
         # Lane-major columns: one contiguous run of batch * out_len samples
         # per (input channel, tap), copied once from the strided windows.
-        cols = windows.transpose(1, 3, 0, 2).reshape(c, self.kernel_size, b * out_len)
+        cols = windows.transpose(1, 3, 0, 2).reshape(c, kernel, b * out_len)
         k = self.weight.value
         acc = np.empty((self.out_ch, b * out_len), dtype=x.dtype)
         acc[...] = self.bias.value[:, None]
         # Accumulate channel-major then tap-major so the summation order per
         # output element is fixed (bitwise-reproducible, oracle-matchable).
         for ci in range(self.in_ch):
-            for j in range(self.kernel_size):
+            for j in range(kernel):
                 acc += k[:, ci, j, None] * cols[ci, j]
         y = np.ascontiguousarray(
             acc.reshape(self.out_ch, b, out_len).transpose(1, 0, 2))
-        return y, (windows, length, left, xp.shape[2])
+        return y, ((windows, length, left) if train else None)
 
     def _backward(self, grad_out, cache):
-        windows, length, left, padded_len = cache
-        b, _, out_len, _ = windows.shape
+        windows, length, left = cache
+        b, in_ch, out_len, kernel = windows.shape
+        stride = self.stride
         if grad_out.shape != (b, self.out_ch, out_len):
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} does not "
                              f"match forward output {(b, self.out_ch, out_len)}")
         self.bias.grad += grad_out.sum(axis=(0, 2))
-        # dW: im2col (tensordot copies the windows to (b*out_len, in_ch*kernel))
-        # and one GEMM over the batch and output positions.
-        self.weight.grad += np.tensordot(grad_out, windows, axes=([0, 2], [0, 2]))
+        # dW: im2col into (b, out_len, in_ch, kernel) rows, filled one tap at
+        # a time, and one GEMM over the batch and output positions. Both
+        # operands are laid out as np.tensordot lays them out, so the GEMM
+        # returns tensordot's bits.
+        rows = np.empty((b, out_len, in_ch, kernel), dtype=windows.dtype)
+        for j in range(kernel):
+            rows[:, :, :, j] = windows[:, :, :, j].transpose(0, 2, 1)
+        g = grad_out.transpose(1, 0, 2).reshape(self.out_ch, b * out_len)
+        dw = np.dot(g, rows.reshape(b * out_len, in_ch * kernel))
+        self.weight.grad += dw.reshape(self.out_ch, in_ch, kernel)
         # dX: one matmul gives every tap's contribution, then col2im adds
-        # each tap's columns into the padded input at its stride.
-        k = self.weight.value.reshape(self.out_ch, self.in_ch * self.kernel_size)
-        cols = (k.T @ grad_out).reshape(b, self.in_ch, self.kernel_size, out_len)
-        dxp = np.zeros((b, self.in_ch, padded_len), dtype=grad_out.dtype)
-        for j in range(self.kernel_size):
-            dxp[:, :, j : j + out_len * self.stride : self.stride] += cols[:, :, j]
-        return np.ascontiguousarray(dxp[:, :, left : left + length])
+        # each tap's columns, tap by tap, into the input positions it read
+        # (padding positions are skipped).
+        k = self.weight.value.reshape(self.out_ch, in_ch * kernel)
+        cols = (k.T @ grad_out).reshape(b, in_ch, kernel, out_len)
+        dx = np.zeros((b, in_ch, length), dtype=grad_out.dtype)
+        for j in range(kernel):
+            # Window i's tap j read input position i*stride + j - left; the
+            # windows lo .. hi - 1 read positions inside the input.
+            lo = max(0, -(-(left - j) // stride))
+            hi = min(out_len, -(-(length + left - j) // stride))
+            if lo < hi:
+                start = lo * stride + j - left
+                dx[:, :, start : start + (hi - lo) * stride : stride] += \
+                    cols[:, :, j, lo:hi]
+        return dx
 
 
 class BatchNorm1D(Layer):
@@ -345,11 +374,10 @@ class MaxPool1D(Layer):
     def _backward(self, grad_out, cache):
         argmax, length = cache
         b, c, out_len, _ = argmax.shape
-        dwin = np.zeros((b, c, out_len, self.size), dtype=grad_out.dtype)
+        # The dropped remainder keeps its zero gradient.
+        dx = np.zeros((b, c, length), dtype=grad_out.dtype)
+        dwin = dx[:, :, :out_len * self.size].reshape(b, c, out_len, self.size)
         np.put_along_axis(dwin, argmax, grad_out[..., None], axis=3)
-        dx = dwin.reshape(b, c, out_len * self.size)
-        if dx.shape[2] < length:  # the dropped remainder gets zero gradient
-            dx = np.pad(dx, ((0, 0), (0, 0), (0, length - dx.shape[2])))
         return dx
 
 

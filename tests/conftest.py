@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @functools.lru_cache(maxsize=8)
@@ -151,6 +152,32 @@ def naive_crop_batch(records, batch_size: int, crop_len: int, augment, rng):
         targets[i] = record.target
         provenance.append((record.id, start, factor, flipped, padded))
     return crops, targets, provenance
+
+
+def conv1d_backward_reference(x, kernel, grad_out, stride):
+    """The "same"-padded conv backward through np.pad, sliding_window_view
+    and np.tensordot: dW is tensordot's one GEMM over the padded input's
+    strided windows, dX one matmul for every tap followed by a col2im into
+    a padded buffer that is then cropped. Returns (dx, dW, bias gradient).
+
+    Where the windows' (batch * out_len, in_ch * kernel) reshape is a view
+    rather than a copy (kernel 1 with batch 1, or with one input channel
+    and kernel == stride), tensordot hands BLAS a strided operand; in
+    float64 its last bits may then differ from a GEMM over the copy."""
+    b, c, length = x.shape
+    out_ch, _, k = kernel.shape
+    out_len = grad_out.shape[2]
+    total = max(0, (out_len - 1) * stride + k - length)
+    left = total // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (left, total - left)))
+    windows = sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
+    dw = np.tensordot(grad_out, windows, axes=([0, 2], [0, 2]))
+    cols = (kernel.reshape(out_ch, c * k).T @ grad_out).reshape(b, c, k, out_len)
+    dxp = np.zeros(xp.shape, dtype=grad_out.dtype)
+    for j in range(k):
+        dxp[:, :, j : j + out_len * stride : stride] += cols[:, :, j]
+    return (np.ascontiguousarray(dxp[:, :, left : left + length]), dw,
+            grad_out.sum(axis=(0, 2)))
 
 
 def batchnorm_train_reference(x, scale, shift, running_mean, running_var,

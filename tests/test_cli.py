@@ -206,12 +206,14 @@ class TestPredict:
     @pytest.mark.parametrize("case", [
         "missing_model", "dim_2**31", "count_2**34", "count_2**61",
         "model_is_directory", "record_is_directory", "nan_sample",
-        "nan_weight", "manifest_not_utf8", "manifest_path_parent",
-        "manifest_path_absolute", "header_nested_100000", *HEADER_EDITS])
+        "sample_3e38", "nan_weight", "manifest_not_utf8",
+        "manifest_path_parent", "manifest_path_absolute",
+        "header_nested_100000", *HEADER_EDITS])
     def test_hostile_files_are_data_errors(self, trained, tmp_path, capsys,
                                            case):
         """A missing or directory input, a length field declaring far more
-        bytes than the file holds, a NaN sample or weight, a malformed
+        bytes than the file holds, a NaN sample or weight, a finite sample
+        above MAX_ABS_SAMPLE (one that overflowed the network), a malformed
         checkpoint header (including one that names no preset, changes a
         preset's sizes or nests too deeply to parse), a manifest that is not UTF-8 or a manifest path
         leading out of the dataset directory exits 2 with a one-line data
@@ -264,6 +266,8 @@ class TestPredict:
             blob = bytearray(record.read_bytes())
             if case == "nan_sample":
                 struct.pack_into("<f", blob, 24, float("nan"))
+            elif case == "sample_3e38":
+                struct.pack_into("<f", blob, 24, 3e38)
             else:
                 struct.pack_into("<Q", blob, 16, 2 ** int(case.split("**")[1]))
             record.write_bytes(bytes(blob))
@@ -271,6 +275,8 @@ class TestPredict:
                      "--out", str(tmp_path / "x.jsonl")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1, err
+        if case == "sample_3e38":
+            assert f"record {record.stem!r}: sample magnitude 3e+38" in err, err
 
     def test_missing_checkpoint_is_corrupt(self, trained, tmp_path):
         root, data, _ = trained

@@ -27,6 +27,7 @@ from betamix.nn import (
 )
 from conftest import (
     batchnorm_train_reference,
+    conv1d_backward_reference,
     maxpool_argmax_reference,
     numeric_grad,
     rel_err,
@@ -154,6 +155,40 @@ class TestConv1D:
         np.testing.assert_allclose(layer.weight.grad, expected_dw, rtol=1e-10)
         np.testing.assert_allclose(layer.bias.grad, grad_out.sum(axis=(0, 2)),
                                    rtol=1e-10)
+
+    # (batch, in_ch, out_ch, kernel, stride, length, dtype); "3-2" is
+    # kernel 3, stride 2.
+    @pytest.mark.parametrize("batch,in_ch,out_ch,kernel,stride,length,dtype", [
+        *[(2, 3, 4, k, s, 17, np.float32) for k in (1, 3, 5) for s in (1, 2, 3)],
+        (1, 3, 4, 3, 1, 9, np.float32),
+        (3, 2, 3, 3, 2, 2, np.float32),
+        (3, 2, 3, 5, 1, 3, np.float32),
+        (3, 2, 3, 5, 2, 1, np.float32),
+        (4, 1, 8, 5, 1, 32, np.float32),
+        (4, 8, 8, 1, 2, 16, np.float32),
+        (64, 20, 20, 3, 1, 8, np.float32),
+        (2, 3, 4, 5, 2, 17, np.float64),
+    ], ids=[*[f"{k}-{s}" for k in (1, 3, 5) for s in (1, 2, 3)], "batch1",
+            "out_len1", "shorter_than_kernel", "shorter_than_kernel-out_len1",
+            "stem", "projection", "batch64-20ch", "float64"])
+    def test_backward_matches_reference_bitwise(self, rng, batch, in_ch, out_ch,
+                                                kernel, stride, length, dtype):
+        """dX, dW and the bias gradient equal, byte for byte, those of the
+        np.pad / sliding_window_view / np.tensordot formulation: the same
+        GEMM operands for dW and the same tap-by-tap col2im adds for dX.
+        Training is chaotic, so these bits are what keep the desk runs'
+        outcomes fixed."""
+        layer = Conv1D(in_ch, out_ch, kernel, stride=stride, rng=rng, dtype=dtype)
+        x = rng.normal(size=(batch, in_ch, length)).astype(dtype)
+        y = layer.forward(x, train=True)
+        grad_out = rng.normal(size=y.shape).astype(dtype)
+        dx = layer.backward(grad_out)
+        expected_dx, expected_dw, expected_db = conv1d_backward_reference(
+            x, layer.weight.value, grad_out, stride)
+        assert dx.dtype == dtype and dx.flags.c_contiguous
+        assert dx.tobytes() == expected_dx.tobytes()
+        assert layer.weight.grad.tobytes() == expected_dw.tobytes()
+        assert layer.bias.grad.tobytes() == expected_db.tobytes()
 
     def test_same_pad_preserves_length(self, rng):
         for k in (1, 3, 5):
