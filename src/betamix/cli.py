@@ -3,8 +3,8 @@
 Subcommands wire the library end to end: `synth` writes a synthetic
 dataset, `train` fits a model and saves a checkpoint, `predict` emits
 JSON-lines predictions, `eval` reports metrics with and without
-uncertainty rejection, and `density` exports a predictive-density grid
-for external plotting.
+uncertainty rejection plus the area under the risk-coverage curve, and
+`density` exports a predictive-density grid for external plotting.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal
 invariant failure. Every command is deterministic given its inputs and
@@ -108,6 +108,7 @@ def cmd_eval(args) -> int:
         fh.write(f"n_accepted,{accepted_report.n_evaluated}\n")
         fh.write(f"misclassified_all,{all_report.n_misclassified}\n")
         fh.write(f"misclassified_accepted,{accepted_report.n_misclassified}\n")
+        fh.write(f"aurc,{metrics_mod.aurc(preds)!r}\n")
     print(f"macro F1 all={all_report.macro_f1:.4f} "
           f"accepted={accepted_report.macro_f1:.4f} "
           f"misclassified {all_report.n_misclassified}->"

@@ -1,7 +1,8 @@
 """Classification quality metrics with the AF class (1) as positive.
 
 Per-class precision/recall/F1 for both classes, macro averages, counting
-restricted to accepted predictions, and coverage-versus-quality curves.
+restricted to accepted predictions, coverage-versus-quality curves, and
+the area under the risk-coverage curve.
 Any 0/0 ratio is defined as 0 and flagged as degenerate rather than
 raising, so sweeps over tiny accepted subsets stay total.
 """
@@ -117,6 +118,30 @@ def coverage_curve(preds: list[Prediction], fractions: list[float]
         flagged, _ = reject_by_uncertainty(preds, fraction)
         out.append((fraction, report(confusion(flagged, only_accepted=True))))
     return out
+
+
+def aurc(preds: list[Prediction]) -> float:
+    """Area under the risk-coverage curve (Geifman & El-Yaniv 2017).
+
+    The mean over k = 1..N of the error rate among the k most certain
+    predictions. Ties in uncertainty keep input order, as in
+    reject_by_uncertainty. Lower is better; 0 means no error at any
+    coverage.
+    """
+    if not preds:
+        raise ValueError("cannot compute AURC of an empty prediction list")
+    order = sorted(range(len(preds)), key=lambda i: preds[i].summary.uncertainty)
+    errors = 0
+    risk_sum = 0.0
+    for k, i in enumerate(order, start=1):
+        p = preds[i]
+        if p.true_target is None:
+            raise UsageError(
+                f"prediction for {p.record_id!r} has no true target to evaluate"
+            )
+        errors += p.predicted_class != hard_label(p.true_target)
+        risk_sum += errors / k
+    return risk_sum / len(preds)
 
 
 def report_csv_rows(rep: MetricsReport) -> list[list[str]]:

@@ -18,19 +18,24 @@ Conventions:
     padding only: the output length is ceil(length / stride), the zeros
     are split as evenly as possible with the extra element on the right.
     The input is copied once into a zeroed padded buffer, and the windows
-    are a strided view over it. The forward is lane-major: it copies the
-    windows once into columns of shape (in_ch, kernel, batch * out_len),
-    adds one column at a time into an (out_ch, batch * out_len)
-    accumulator started at the bias, input channel by input channel and
-    tap by tap within each, and transposes the result once to (batch,
-    out_ch, out_len). That accumulation order is fixed, and its bits are
-    pinned. The backward is two GEMMs. The input gradient is one matmul
-    for every tap followed by a col2im that adds the taps in order; its
-    adds are pinned. The kernel gradient is one GEMM over the windows
-    copied to (batch * out_len, in_ch * kernel) rows, the operand layout
-    np.tensordot builds, so its bits equal tensordot's and follow the
-    BLAS build. Training is chaotic, so those bits decide where a run
-    ends up.
+    are a strided view over it.
+  - Training is chaotic, so the bits of the train-mode passes decide
+    where a run ends up, and they are pinned. The train-mode conv forward
+    is lane-major: it copies the windows once into columns of shape
+    (in_ch, kernel, batch * out_len), adds one column at a time into an
+    (out_ch, batch * out_len) accumulator started at the bias, input
+    channel by input channel and tap by tap within each, and transposes
+    the result once to (batch, out_ch, out_len). The conv backward is two
+    GEMMs. The input gradient is one matmul for every tap followed by a
+    col2im that adds the taps in order; its adds are pinned. The kernel
+    gradient is one GEMM over the windows copied to (batch * out_len,
+    in_ch * kernel) rows, the operand layout np.tensordot builds, so its
+    bits equal tensordot's and follow the BLAS build.
+  - The infer-mode forward is accurate to float32 rounding rather than
+    pinned: the conv is one GEMM per crop and batch norm one affine pass,
+    so its bits follow the BLAS build. On one build it is deterministic,
+    and each crop's output does not depend on the other crops in its
+    batch.
 """
 
 from __future__ import annotations
@@ -173,15 +178,18 @@ class Conv1D(Layer):
     """1-D cross-correlation with optional striding and "same" padding:
     the output length is ceil(length / stride).
 
-    The forward lays the windows out as (in_ch, kernel, batch * out_len)
-    columns (the im2col layout of Chellapilla et al. 2006, without a
-    GEMM) and sums them into the output in a fixed (input channel, tap)
-    order, so its output is pinned bit for bit. The backward is two BLAS
-    matrix products. The input gradient's col2im adds the taps in a fixed
-    order, straight into the unpadded gradient. The kernel gradient is
-    np.tensordot's GEMM on the same (batch * out_len, in_ch * kernel)
-    operand, filled one tap at a time, so its bits are tensordot's and
-    follow the BLAS build."""
+    The infer-mode forward is the im2col GEMM of Chellapilla et al.
+    (2006): each crop's windows are copied to (in_ch * kernel, out_len)
+    columns and multiplied by the (out_ch, in_ch * kernel) kernel matrix.
+    It is accurate to float32 rounding, and its bits follow the BLAS
+    build. The train-mode forward lays the same windows out as (in_ch,
+    kernel, batch * out_len) columns and sums them into the output in a
+    fixed (input channel, tap) order, so its output is pinned bit for
+    bit. The backward is two BLAS matrix products. The input gradient's
+    col2im adds the taps in a fixed order, straight into the unpadded
+    gradient. The kernel gradient is np.tensordot's GEMM on the same
+    (batch * out_len, in_ch * kernel) operand, filled one tap at a time,
+    so its bits are tensordot's and follow the BLAS build."""
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1, *,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE, name: str = "conv"):
@@ -216,6 +224,17 @@ class Conv1D(Layer):
         windows = np.ndarray((b, c, out_len, kernel), xp.dtype, xp, 0,
                              (s0, s1, s2 * stride, s2))
         windows.flags.writeable = False
+        if not train:
+            # Infer: one GEMM per crop over (in_ch * kernel, out_len)
+            # columns, the output already in (batch, out_ch, out_len)
+            # layout. Its sums run in the BLAS kernel's order. Training
+            # keeps the lane-major loop below: perfbench's paper loss
+            # replay is chaotic, and this GEMM in the train forward moved
+            # its step-5 loss by 7.2e-2 against rtol 1e-3.
+            cols = windows.transpose(0, 1, 3, 2).reshape(b, c * kernel, out_len)
+            y = np.matmul(self.weight.value.reshape(self.out_ch, c * kernel), cols)
+            y += self.bias.value[:, None]
+            return y, None
         # Lane-major columns: one contiguous run of batch * out_len samples
         # per (input channel, tap), copied once from the strided windows.
         cols = windows.transpose(1, 3, 0, 2).reshape(c, kernel, b * out_len)
@@ -229,7 +248,7 @@ class Conv1D(Layer):
                 acc += k[:, ci, j, None] * cols[ci, j]
         y = np.ascontiguousarray(
             acc.reshape(self.out_ch, b, out_len).transpose(1, 0, 2))
-        return y, ((windows, length, left) if train else None)
+        return y, (windows, length, left)
 
     def _backward(self, grad_out, cache):
         windows, length, left = cache
@@ -268,10 +287,16 @@ class Conv1D(Layer):
 
 
 class BatchNorm1D(Layer):
-    """Per-channel batch normalization over the (batch, spatial) axes.
+    """Per-channel batch normalization over the (batch, spatial) axes
+    (Ioffe & Szegedy 2015).
 
     The train-mode output, running statistics and gradients are bit for
-    bit those of the np.mean / np.var formula."""
+    bit those of the np.mean / np.var formula. In infer mode the layer is
+    a fixed per-channel affine map, x * a + c with a = scale /
+    sqrt(running_var + eps) and c = shift - running_mean * a, recomputed
+    from the current parameters on every call and applied in one pass; it
+    is accurate to float32 rounding, not bit-equal to the train formula
+    with the running statistics."""
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
                  *, dtype=DEFAULT_DTYPE, name: str = "bn"):
@@ -291,24 +316,29 @@ class BatchNorm1D(Layer):
         b, c, length = x.shape
         if c != self.channels:
             raise ValueError(f"{self.name}: expected {self.channels} channels, got {c}")
-        if train:
-            # The batch is centered once; the variance is the mean square of
-            # that centered copy, the float ops np.var runs.
-            n = b * length
-            mean = x.mean(axis=(0, 2))
-            xhat = x - mean[None, :, None]
-            var = np.square(xhat).sum(axis=(0, 2)) / n
-            m = self.momentum
-            self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
-            self.running_var[...] = (1.0 - m) * self.running_var + m * var
-        else:
-            xhat = x - self.running_mean[None, :, None]
-            var = self.running_var
+        if not train:
+            # Infer: the fixed per-channel affine map y = x * a + c, folded
+            # from the current parameters on every call, so an Adam step
+            # can never leave a stale fold behind.
+            a = self.scale.value / np.sqrt(self.running_var + self.eps)
+            c = self.shift.value - self.running_mean * a
+            y = x * a[None, :, None]
+            y += c[None, :, None]
+            return y, None
+        # The batch is centered once; the variance is the mean square of
+        # that centered copy, the float ops np.var runs.
+        n = b * length
+        mean = x.mean(axis=(0, 2))
+        xhat = x - mean[None, :, None]
+        var = np.square(xhat).sum(axis=(0, 2)) / n
+        m = self.momentum
+        self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
+        self.running_var[...] = (1.0 - m) * self.running_var + m * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv_std[None, :, None]
         y = self.scale.value[None, :, None] * xhat
         y += self.shift.value[None, :, None]
-        return y, ((xhat, inv_std, n) if train else None)
+        return y, (xhat, inv_std, n)
 
     def _backward(self, grad_out, cache):
         xhat, inv_std, n = cache

@@ -315,7 +315,8 @@ class TestEval:
         assert classes == ["A", "NO", "Overall", "A", "NO", "Overall"]
         keys = [l.split(",")[0] for l in lines[7:]]
         assert keys == ["uncertainty_threshold", "n_all", "n_accepted",
-                        "misclassified_all", "misclassified_accepted"]
+                        "misclassified_all", "misclassified_accepted", "aurc"]
+        assert 0.0 <= float(lines[-1].split(",")[1]) <= 1.0
 
     def test_bad_fraction_is_usage_error(self, trained, tmp_path):
         root, data, ckpt = trained

@@ -8,6 +8,7 @@ from betamix.betadist import BetaMixture, BetaParams, PredictiveSummary
 from betamix.errors import UsageError
 from betamix.metrics import (
     ConfusionCounts,
+    aurc,
     confusion,
     coverage_curve,
     report,
@@ -156,6 +157,46 @@ class TestCoverageCurve:
     def test_bad_fraction_rejected(self):
         with pytest.raises(UsageError):
             coverage_curve(self.build_fixture(), [0.0])
+
+
+def aurc_by_coverage_curve(preds):
+    """AURC from coverage_curve at every k/N: the mean of the kept
+    subsets' error rates. Holds only for N where ceil(k/N * N) == k for
+    every k; the caller checks that each subset has k predictions."""
+    n = len(preds)
+    curve = coverage_curve(preds, [k / n for k in range(1, n + 1)])
+    assert [rep.n_evaluated for _, rep in curve] == list(range(1, n + 1))
+    return sum(rep.n_misclassified / rep.n_evaluated for _, rep in curve) / n
+
+
+class TestAurc:
+    def test_hand_computed(self):
+        """Eight certain right answers, then two wrong ones: the risk is 0
+        up to k = 8, then 1/9 and 2/10."""
+        preds = TestCoverageCurve().build_fixture()
+        assert aurc(preds) == pytest.approx((1 / 9 + 2 / 10) / 10, rel=1e-15)
+
+    def test_ties_keep_input_order(self):
+        wrong, right = make_prediction(1, 0.0, 0.5), make_prediction(1, 1.0, 0.5)
+        assert aurc([wrong, right]) == pytest.approx((1 / 1 + 1 / 2) / 2)
+        assert aurc([right, wrong]) == pytest.approx((0 / 1 + 1 / 2) / 2)
+
+    @pytest.mark.parametrize("n", [9, 40])
+    def test_matches_coverage_curve_oracle(self, rng, n):
+        # Uncertainties from a four-value set, so many predictions tie.
+        preds = [make_prediction(int(rng.integers(2)), float(rng.integers(2)),
+                                 uncertainty=float(rng.integers(4)) / 4)
+                 for _ in range(n)]
+        assert aurc(preds) == pytest.approx(aurc_by_coverage_curve(preds),
+                                            rel=1e-12)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            aurc([])
+
+    def test_missing_target_rejected(self):
+        with pytest.raises(UsageError):
+            aurc([make_prediction(1, None)])
 
 
 class TestCsvExport:

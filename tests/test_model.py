@@ -106,8 +106,11 @@ class TestForward:
         np.testing.assert_array_equal(model.forward(x), model.forward(x))
 
     def test_golden_forward_frozen(self):
-        """Regression pin: output of seed-2024 tiny model on a fixed
-        input, generated once by this implementation."""
+        """Regression pin: infer output of seed-2024 tiny model on a fixed
+        input, generated once by the lane-major forward. The infer conv is
+        a GEMM whose bits follow the BLAS kernel the CPU selects; it
+        deviated from these values by 9.9e-8 relative, and the pin allows
+        four times that."""
         model = build_model("tiny", seed=2024)
         x = np.random.default_rng(77).normal(size=(3, 1, 256)).astype(np.float32)
         expected = np.array([
@@ -115,11 +118,14 @@ class TestForward:
             [0.7154386639595032, 0.3359185755252838],
             [0.6968430876731873, 0.30049872398376465],
         ], dtype=np.float32)
-        np.testing.assert_array_equal(model.forward(x), expected)
+        np.testing.assert_allclose(model.forward(x), expected, rtol=4e-7, atol=0)
 
     def test_golden_paper_forward_frozen(self):
         """Regression pin of the paper preset (seed 2024, fixed input):
-        infer mode, then a train-mode forward with batch statistics."""
+        infer mode, then a train-mode forward with batch statistics. The
+        infer half deviated from these values by 2.3e-7 relative once its
+        conv became a GEMM, and is pinned at about four times that; the
+        train half and the running variance stay bitwise."""
         model = build_model("paper", seed=2024)
         x = np.random.default_rng(77).normal(size=(3, 1, 2048)).astype(np.float32)
         infer = np.array([
@@ -132,9 +138,39 @@ class TestForward:
             [0.776700496673584, 0.24486179649829865],
             [0.07068662345409393, 0.040761083364486694],
         ], dtype=np.float32)
-        np.testing.assert_array_equal(model.forward(x), infer)
+        np.testing.assert_allclose(model.forward(x), infer, rtol=1e-6, atol=0)
         np.testing.assert_array_equal(model.forward(x, train=True), train)
         assert model.stem_bn.running_var[0] == np.float32(0.9198675155639648)
+
+    def test_paper_infer_close_to_float64_shadow(self):
+        """The paper net's float32 infer output is within 2e-6 relative of
+        the same weights and batch-norm statistics run in float64. The
+        statistics come from one train-mode forward, so every batch norm
+        applies a non-trivial affine map. Measured: 2.9e-7 here; up to
+        7.4e-7 over seeds 0-11, with the lane-major conv and with the
+        GEMM alike."""
+        model = build_model("paper", seed=2024)
+        model64 = build_model("paper", seed=2024, dtype=np.float64)
+        x = np.random.default_rng(77).normal(size=(3, 1, 2048)).astype(np.float32)
+        model.forward(x, train=True)
+        for (name, value), (name64, value64) in zip(model.named_entries(),
+                                                    model64.named_entries()):
+            assert name == name64
+            value64[...] = value  # float32 -> float64 is exact
+        got = model.forward(x).astype(np.float64)
+        exact = model64.forward(x)
+        assert np.max(np.abs(got - exact) / exact) < 2e-6
+
+    def test_infer_crop_independent_of_batch(self):
+        """Each crop's infer output is byte-equal alone and inside a batch
+        of 9, so a record's mixture does not depend on how its crops are
+        grouped."""
+        model = build_model("paper", seed=2024)
+        x = np.random.default_rng(5).normal(size=(9, 1, 2048)).astype(np.float32)
+        model.forward(x, train=True)  # non-trivial running statistics
+        batch = model.forward(x)
+        for i in range(9):
+            assert model.forward(x[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
 
     @pytest.mark.parametrize("in_ch,stride", [(4, 1), (3, 2)],
                              ids=["identity", "projection"])
@@ -146,7 +182,8 @@ class TestForward:
         main = x_before
         for layer in block.main:
             main = layer.forward(main, train=True)
-        shortcut = block.proj.forward(x_before) if block.proj else x_before
+        shortcut = (block.proj.forward(x_before, train=True) if block.proj
+                    else x_before)
         y = block.forward(x, train=True)
         np.testing.assert_array_equal(y, np.maximum(main + shortcut, 0))
         grad_out = rng.normal(size=y.shape).astype(np.float32)

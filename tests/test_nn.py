@@ -34,6 +34,29 @@ from conftest import (
 )
 
 
+# Conv1D forward cases: (batch, in_ch, out_ch, kernel, stride, length,
+# dtype). Ids such as "2-same" name the stride and the padding of a case;
+# the named ones are the edges of the train forward's (in_ch, kernel,
+# batch * out_len) column layout and the infer forward's per-crop
+# (in_ch * kernel, out_len) GEMM operand.
+FORWARD_CASE_ARGS = "batch,in_ch,out_ch,kernel,stride,length,dtype"
+FORWARD_CASES = [
+    (2, 3, 4, 5, 1, 17, np.float32),
+    (2, 3, 4, 5, 2, 17, np.float32),
+    (2, 3, 4, 5, 3, 17, np.float32),
+    (1, 3, 4, 3, 1, 9, np.float32),
+    (3, 2, 3, 3, 2, 1, np.float32),
+    (3, 2, 3, 3, 2, 2, np.float32),
+    (4, 1, 8, 5, 1, 32, np.float32),
+    (4, 8, 8, 1, 2, 16, np.float32),
+    (64, 20, 20, 3, 1, 8, np.float32),
+    (2, 3, 4, 5, 2, 17, np.float64),
+]
+FORWARD_CASE_IDS = ["1-same", "2-same", "3-same", "batch1", "out_len1-len1",
+                    "out_len1-len2", "stem", "projection", "batch64-20ch",
+                    "float64"]
+
+
 def naive_conv1d(x, kernel, bias, stride):
     """Quadruple-loop "same"-padded cross-correlation accumulating in the
     input's float type, in the same (channel, tap) order the layer uses."""
@@ -113,33 +136,48 @@ class TestConv1D:
         x = np.array([[[1.0, 2.0, 3.0, 4.0]]], dtype=np.float32)
         np.testing.assert_allclose(layer.forward(x)[0, 0], [3.0, 6.0, 9.0, 7.0])
 
-    # (batch, in_ch, out_ch, kernel, stride, length, dtype). Ids such as
-    # "2-same" name the stride and the padding of a case; the named ones
-    # are the edges of the forward's (in_ch, kernel, batch * out_len)
-    # column layout.
-    @pytest.mark.parametrize("batch,in_ch,out_ch,kernel,stride,length,dtype", [
-        (2, 3, 4, 5, 1, 17, np.float32),
-        (2, 3, 4, 5, 2, 17, np.float32),
-        (2, 3, 4, 5, 3, 17, np.float32),
-        (1, 3, 4, 3, 1, 9, np.float32),
-        (3, 2, 3, 3, 2, 1, np.float32),
-        (3, 2, 3, 3, 2, 2, np.float32),
-        (4, 1, 8, 5, 1, 32, np.float32),
-        (4, 8, 8, 1, 2, 16, np.float32),
-        (64, 20, 20, 3, 1, 8, np.float32),
-        (2, 3, 4, 5, 2, 17, np.float64),
-    ], ids=["1-same", "2-same", "3-same", "batch1", "out_len1-len1",
-            "out_len1-len2", "stem", "projection", "batch64-20ch", "float64"])
+    @pytest.mark.parametrize(FORWARD_CASE_ARGS, FORWARD_CASES,
+                             ids=FORWARD_CASE_IDS)
     def test_matches_naive_oracle_bitwise(self, rng, batch, in_ch, out_ch,
                                           kernel, stride, length, dtype):
+        """The train-mode forward sums in the oracle's (channel, tap)
+        order, so it matches the oracle bit for bit."""
+        layer = Conv1D(in_ch, out_ch, kernel, stride=stride, rng=rng, dtype=dtype)
+        layer.bias.value[...] = rng.normal(size=out_ch)
+        x = rng.normal(size=(batch, in_ch, length)).astype(dtype)
+        got = layer.forward(x, train=True)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        expected = naive_conv1d(x, layer.weight.value, layer.bias.value,
+                                stride)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize(FORWARD_CASE_ARGS, FORWARD_CASES,
+                             ids=FORWARD_CASE_IDS)
+    def test_infer_within_dot_product_bound(self, rng, batch, in_ch, out_ch,
+                                            kernel, stride, length, dtype):
+        """The infer-mode forward is a GEMM that sums in the BLAS kernel's
+        order. Any order of n = in_ch * kernel products plus the bias is
+        within gamma_{n+1} * (|b| + sum |w||x|) of the exact value, where
+        gamma_m = m*u / (1 - m*u) and u is the unit roundoff (Higham 2002,
+        section 3.1). The float64 oracle's own sums carry gamma_{n+1} at
+        u = 2**-53, so the bound is the sum of the two."""
         layer = Conv1D(in_ch, out_ch, kernel, stride=stride, rng=rng, dtype=dtype)
         layer.bias.value[...] = rng.normal(size=out_ch)
         x = rng.normal(size=(batch, in_ch, length)).astype(dtype)
         got = layer.forward(x)
         assert got.dtype == dtype and got.flags.c_contiguous
-        expected = naive_conv1d(x, layer.weight.value, layer.bias.value,
-                                stride)
-        np.testing.assert_array_equal(got, expected)
+        w64 = layer.weight.value.astype(np.float64)
+        b64 = layer.bias.value.astype(np.float64)
+        x64 = x.astype(np.float64)
+        expected = naive_conv1d(x64, w64, b64, stride)
+        magnitude = naive_conv1d(np.abs(x64), np.abs(w64), np.abs(b64), stride)
+        m = in_ch * kernel + 1
+
+        def gamma(u):
+            return m * u / (1.0 - m * u)
+
+        bound = (gamma(np.finfo(dtype).eps / 2) + gamma(2.0 ** -53)) * magnitude
+        assert np.all(np.abs(got - expected) <= bound)
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("kernel", [1, 3, 5])
@@ -291,6 +329,41 @@ class TestBatchNorm1D:
         expected = (expected * layer.scale.value[None, :, None].astype(np.float64)
                     + layer.shift.value[None, :, None].astype(np.float64))
         np.testing.assert_allclose(y, expected, atol=1e-5)
+
+    def test_infer_within_affine_bound(self, rng):
+        """Infer mode is y = x * a + c with a = scale / sqrt(var + eps) and
+        c = shift - mean * a, against (x - mean) / sqrt(var + eps) * scale
+        + shift in float64. To first order in the float32 unit roundoff u,
+        a carries 3u (the float32 eps, the add, the square root, the
+        divide), mean * a and x * a one more u each, the subtraction and
+        the final add one u of the terms they touch: at most
+        6u * (|x a| + |mean a| + |shift|). A seventh u covers the
+        second-order terms and the float64 oracle's own rounding. The
+        parameters and statistics are rewritten in place between calls,
+        as Adam and a train pass rewrite them, so a fold kept from an
+        earlier call would fail the second round."""
+        c = 5
+        layer = BatchNorm1D(c)
+        for _ in range(2):
+            layer.scale.value[...] = rng.uniform(-2.0, 2.0, size=c)
+            layer.shift.value[...] = rng.normal(size=c)
+            layer.running_mean[...] = rng.normal(size=c) * 3.0
+            layer.running_var[...] = rng.uniform(0.01, 4.0, size=c)
+            x = (rng.normal(size=(4, c, 33)) * 2.0
+                 + layer.running_mean[None, :, None]).astype(np.float32)
+            y = layer.forward(x)
+            assert y.dtype == np.float32
+            scale, shift, mean, var = (
+                v.astype(np.float64)[None, :, None]
+                for v in (layer.scale.value, layer.shift.value,
+                          layer.running_mean, layer.running_var))
+            x64 = x.astype(np.float64)
+            inv_std = 1.0 / np.sqrt(var + layer.eps)
+            expected = (x64 - mean) * inv_std * scale + shift
+            a = scale * inv_std
+            bound = 7 * 2.0 ** -24 * (np.abs(x64 * a) + np.abs(mean * a)
+                                      + np.abs(shift))
+            assert np.all(np.abs(y - expected) <= bound)
 
     def test_running_stats_exponential_update(self, rng):
         layer = BatchNorm1D(1, momentum=0.1)
