@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import metrics as metrics_mod
@@ -48,9 +49,9 @@ def cmd_train(args) -> int:
     model = build_model(config.arch_preset, config.seed)
     log = train(model, dataset, config)
     out = Path(args.out)
-    save_checkpoint(model, out, config_echo=config.to_dict())
+    save_checkpoint(model, out, config_echo=asdict(config))
     with open(out.with_suffix(out.suffix + ".train_log.json"), "w") as fh:
-        json.dump(log.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(log), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if log.epochs:
         last = log.epochs[-1]

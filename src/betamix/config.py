@@ -21,7 +21,7 @@ class RunConfig:
 
     The crop length is the preset's input length and the class boundary
     is `betadist.hard_label`. Adam's moments (`nn.ADAM_BETA1/2`,
-    `nn.ADAM_EPS`), the batch-norm momentum (`model.BN_MOMENTUM`), the
+    `nn.ADAM_EPS`), the batch-norm momentum (`nn.BN_MOMENTUM`), the
     label clip (`model.LABEL_EPS`) and the resample range
     (`data.AugmentConfig`) are constants."""
 
@@ -49,9 +49,6 @@ class RunConfig:
         _require(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
         _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         return self
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _require(cond: bool, message: str) -> None:

@@ -524,6 +524,13 @@ def sample_changepoint_batch(records: list[SignalRecord], batch_size: int,
     return CropBatch(crops, targets, provenance)
 
 
+def _require_seed(seed: int) -> None:
+    # numpy refuses a negative seed with a bare ValueError; a caller's
+    # negative seed is a usage error.
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+
+
 def split_dataset(records: list[SignalRecord], train_fraction: float,
                   seed: int) -> DatasetManifest:
     """Stratified random train/val assignment.
@@ -536,6 +543,7 @@ def split_dataset(records: list[SignalRecord], train_fraction: float,
         raise UsageError("need at least 2 records to split")
     if not (0.0 < train_fraction < 1.0):
         raise UsageError(f"train_fraction must lie in (0,1), got {train_fraction}")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     split_of = {}
     for cls in (0, 1):
@@ -633,6 +641,7 @@ def synth_generate(n_per_class: int, crop_budget_s: float = 61.0,
         raise UsageError(f"n_per_class must be >= 1, got {n_per_class}")
     if not (0.0 <= ambiguous_fraction <= 1.0):
         raise UsageError("ambiguous_fraction must lie in [0,1]")
+    _require_seed(seed)
     fs = SYNTH_SAMPLING_RATE
     rng = np.random.default_rng(seed)
     max_len = min(61.0, max(9.0, float(crop_budget_s)))
@@ -662,25 +671,26 @@ def synth_generate(n_per_class: int, crop_budget_s: float = 61.0,
     return records
 
 
-def synth_generate_changepoints(n_records: int, seed: int = 0,
-                                length_range_s: tuple[float, float] = (14.0, 24.0),
-                                max_changepoints: int = 3,
-                                min_segment_s: float = 2.5
+def synth_generate_changepoints(n_records: int, seed: int = 0
                                 ) -> list[SignalRecord]:
     """Recordings whose rhythm switches between the two pure morphologies.
 
-    Each record carries 1..max_changepoints annotated change indices with
-    alternating tags; the record target is the overall AF sample fraction.
+    Record lengths are uniform in [14 s, 24 s]. Each record carries 1 to 3
+    annotated change indices with alternating tags, and every segment is
+    at least 2.5 s long; the record target is the overall AF sample
+    fraction.
     """
     if n_records < 1:
         raise UsageError(f"n_records must be >= 1, got {n_records}")
+    _require_seed(seed)
     fs = SYNTH_SAMPLING_RATE
+    min_segment_s = 2.5
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n_records):
-        length_s = float(rng.uniform(*length_range_s))
+        length_s = float(rng.uniform(14.0, 24.0))
         n = int(round(length_s * fs))
-        n_cp = int(rng.integers(1, max_changepoints + 1))
+        n_cp = int(rng.integers(1, 4))
         cuts = None
         for _ in range(200):
             cand = np.sort(rng.uniform(min_segment_s, length_s - min_segment_s,

@@ -35,6 +35,8 @@ from .errors import (
     UsageError,
 )
 from .nn import (
+    BN_EPS,
+    BN_MOMENTUM,
     AdamState,
     BatchNorm1D,
     Conv1D,
@@ -50,15 +52,6 @@ from .nn import (
 
 CHECKPOINT_MAGIC = b"BGC1"
 CHECKPOINT_VERSION = 1
-
-# Head outputs are floored here so the likelihood stays finite even if
-# float32 softplus underflows.
-HEAD_FLOOR = 1e-6
-
-# Every batch-norm layer of the network uses this momentum and epsilon;
-# checkpoints record both, and a file declaring other values is rejected.
-BN_MOMENTUM = 0.1
-BN_EPS = 1e-5
 
 # Hard labels are clipped into [LABEL_EPS, 1 - LABEL_EPS] before the beta
 # log-density is evaluated at them.
@@ -128,13 +121,11 @@ class ResidualBlock:
         self.name = name
         self.conv1 = Conv1D(in_ch, out_ch, kernel, stride,
                             rng=rng, dtype=dtype, name=f"{name}.conv1")
-        self.bn1 = BatchNorm1D(out_ch, BN_MOMENTUM, BN_EPS, dtype=dtype,
-                               name=f"{name}.bn1")
+        self.bn1 = BatchNorm1D(out_ch, dtype=dtype, name=f"{name}.bn1")
         self.relu_inner = ReLU(name=f"{name}.relu1")
         self.conv2 = Conv1D(out_ch, out_ch, kernel, 1,
                             rng=rng, dtype=dtype, name=f"{name}.conv2")
-        self.bn2 = BatchNorm1D(out_ch, BN_MOMENTUM, BN_EPS, dtype=dtype,
-                               name=f"{name}.bn2")
+        self.bn2 = BatchNorm1D(out_ch, dtype=dtype, name=f"{name}.bn2")
         if stride != 1 or in_ch != out_ch:
             self.proj = Conv1D(in_ch, out_ch, 1, stride,
                                rng=rng, dtype=dtype, name=f"{name}.proj")
@@ -147,9 +138,6 @@ class ResidualBlock:
     def sublayers(self):
         """The layers holding parameters: conv1, bn1, conv2, bn2[, proj]."""
         return [layer for layer in self.main + self.shortcut if layer.params()]
-
-    def params(self) -> list[Param]:
-        return [p for layer in self.sublayers() for p in layer.params()]
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         # The main path's output is a fresh array, so the join adds into it;
@@ -171,16 +159,14 @@ class Model:
     def __init__(self, spec: ArchitectureSpec, seed: int, *,
                  dtype=DEFAULT_DTYPE):
         self.spec = spec
-        self.rng_seed = int(seed)
         self.dtype = dtype
-        rng = np.random.default_rng(self.rng_seed)
+        rng = np.random.default_rng(int(seed))
 
         stem_kernel, stem_ch, stem_pool = spec.stem
         self.stem_conv = Conv1D(1, stem_ch, stem_kernel, 1,
                                 rng=rng, dtype=dtype, name="stem.conv")
         self.stem_pool = MaxPool1D(stem_pool, name="stem.pool")
-        self.stem_bn = BatchNorm1D(stem_ch, BN_MOMENTUM, BN_EPS, dtype=dtype,
-                                   name="stem.bn")
+        self.stem_bn = BatchNorm1D(stem_ch, dtype=dtype, name="stem.bn")
         self.stem_relu = ReLU(name="stem.relu")
 
         self.groups: list[list[ResidualBlock]] = []
@@ -197,7 +183,7 @@ class Model:
 
         self.global_pool = GlobalMaxPool(name="head.gpool")
         self.head_dense = Dense(in_ch, 2, rng=rng, dtype=dtype, name="head.dense")
-        self.head_softplus = Softplus(floor=HEAD_FLOOR, name="head.softplus")
+        self.head_softplus = Softplus(name="head.softplus")
 
         # The walk order; last_stage_sizes records the length after each stage.
         self.stages = [
@@ -221,9 +207,6 @@ class Model:
 
     def params(self) -> list[Param]:
         return [p for layer in self._layers_with_params() for p in layer.params()]
-
-    def parameter_count(self) -> int:
-        return sum(p.value.size for p in self.params())
 
     def named_entries(self) -> list[tuple[str, np.ndarray]]:
         """Every trainable array plus BN running statistics, in a stable
@@ -271,10 +254,6 @@ class Model:
         g = _walk_back(self.head, grad_out)
         for stage in reversed(self.stages):
             g = _walk_back(stage, g)
-
-    def zero_grads(self) -> None:
-        for p in self.params():
-            p.zero_grad()
 
 
 def build_model(preset: str, seed: int, *, dtype=DEFAULT_DTYPE) -> Model:
@@ -329,12 +308,6 @@ class EpochStats:
 class TrainingLog:
     epochs: list[EpochStats] = field(default_factory=list)
     config: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "epochs": [asdict(e) for e in self.epochs],
-        }
 
 
 def _validate_train_records(records, soft_targets: bool):
@@ -393,7 +366,7 @@ def train(model: Model, dataset, config) -> TrainingLog:
     steps_per_epoch = max(1, math.ceil(
         CROPS_PER_RECORD * len(train_records) / config.batch_size))
 
-    log = TrainingLog(config=config.to_dict())
+    log = TrainingLog(config=asdict(config))
     for epoch in range(config.epochs):
         rng = np.random.default_rng([config.seed, 1])
         loss_sum = 0.0

@@ -7,6 +7,12 @@ Adam update. Each layer supports only the shapes the network builds.
 Storage is float32 throughout; every layer accepts a dtype override so
 tests can run a float64 shadow copy for tight gradient checks.
 
+The network uses one value of each layer constant, so the constants are
+fixed here beside their layers rather than passed in: Adam's moment
+decays and epsilon (ADAM_BETA1, ADAM_BETA2, ADAM_EPS), the batch-norm
+momentum and epsilon (BN_MOMENTUM, BN_EPS) and the softplus floor
+(SOFTPLUS_FLOOR).
+
 Conventions:
   - Activations are numpy arrays of shape (batch, channels, length),
     C-contiguous ("Tensor3" layout). The dense layer flattens internally.
@@ -62,10 +68,6 @@ class Param:
         self.grad = np.zeros_like(self.value)
         self.adam_m = np.zeros_like(self.value)
         self.adam_v = np.zeros_like(self.value)
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def zero_grad(self) -> None:
         self.grad[...] = 0
@@ -286,6 +288,12 @@ class Conv1D(Layer):
         return dx
 
 
+# Every batch norm's running-statistics momentum and variance epsilon;
+# checkpoints record both, and a file declaring other values is rejected.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 class BatchNorm1D(Layer):
     """Per-channel batch normalization over the (batch, spatial) axes
     (Ioffe & Szegedy 2015).
@@ -293,16 +301,13 @@ class BatchNorm1D(Layer):
     The train-mode output, running statistics and gradients are bit for
     bit those of the np.mean / np.var formula. In infer mode the layer is
     a fixed per-channel affine map, x * a + c with a = scale /
-    sqrt(running_var + eps) and c = shift - running_mean * a, recomputed
+    sqrt(running_var + BN_EPS) and c = shift - running_mean * a, recomputed
     from the current parameters on every call and applied in one pass; it
     is accurate to float32 rounding, not bit-equal to the train formula
     with the running statistics."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-                 *, dtype=DEFAULT_DTYPE, name: str = "bn"):
+    def __init__(self, channels: int, *, dtype=DEFAULT_DTYPE, name: str = "bn"):
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.name = name
         self.scale = Param(np.ones(channels, dtype=dtype), name=f"{name}.scale")
         self.shift = Param(np.zeros(channels, dtype=dtype), name=f"{name}.shift")
@@ -320,7 +325,7 @@ class BatchNorm1D(Layer):
             # Infer: the fixed per-channel affine map y = x * a + c, folded
             # from the current parameters on every call, so an Adam step
             # can never leave a stale fold behind.
-            a = self.scale.value / np.sqrt(self.running_var + self.eps)
+            a = self.scale.value / np.sqrt(self.running_var + BN_EPS)
             c = self.shift.value - self.running_mean * a
             y = x * a[None, :, None]
             y += c[None, :, None]
@@ -331,10 +336,10 @@ class BatchNorm1D(Layer):
         mean = x.mean(axis=(0, 2))
         xhat = x - mean[None, :, None]
         var = np.square(xhat).sum(axis=(0, 2)) / n
-        m = self.momentum
+        m = BN_MOMENTUM
         self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
         self.running_var[...] = (1.0 - m) * self.running_var + m * var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std[None, :, None]
         y = self.scale.value[None, :, None] * xhat
         y += self.shift.value[None, :, None]
@@ -463,18 +468,22 @@ class Dense(Layer):
         return dx.reshape(x_shape)
 
 
-class Softplus(Layer):
-    """Elementwise ln(1+exp(x)), floored to keep outputs positive; the
-    clamped elements get zero gradient."""
+# Softplus outputs are floored here so the beta likelihood stays finite
+# even if float32 softplus underflows.
+SOFTPLUS_FLOOR = 1e-6
 
-    def __init__(self, floor: float = 0.0, name: str = "softplus"):
-        self.floor = floor
+
+class Softplus(Layer):
+    """Elementwise ln(1+exp(x)), floored at SOFTPLUS_FLOOR to keep outputs
+    positive; the clamped elements get zero gradient."""
+
+    def __init__(self, name: str = "softplus"):
         self.name = name
 
     def _forward(self, x, train):
         y = softplus(x)
-        flo_mask = y > self.floor
-        y = np.maximum(y, np.asarray(self.floor, dtype=y.dtype))
+        flo_mask = y > SOFTPLUS_FLOOR
+        y = np.maximum(y, np.asarray(SOFTPLUS_FLOOR, dtype=y.dtype))
         return y, (x, flo_mask)
 
     def _backward(self, grad_out, cache):

@@ -80,6 +80,9 @@ def reject_by_uncertainty(preds: list[Prediction], keep_fraction: float
                           ) -> tuple[list[Prediction], float]:
     """Accept the ceil(keep_fraction * N) most certain predictions.
 
+    A product within a relative 1e-12 above an integer k keeps k, so a
+    keep fraction of k/N keeps exactly k; float rounding can put the
+    product of k/N and N just above k (0.07 * 100 is 7.000000000000001).
     The sort is stable, so ties at the cut are accepted in input order.
     Returns the flagged predictions (input order preserved) and the
     uncertainty of the least certain accepted prediction.
@@ -89,7 +92,7 @@ def reject_by_uncertainty(preds: list[Prediction], keep_fraction: float
     if not (0.0 < keep_fraction <= 1.0):
         raise UsageError(f"keep_fraction must lie in (0,1], got {keep_fraction}")
     n = len(preds)
-    keep = math.ceil(keep_fraction * n)
+    keep = math.ceil(keep_fraction * n * (1.0 - 1e-12))
     order = sorted(range(n), key=lambda i: preds[i].summary.uncertainty)
     accepted_idx = set(order[:keep])
     threshold = preds[order[keep - 1]].summary.uncertainty

@@ -61,6 +61,12 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path / "d"),
                      "--n-per-class", "0", "--seed", "1"]) == 1
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "d"),
+                     "--n-per-class", "3", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestTrain:
     def test_smoke_writes_loadable_checkpoint_and_log(self, tmp_path):

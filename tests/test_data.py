@@ -491,6 +491,11 @@ class TestSplitDataset:
         with pytest.raises(UsageError):
             split_dataset(records, 1.0, 0)
 
+    def test_negative_seed_rejected(self):
+        records = [spike_record("a"), spike_record("b", target=1.0)]
+        with pytest.raises(UsageError):
+            split_dataset(records, 0.8, -5)
+
 
 class TestSynthGenerate:
     def test_deterministic(self):
@@ -541,6 +546,8 @@ class TestSynthGenerate:
             synth_generate(0)
         with pytest.raises(UsageError):
             synth_generate(2, ambiguous_fraction=1.5)
+        with pytest.raises(UsageError):
+            synth_generate(2, seed=-1)
 
 
 class TestSynthChangepoints:
@@ -563,6 +570,10 @@ class TestSynthChangepoints:
             tags = [r.rhythm.initial_tag] + [t for _, t in r.rhythm.changepoints]
             for a, b in zip(tags, tags[1:]):
                 assert a != b
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(UsageError):
+            synth_generate_changepoints(2, seed=-1)
 
 
 class TestPadToLength:

@@ -161,8 +161,8 @@ class TestCoverageCurve:
 
 def aurc_by_coverage_curve(preds):
     """AURC from coverage_curve at every k/N: the mean of the kept
-    subsets' error rates. Holds only for N where ceil(k/N * N) == k for
-    every k; the caller checks that each subset has k predictions."""
+    subsets' error rates. A keep fraction of k/N keeps exactly k
+    predictions, and the oracle checks that each subset has k."""
     n = len(preds)
     curve = coverage_curve(preds, [k / n for k in range(1, n + 1)])
     assert [rep.n_evaluated for _, rep in curve] == list(range(1, n + 1))
@@ -181,7 +181,7 @@ class TestAurc:
         assert aurc([wrong, right]) == pytest.approx((1 / 1 + 1 / 2) / 2)
         assert aurc([right, wrong]) == pytest.approx((0 / 1 + 1 / 2) / 2)
 
-    @pytest.mark.parametrize("n", [9, 40])
+    @pytest.mark.parametrize("n", [9, 25, 40, 100])
     def test_matches_coverage_curve_oracle(self, rng, n):
         # Uncertainties from a four-value set, so many predictions tie.
         preds = [make_prediction(int(rng.integers(2)), float(rng.integers(2)),

@@ -66,7 +66,7 @@ class TestBuildModel:
         head: dense 20*2+2                                     ->    42
         """
         model = build_model("paper", seed=0)
-        assert model.parameter_count() == 21062
+        assert sum(p.value.size for p in model.params()) == 21062
 
     def test_tiny_stage_sizes(self):
         model = build_model("tiny", seed=0)
@@ -205,9 +205,11 @@ class TestLossAndGrads:
         crops = rng.normal(size=(2, 1, 256)).astype(np.float32)
         eps = 0.01
         loss_hard = loss_and_grads(model, crops, [1.0, 0.0], eps)
-        model.zero_grads()
+        for p in model.params():
+            p.zero_grad()
         loss_clipped = loss_and_grads(model, crops, [1.0 - eps, eps], eps)
-        model.zero_grads()
+        for p in model.params():
+            p.zero_grad()
         assert loss_hard == pytest.approx(loss_clipped, rel=1e-12)
 
     def test_uniform_head_gives_zero_loss(self, rng):
@@ -217,7 +219,8 @@ class TestLossAndGrads:
         crops = rng.normal(size=(1, 1, 256)).astype(np.float32)
         for target in (0.0, 0.31, 1.0):
             loss = loss_and_grads(model, crops, [target], 0.01)
-            model.zero_grads()
+            for p in model.params():
+                p.zero_grad()
             assert loss == pytest.approx(0.0, abs=1e-5)
 
     def test_empty_batch_rejected(self):
@@ -325,7 +328,8 @@ class TestTrain:
             before = loss_and_grads(model, crops, targets, 0.01)
             adam_step(model.params(), model.adam)
             after = loss_and_grads(model, crops, targets, 0.01)
-            model.zero_grads()
+            for p in model.params():
+                p.zero_grad()
             wins += after < before
         assert wins >= 6
 

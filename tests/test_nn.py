@@ -10,6 +10,8 @@ import pytest
 
 from betamix.model import ResidualBlock, build_model
 from betamix.nn import (
+    BN_EPS,
+    BN_MOMENTUM,
     AdamState,
     BatchNorm1D,
     Conv1D,
@@ -111,7 +113,7 @@ def one_of_each_layer(rng):
         (MaxPool1D(2), (2, 2, 8)),
         (GlobalMaxPool(), (2, 3, 9)),
         (Dense(8, 3, rng=rng), (2, 4, 2)),
-        (Softplus(floor=1e-6), (3, 4)),
+        (Softplus(), (3, 4)),
     ]
 
 
@@ -303,9 +305,10 @@ class TestConv1D:
 
 class TestBatchNorm1D:
     def test_infer_mode_identity_with_unit_stats(self):
-        layer = BatchNorm1D(2, eps=1e-12)
+        layer = BatchNorm1D(2)
         x = np.random.default_rng(0).normal(size=(3, 2, 5)).astype(np.float32)
-        np.testing.assert_allclose(layer.forward(x, train=False), x, atol=1e-6)
+        np.testing.assert_allclose(layer.forward(x, train=False),
+                                   x / np.sqrt(1.0 + BN_EPS), atol=1e-6)
 
     def test_train_mode_normalizes(self, rng):
         layer = BatchNorm1D(3)
@@ -325,7 +328,7 @@ class TestBatchNorm1D:
         x64 = x.astype(np.float64)
         mean = x64.mean(axis=(0, 2), keepdims=True)
         var = ((x64 - mean) ** 2).mean(axis=(0, 2), keepdims=True)
-        expected = (x64 - mean) / np.sqrt(var + layer.eps)
+        expected = (x64 - mean) / np.sqrt(var + BN_EPS)
         expected = (expected * layer.scale.value[None, :, None].astype(np.float64)
                     + layer.shift.value[None, :, None].astype(np.float64))
         np.testing.assert_allclose(y, expected, atol=1e-5)
@@ -358,7 +361,7 @@ class TestBatchNorm1D:
                 for v in (layer.scale.value, layer.shift.value,
                           layer.running_mean, layer.running_var))
             x64 = x.astype(np.float64)
-            inv_std = 1.0 / np.sqrt(var + layer.eps)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
             expected = (x64 - mean) * inv_std * scale + shift
             a = scale * inv_std
             bound = 7 * 2.0 ** -24 * (np.abs(x64 * a) + np.abs(mean * a)
@@ -366,7 +369,7 @@ class TestBatchNorm1D:
             assert np.all(np.abs(y - expected) <= bound)
 
     def test_running_stats_exponential_update(self, rng):
-        layer = BatchNorm1D(1, momentum=0.1)
+        layer = BatchNorm1D(1)
         x = (rng.normal(size=(4, 1, 16)) + 3.0).astype(np.float32)
         layer.forward(x, train=True)
         batch_mean = x.mean()
@@ -393,7 +396,7 @@ class TestBatchNorm1D:
             grad_out = rng.normal(size=shape).astype(dtype)
             expected = batchnorm_train_reference(
                 x, layer.scale.value, layer.shift.value, layer.running_mean,
-                layer.running_var, layer.momentum, layer.eps, grad_out)
+                layer.running_var, BN_MOMENTUM, BN_EPS, grad_out)
             x_before = x.copy()
             y = layer.forward(x, train=True)
             dx = layer.backward(grad_out)
@@ -648,7 +651,7 @@ class TestSoftplus:
         np.testing.assert_allclose(dx, sigmoid(x), rtol=1e-6)
 
     def test_floor_clamps_and_blocks_grad(self):
-        layer = Softplus(floor=1e-6)
+        layer = Softplus()
         x = np.array([[-50.0, 0.0]], dtype=np.float32)
         y = layer.forward(x, train=True)
         assert y[0, 0] == pytest.approx(1e-6)

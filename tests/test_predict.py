@@ -149,6 +149,20 @@ class TestRejectByUncertainty:
         assert rejected[0].summary.uncertainty == max(uncertainties)
         assert threshold == 0.40
 
+    def test_fraction_k_over_n_keeps_exactly_k(self):
+        """A keep fraction of k/N keeps k for every N <= 100, also where
+        the float product k/N * N lands above k (0.07 * 100 is
+        7.000000000000001); a fraction between counts still rounds up."""
+        for n in range(1, 101):
+            preds = [fake_prediction(f"p{i}", i / n) for i in range(n)]
+            for k in range(1, n + 1):
+                flagged, threshold = reject_by_uncertainty(preds, k / n)
+                assert sum(p.accepted for p in flagged) == k, (k, n)
+                assert threshold == (k - 1) / n
+        preds = [fake_prediction(f"p{i}", i / 9) for i in range(9)]
+        flagged, _ = reject_by_uncertainty(preds, 0.9)
+        assert sum(p.accepted for p in flagged) == 9
+
     def test_ties_accepted_in_input_order(self):
         preds = [fake_prediction(f"p{i}", 0.3) for i in range(4)]
         flagged, _ = reject_by_uncertainty(preds, 0.5)
