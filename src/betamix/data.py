@@ -23,7 +23,7 @@ import csv
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -129,9 +129,10 @@ class SignalRecord:
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """A record's place in a dataset; its target lives on the record."""
+
     id: str
     path: str
-    target: float
     split: str
 
 
@@ -157,20 +158,10 @@ class Dataset:
         return self._by_split("val")
 
 
-@dataclass(frozen=True)
-class CropProvenance:
-    record_id: str
-    start: int
-    resample_factor: float
-    flipped: bool
-    padded: bool
-
-
 @dataclass
 class CropBatch:
     crops: np.ndarray          # (batch, 1, crop_len) float32
     targets: np.ndarray        # (batch,) float64
-    provenance: list[CropProvenance]
 
 
 @dataclass(frozen=True)
@@ -291,9 +282,10 @@ def write_dataset(records: list[SignalRecord], manifest: DatasetManifest,
         writer = csv.writer(fh)
         writer.writerow(["id", "path", "target", "split"])
         for entry in manifest.entries:
+            record = by_id[entry.id]
             writer.writerow([entry.id, entry.path,
-                             _format_target(entry.target), entry.split])
-            write_record(out_dir / entry.path, by_id[entry.id])
+                             _format_target(record.target), entry.split])
+            write_record(out_dir / entry.path, record)
 
 
 def _format_target(t: float) -> str:
@@ -369,7 +361,7 @@ def load_dataset(manifest_path) -> Dataset:
         if not _inside_dataset(rel_path):
             raise DataError(f"{manifest_path}: record path {rel_path!r} for "
                             f"{rec_id!r} leaves the dataset directory")
-        entries.append(ManifestEntry(rec_id, rel_path, target, split))
+        entries.append(ManifestEntry(rec_id, rel_path, split))
         records.append(read_record(manifest_path.parent / rel_path, rec_id, target))
     return Dataset(records, DatasetManifest(entries, seed))
 
@@ -377,14 +369,17 @@ def load_dataset(manifest_path) -> Dataset:
 # -- signal operations -------------------------------------------------------
 
 
-def orient_signal(r: SignalRecord) -> SignalRecord:
-    """Return the record with dominant peaks pointing up.
+def orient_signal(r: SignalRecord) -> np.ndarray:
+    """The record's samples with dominant peaks pointing up, as a new
+    float32 array; the record is left as it is.
 
     Removes the sample median, then negates iff |min| > |max| afterwards
     (ties stay unflipped). The median and the flip are computed once per
-    record, on first use, and shared with the crop samplers.
+    record, on first use, and shared with the crop samplers. It stays a
+    module-level function rather than a bare `r.oriented()` call in
+    `predict` because perfbench wraps it to time orientation (`data.orient`).
     """
-    return replace(r, samples=r.oriented())
+    return r.oriented()
 
 
 def _resample_window(record: SignalRecord, factor: float, start: int,
@@ -420,12 +415,13 @@ def sample_crop_batch(records: list[SignalRecord], batch_size: int,
     within their class, so the minority class is simply revisited more
     often. Each crop is oriented, optionally resampled by a random factor,
     and cut at a uniform random start. Records too short for a full crop
-    are symmetric-edge-padded and flagged in provenance.
+    are symmetric-edge-padded.
 
     Every crop is byte-identical to orienting the whole record, resampling
     all of it and cutting the window, but only the window is computed: the
-    record's orientation is computed once, on first use, and a resampled
-    crop interpolates just its own positions.
+    record's orientation is computed once, on first use, and each crop
+    interpolates just its own positions. At factor 1 those positions are
+    the knots themselves, which interpolation returns exactly.
     """
     if batch_size < 2 or batch_size % 2 != 0:
         raise UsageError(f"batch_size must be even and >= 2, got {batch_size}")
@@ -436,7 +432,6 @@ def sample_crop_batch(records: list[SignalRecord], batch_size: int,
         raise UsageError("both classes must be present to balance a batch")
     crops = np.empty((batch_size, 1, crop_len), dtype=np.float32)
     targets = np.empty(batch_size, dtype=np.float64)
-    provenance = []
     half = batch_size // 2
     for i in range(batch_size):
         pool = by_class[0] if i < half else by_class[1]
@@ -445,19 +440,12 @@ def sample_crop_batch(records: list[SignalRecord], batch_size: int,
         factor = 1.0
         if augment is not None:
             factor = float(rng.uniform(augment.resample_min, augment.resample_max))
-        new_n = n if factor == 1.0 else max(1, int(round(n * factor)))
-        padded = new_n < crop_len
+        new_n = max(1, int(round(n * factor)))
         start = int(rng.integers(max(new_n - crop_len, 0) + 1))
-        length = min(new_n, crop_len)
-        if factor == 1.0:
-            window = record.oriented(start, start + length)
-        else:
-            window = _resample_window(record, factor, start, length)
+        window = _resample_window(record, factor, start, min(new_n, crop_len))
         crops[i, 0, :] = pad_to_length(window, crop_len)
         targets[i] = record.target
-        provenance.append(CropProvenance(record.id, start, factor,
-                                         record.orientation()[1], padded))
-    return CropBatch(crops, targets, provenance)
+    return CropBatch(crops, targets)
 
 
 def soft_target_for_segment(r: SignalRecord, start: int, length: int) -> float:
@@ -468,8 +456,15 @@ def soft_target_for_segment(r: SignalRecord, start: int, length: int) -> float:
         raise UsageError(
             f"segment [{start}, {start + length}) outside record of length {len(r)}"
         )
-    boundaries = [0] + [idx for idx, _ in r.rhythm.changepoints] + [len(r)]
-    tags = [r.rhythm.initial_tag] + [tag for _, tag in r.rhythm.changepoints]
+    return _af_fraction(r.rhythm, len(r), start, length)
+
+
+def _af_fraction(rhythm: RhythmAnnotation, n: int, start: int,
+                 length: int) -> float:
+    """Fraction of samples in [start, start+length) of an n-sample record
+    whose rhythm tag is AF."""
+    boundaries = [0] + [idx for idx, _ in rhythm.changepoints] + [n]
+    tags = [rhythm.initial_tag] + [tag for _, tag in rhythm.changepoints]
     end = start + length
     af = 0
     for seg_start, seg_end, tag in zip(boundaries[:-1], boundaries[1:], tags):
@@ -513,15 +508,12 @@ def sample_changepoint_batch(records: list[SignalRecord], batch_size: int,
         raise UsageError("no records with changepoint annotations and enough length")
     crops = np.empty((batch_size, 1, crop_len), dtype=np.float32)
     targets = np.empty(batch_size, dtype=np.float64)
-    provenance = []
     for i in range(batch_size):
         record = usable[int(rng.integers(len(usable)))]
         start, target = sample_changepoint_segments(record, crop_len, 1, rng)[0]
         crops[i, 0, :] = record.oriented(start, start + crop_len)
         targets[i] = target
-        provenance.append(CropProvenance(record.id, start, 1.0,
-                                         record.orientation()[1], False))
-    return CropBatch(crops, targets, provenance)
+    return CropBatch(crops, targets)
 
 
 def _require_seed(seed: int) -> None:
@@ -556,8 +548,7 @@ def split_dataset(records: list[SignalRecord], train_fraction: float,
             n_train = min(max(n_train, 1), len(members) - 1)
         for rank, idx in enumerate(order):
             split_of[members[idx]] = "train" if rank < n_train else "val"
-    entries = [ManifestEntry(r.id, f"records/{r.id}.bgs", float(r.target),
-                             split_of[r.id])
+    entries = [ManifestEntry(r.id, f"records/{r.id}.bgs", split_of[r.id])
                for r in records]
     return DatasetManifest(entries, seed)
 
@@ -711,15 +702,12 @@ def synth_generate_changepoints(n_records: int, seed: int = 0
             (min(n - 1, int(round(c * fs))), tags[k + 1])
             for k, c in enumerate(cuts)
         )
-        sample_bounds = [0, *(idx for idx, _ in changepoints), n]
-        af_samples = sum(hi - lo for lo, hi, tag
-                         in zip(sample_bounds[:-1], sample_bounds[1:], tags)
-                         if tag == 1)
+        rhythm = RhythmAnnotation(initial, changepoints)
         records.append(SignalRecord(
             id=f"cp{i:04d}",
             sampling_rate=fs,
             samples=x.astype(np.float32),
-            target=af_samples / n,
-            rhythm=RhythmAnnotation(initial, changepoints),
+            target=_af_fraction(rhythm, n, 0, n),
+            rhythm=rhythm,
         ))
     return records

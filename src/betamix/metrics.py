@@ -3,8 +3,8 @@
 Per-class precision/recall/F1 for both classes, macro averages, counting
 restricted to accepted predictions, coverage-versus-quality curves, and
 the area under the risk-coverage curve.
-Any 0/0 ratio is defined as 0 and flagged as degenerate rather than
-raising, so sweeps over tiny accepted subsets stay total.
+Any 0/0 ratio is defined as 0 rather than raising, so sweeps over tiny
+accepted subsets stay total.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class ClassMetrics:
     precision: float
     recall: float
     f1: float
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -73,20 +72,13 @@ def confusion(preds: list[Prediction], only_accepted: bool = False
 
 
 def _prf(tp: int, fp: int, fn: int) -> ClassMetrics:
-    degenerate = False
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision, degenerate = 0.0, True
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
-    else:
-        recall, degenerate = 0.0, True
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     if precision + recall > 0:
         f1 = 2.0 * precision * recall / (precision + recall)
     else:
-        f1, degenerate = 0.0, True
-    return ClassMetrics(precision, recall, f1, degenerate)
+        f1 = 0.0
+    return ClassMetrics(precision, recall, f1)
 
 
 def report(c: ConfusionCounts) -> MetricsReport:

@@ -185,7 +185,7 @@ class Model:
         self.head_dense = Dense(in_ch, 2, rng=rng, dtype=dtype, name="head.dense")
         self.head_softplus = Softplus(name="head.softplus")
 
-        # The walk order; last_stage_sizes records the length after each stage.
+        # The walk order.
         self.stages = [
             [self.stem_conv, self.stem_pool, self.stem_bn, self.stem_relu],
             *self.groups,
@@ -194,7 +194,6 @@ class Model:
         self.head = [self.head_dense, self.head_softplus]
 
         self.adam = AdamState()
-        self.last_stage_sizes: list[int] = []
 
     # -- structure walking -------------------------------------------------
 
@@ -226,8 +225,7 @@ class Model:
         """Run a batch of crops through the network.
 
         Returns an array of shape (batch, 2): one strictly positive
-        (alpha, beta) pair per crop. Records per-stage spatial sizes in
-        last_stage_sizes.
+        (alpha, beta) pair per crop.
 
         An infer-mode forward keeps no layer cache (it only resets each
         layer's cache to None) and leaves the parameters and batch-norm
@@ -243,12 +241,7 @@ class Model:
                 f"crop length {x.shape[2]} does not match architecture input "
                 f"length {self.spec.input_length}"
             )
-        sizes = []
-        for stage in self.stages:
-            x = _walk(stage, x, train)
-            sizes.append(x.shape[2])
-        self.last_stage_sizes = sizes
-        return _walk(self.head, x, train)
+        return _walk(itertools.chain(*self.stages, self.head), x, train)
 
     def backward(self, grad_out: np.ndarray) -> None:
         g = _walk_back(self.head, grad_out)

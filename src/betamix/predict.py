@@ -31,8 +31,8 @@ class Prediction:
     accepted: bool | None = None
 
 
-def decompose_crops(r: SignalRecord, crop_len: int) -> list[np.ndarray]:
-    """Cut a record into crop_len windows for mixture aggregation.
+def decompose_crops(samples: np.ndarray, crop_len: int) -> list[np.ndarray]:
+    """Cut a record's samples into crop_len windows for mixture aggregation.
 
     Windows are [0,c), [c,2c), ... A trailing remainder of at least half a
     crop yields one extra window aligned to the signal end (overlapping its
@@ -42,7 +42,6 @@ def decompose_crops(r: SignalRecord, crop_len: int) -> list[np.ndarray]:
     crop_len = int(crop_len)
     if crop_len < 1:
         raise ValueError(f"crop_len must be >= 1, got {crop_len}")
-    samples = r.samples
     n = samples.size
     if n < crop_len:
         return [pad_to_length(samples, crop_len)]
@@ -58,10 +57,11 @@ def predict(model, r: SignalRecord, crop_len: int) -> Prediction:
     """Orient, decompose, forward every crop, and summarize the mixture.
 
     crop_len must be the model's input length (model.spec.input_length).
-    The predicted class is hard_label of the mixture mean.
+    The predicted class is hard_label of the mixture mean. The oriented
+    samples are cut as a plain array: centring can take a record inside
+    the MAX_ABS_SAMPLE bound past it, and the record is validated already.
     """
-    oriented = orient_signal(r)
-    windows = decompose_crops(oriented, crop_len)
+    windows = decompose_crops(orient_signal(r), crop_len)
     batch = np.stack(windows)[:, None, :]
     out = model.forward(batch, train=False)
     mixture = BetaMixture(tuple(

@@ -1,8 +1,9 @@
 """Shared test oracles: quadrature, finite differences, peak detection,
 the per-crop training sampler, the batch-norm and max-pool layers in their
-textbook forms, plus a checkpoint header rewriter for hostile-file tests.
+textbook forms, plus a checkpoint header rewriter for hostile-file tests
+and a walker that reads a model's spatial size after each stage.
 
-Everything here is deliberately independent of the library's own code
+Every oracle here is deliberately independent of the library's own code
 paths (naive loops and textbook formulas only), so a test failure points
 at the implementation, not at a shared bug.
 """
@@ -152,6 +153,17 @@ def naive_crop_batch(records, batch_size: int, crop_len: int, augment, rng):
         targets[i] = record.target
         provenance.append((record.id, start, factor, flipped, padded))
     return crops, targets, provenance
+
+
+def stage_sizes(model, x: np.ndarray) -> list[int]:
+    """The spatial length after each stage of model.stages, walking x
+    through every stage's nodes in infer mode."""
+    sizes = []
+    for stage in model.stages:
+        for node in stage:
+            x = node.forward(x, False)
+        sizes.append(x.shape[2])
+    return sizes
 
 
 def conv1d_backward_reference(x, kernel, grad_out, stride):

@@ -284,6 +284,31 @@ class TestPredict:
         if case == "sample_3e38":
             assert f"record {record.stem!r}: sample magnitude 3e+38" in err, err
 
+    @pytest.mark.parametrize("peak, code", [(1e12, 0), (1.1e12, 2)])
+    def test_sample_bound_applies_before_centring(self, trained, tmp_path,
+                                                   capsys, peak, code):
+        """Samples of -peak with every 50th at +peak centre to 2 * peak. A
+        record inside MAX_ABS_SAMPLE predicts, however far its median
+        removal takes it; a record outside it is still a data error."""
+        _, data, ckpt = trained
+        data = Path(shutil.copytree(data, tmp_path / "data"))
+        record = data / "records" / "no0000.bgs"
+        blob = bytearray(record.read_bytes())
+        (count,) = struct.unpack_from("<Q", blob, 16)
+        samples = np.full(count, -peak, dtype="<f4")
+        samples[::50] = peak
+        blob[24:24 + 4 * count] = samples.tobytes()
+        record.write_bytes(bytes(blob))
+        out = tmp_path / "x.jsonl"
+        assert main(["predict", "--model", str(ckpt), "--data", str(data),
+                     "--ids", "no0000", "--out", str(out)]) == code
+        if code == 0:
+            (obj,) = [json.loads(line) for line in out.read_text().splitlines()]
+            assert np.isfinite([obj["mean"], obj["uncertainty"]]).all()
+        else:
+            err = capsys.readouterr().err
+            assert "'no0000': sample magnitude 1.1e+12 exceeds 1e+12" in err, err
+
     def test_missing_checkpoint_is_corrupt(self, trained, tmp_path):
         root, data, _ = trained
         missing = tmp_path / "missing.bgc"

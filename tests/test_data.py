@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from betamix.data import (
     _resample_window,
@@ -115,20 +116,22 @@ class TestDatasetIO:
         loaded = load_dataset(tmp_path / "manifest.csv")
         assert [e.id for e in loaded.manifest.entries] == [r.id for r in records]
         assert loaded.manifest.seed == 8
-        for original, reread in zip(records, loaded.records):
+        for original, reread in zip(records, loaded.records, strict=True):
             np.testing.assert_array_equal(original.samples, reread.samples)
+            assert reread.target == original.target
 
     def test_known_lengths_preserved(self, tmp_path):
         records = [spike_record("a", n=333), spike_record("b", n=555, target=1.0),
                    spike_record("c", n=777)]
         manifest = DatasetManifest([
-            ManifestEntry("a", "records/a.bgs", 0.0, "train"),
-            ManifestEntry("b", "records/b.bgs", 1.0, "train"),
-            ManifestEntry("c", "records/c.bgs", 0.0, "val"),
+            ManifestEntry("a", "records/a.bgs", "train"),
+            ManifestEntry("b", "records/b.bgs", "train"),
+            ManifestEntry("c", "records/c.bgs", "val"),
         ], seed=None)
         write_dataset(records, manifest, tmp_path)
         loaded = load_dataset(tmp_path / "manifest.csv")
         assert [len(r) for r in loaded.records] == [333, 555, 777]
+        assert [r.target for r in loaded.records] == [0.0, 1.0, 0.0]
         assert [r.id for r in loaded.train_records()] == ["a", "b"]
         assert [r.id for r in loaded.val_records()] == ["c"]
 
@@ -180,19 +183,20 @@ class TestOrientSignal:
     def test_upright_spike_train_unchanged(self):
         record = spike_record(positive=True)
         oriented = orient_signal(record)
-        np.testing.assert_array_equal(oriented.samples, record.samples)
+        np.testing.assert_array_equal(oriented, record.samples)
 
     def test_negated_flips_back(self):
         record = spike_record(positive=True)
         upside_down = SignalRecord("r1", 100.0, -record.samples, 0.0)
         oriented = orient_signal(upside_down)
-        np.testing.assert_allclose(oriented.samples, record.samples, atol=1e-6)
+        np.testing.assert_allclose(oriented, record.samples, atol=1e-6)
+        np.testing.assert_array_equal(upside_down.samples, -record.samples)
 
     def test_tie_stays_unflipped(self):
         samples = np.array([-1.0, 0.0, 1.0, 0.0], dtype=np.float32)
         record = SignalRecord("sym", 10.0, samples, 0.0)
         oriented = orient_signal(record)
-        np.testing.assert_array_equal(oriented.samples, samples)
+        np.testing.assert_array_equal(oriented, samples)
 
     def test_rebound_samples_get_fresh_orientation(self):
         record = spike_record(positive=True)
@@ -209,8 +213,8 @@ class TestOrientSignal:
         samples[::40] -= 5.0  # downward peaks, median offset
         record = SignalRecord("i", 10.0, samples, 0.0)
         once = orient_signal(record)
-        twice = orient_signal(once)
-        np.testing.assert_allclose(twice.samples, once.samples, atol=1e-6)
+        twice = orient_signal(SignalRecord("i", 10.0, once, 0.0))
+        np.testing.assert_allclose(twice, once, atol=1e-6)
 
 
 class TestResample:
@@ -270,32 +274,36 @@ class TestSampleCropBatch:
         records = self.make_records()
         a = sample_crop_batch(records, 8, 128, None, np.random.default_rng(3))
         b = sample_crop_batch(records, 8, 128, None, np.random.default_rng(3))
-        np.testing.assert_array_equal(a.crops, b.crops)
-        assert a.provenance == b.provenance
+        assert a.crops.tobytes() == b.crops.tobytes()
+        assert a.targets.tobytes() == b.targets.tobytes()
 
     def test_crops_are_source_slices_without_augment(self, rng):
         records = self.make_records()
         batch = sample_crop_batch(records, 4, 128, None, rng)
-        by_id = {r.id: r for r in records}
-        for i, prov in enumerate(batch.provenance):
-            source = orient_signal(by_id[prov.record_id]).samples
-            np.testing.assert_array_equal(batch.crops[i, 0],
-                                          source[prov.start:prov.start + 128])
+        for crop, target in zip(batch.crops[:, 0], batch.targets, strict=True):
+            # Some window of some record of the crop's class is the crop.
+            assert any(
+                (sliding_window_view(orient_signal(r), 128) == crop)
+                .all(axis=1).any()
+                for r in records if r.target == target)
 
-    def test_augment_factors_within_range(self, rng):
-        batch = sample_crop_batch(self.make_records(), 8, 128,
-                                  AugmentConfig(0.8, 1.25), rng)
-        for prov in batch.provenance:
-            assert 0.8 <= prov.resample_factor <= 1.25
+    def test_augment_factors_within_range(self):
+        # The oracle's factors are the sampler's: their crops are equal.
+        provenance = self.assert_matches_oracle(
+            self.make_records(), 8, 128, AugmentConfig(0.8, 1.25), 0)
+        for _, _, factor, _, _ in provenance:
+            assert 0.8 <= factor <= 1.25
 
-    def test_short_record_padded_and_flagged(self, rng):
+    def test_short_record_edge_padded(self, rng):
         records = [spike_record("short", n=64, target=0.0),
                    spike_record("long", n=600, target=1.0)]
         batch = sample_crop_batch(records, 4, 128, None, rng)
-        for prov in batch.provenance:
-            if prov.record_id == "short":
-                assert prov.padded
-                assert prov.start == 0
+        short = orient_signal(records[0])
+        expected = np.concatenate([np.full(32, short[0]), short,
+                                   np.full(32, short[-1])])
+        # The first half of the batch is class 0: the short record.
+        for crop in batch.crops[:2, 0]:
+            np.testing.assert_array_equal(crop, expected)
 
     @staticmethod
     def oracle_records():
@@ -312,14 +320,14 @@ class TestSampleCropBatch:
 
     @staticmethod
     def assert_matches_oracle(records, batch_size, crop_len, augment, seed):
+        """Compare with the per-crop oracle byte for byte; return the
+        oracle's provenance, which holds for the sampler's crops too."""
         batch = sample_crop_batch(records, batch_size, crop_len, augment,
                                   np.random.default_rng(seed))
         crops, targets, provenance = naive_crop_batch(
             records, batch_size, crop_len, augment, np.random.default_rng(seed))
         assert batch.crops.tobytes() == crops.tobytes()
         assert batch.targets.tobytes() == targets.tobytes()
-        assert [(p.record_id, p.start, p.resample_factor, p.flipped, p.padded)
-                for p in batch.provenance] == provenance
         return provenance
 
     @pytest.mark.parametrize("augment", [None, AugmentConfig()],
@@ -332,9 +340,8 @@ class TestSampleCropBatch:
             for rid, _, _, flipped, padded in self.assert_matches_oracle(
                     records, 32, crop_len, augment, seed):
                 padded_by_id.setdefault(rid, set()).add(padded)
-        flips = {p.flipped for p in
-                 sample_crop_batch(records, 64, crop_len, None,
-                                   np.random.default_rng(0)).provenance}
+        flips = {flipped for _, _, _, flipped, _ in self.assert_matches_oracle(
+            records, 64, crop_len, None, 0)}
         assert flips == {False, True}
         assert any(True in seen for seen in padded_by_id.values())
         if augment is not None:
@@ -444,22 +451,29 @@ class TestChangepointSegments:
         records = [three_interval_record(), spike_record("plain")]
         batch = sample_changepoint_batch(records, 6, 80, rng)
         assert batch.crops.shape == (6, 1, 80)
-        assert all(p.record_id == "tri" for p in batch.provenance)
+        # Only "tri" has changepoints: every crop is one of its windows.
+        windows = sliding_window_view(orient_signal(records[0]), 80)
+        for crop in batch.crops[:, 0]:
+            assert (windows == crop).all(axis=1).any()
         assert ((batch.targets >= 0.0) & (batch.targets <= 1.0)).all()
 
-    def test_batch_crops_are_oriented_windows(self, rng):
+    def test_batch_crops_are_oriented_windows(self):
         records = synth_generate_changepoints(4, seed=3)
-        by_id = {r.id: r for r in records}
         crop_len = 256
-        batch = sample_changepoint_batch(records, 32, crop_len, rng)
-        for crop, target, prov in zip(batch.crops, batch.targets,
-                                      batch.provenance, strict=True):
-            record = by_id[prov.record_id]
-            oriented = orient_signal(record).samples
+        batch = sample_changepoint_batch(records, 32, crop_len,
+                                         np.random.default_rng(0))
+        # Replay the sampler's draws: record, changepoint, offset.
+        rng = np.random.default_rng(0)
+        for crop, target in zip(batch.crops, batch.targets, strict=True):
+            record = records[int(rng.integers(len(records)))]
+            cps = record.rhythm.changepoints
+            cp = cps[int(rng.integers(len(cps)))][0]
+            offset = int(rng.integers(crop_len))
+            start = min(max(cp - offset, 0), len(record) - crop_len)
+            oriented = orient_signal(record)
             np.testing.assert_array_equal(
-                crop[0], oriented[prov.start:prov.start + crop_len])
-            assert target == soft_target_for_segment(record, prov.start,
-                                                     crop_len)
+                crop[0], oriented[start:start + crop_len])
+            assert target == soft_target_for_segment(record, start, crop_len)
 
 
 class TestSplitDataset:
@@ -477,10 +491,9 @@ class TestSplitDataset:
     def test_stratified_keeps_both_classes(self):
         records = ([spike_record(f"n{i}", target=0.0) for i in range(5)]
                    + [spike_record(f"a{i}", target=1.0) for i in range(5)])
-        manifest = split_dataset(records, 0.8, seed=1)
-        for split in ("train", "val"):
-            classes = {e.target for e in manifest.entries if e.split == split}
-            assert classes == {0.0, 1.0}
+        dataset = Dataset(records, split_dataset(records, 0.8, seed=1))
+        for split in (dataset.train_records(), dataset.val_records()):
+            assert {r.target for r in split} == {0.0, 1.0}
 
     def test_too_few_records_rejected(self):
         with pytest.raises(UsageError):
@@ -562,8 +575,11 @@ class TestSynthChangepoints:
         for r in synth_generate_changepoints(6, seed=4):
             assert r.rhythm is not None
             assert 1 <= len(r.rhythm.changepoints) <= 3
-            assert r.target == pytest.approx(
-                soft_target_for_segment(r, 0, len(r)))
+            tags = np.full(len(r), r.rhythm.initial_tag)
+            for idx, tag in r.rhythm.changepoints:
+                tags[idx:] = tag
+            assert r.target == tags.mean()
+            assert r.target == soft_target_for_segment(r, 0, len(r))
 
     def test_tags_alternate(self):
         for r in synth_generate_changepoints(6, seed=4):

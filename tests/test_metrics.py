@@ -96,12 +96,14 @@ class TestReport:
         assert rep.n_misclassified == 7
 
     def test_degenerate_class_flagged(self):
+        """A class never predicted nor present scores 0, not 0/0."""
         rep = report(ConfusionCounts(tp=0, fp=0, fn=0, tn=10))
         assert rep.class_a.precision == 0.0
-        assert rep.class_a.degenerate
+        assert rep.class_a.recall == 0.0
+        assert rep.class_a.f1 == 0.0
         assert rep.class_no.precision == 1.0
         assert rep.class_no.recall == 1.0
-        assert not rep.class_no.degenerate
+        assert rep.class_no.f1 == 1.0
 
     def test_f1_is_harmonic_mean(self):
         rep = report(ConfusionCounts(tp=5, fp=2, fn=3, tn=10))

@@ -26,7 +26,8 @@ from betamix.model import (
     train,
 )
 from betamix.nn import adam_step
-from conftest import numeric_grad, rel_err, rewrite_checkpoint_header
+from conftest import (numeric_grad, rel_err, rewrite_checkpoint_header,
+                      stage_sizes)
 
 # Softplus inverse of 1: forcing the head bias here makes every output
 # (alpha, beta) = (1, 1).
@@ -49,8 +50,8 @@ def tiny_config(**overrides):
 class TestBuildModel:
     def test_paper_stage_sizes_match_halving_chain(self):
         model = build_model("paper", seed=0)
-        model.forward(np.zeros((2, 1, 2048), dtype=np.float32))
-        assert model.last_stage_sizes == [1024, 512, 256, 128, 64, 32, 16, 8, 1]
+        sizes = stage_sizes(model, np.zeros((2, 1, 2048), dtype=np.float32))
+        assert sizes == [1024, 512, 256, 128, 64, 32, 16, 8, 1]
 
     def test_paper_parameter_census(self):
         """Hand-derived before the build:
@@ -70,8 +71,8 @@ class TestBuildModel:
 
     def test_tiny_stage_sizes(self):
         model = build_model("tiny", seed=0)
-        model.forward(np.zeros((1, 1, 256), dtype=np.float32))
-        assert model.last_stage_sizes == [128, 64, 32, 1]
+        sizes = stage_sizes(model, np.zeros((1, 1, 256), dtype=np.float32))
+        assert sizes == [128, 64, 32, 1]
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(UsageError):

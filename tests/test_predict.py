@@ -40,36 +40,36 @@ def fake_prediction(record_id, uncertainty, predicted=0, true=0.0):
 
 class TestDecomposeCrops:
     def test_exact_multiple_no_overlap(self):
-        record = record_of_length(300)
-        windows = decompose_crops(record, 100)
+        samples = record_of_length(300).samples
+        windows = decompose_crops(samples, 100)
         assert len(windows) == 3
         for i, w in enumerate(windows):
-            np.testing.assert_array_equal(w, record.samples[i * 100:(i + 1) * 100])
+            np.testing.assert_array_equal(w, samples[i * 100:(i + 1) * 100])
 
     def test_large_remainder_gets_tail_window(self):
-        record = record_of_length(260)
-        windows = decompose_crops(record, 100)
+        samples = record_of_length(260).samples
+        windows = decompose_crops(samples, 100)
         assert len(windows) == 3
-        np.testing.assert_array_equal(windows[2], record.samples[160:260])
+        np.testing.assert_array_equal(windows[2], samples[160:260])
 
     def test_small_remainder_discarded(self):
-        record = record_of_length(249)
-        windows = decompose_crops(record, 100)
+        samples = record_of_length(249).samples
+        windows = decompose_crops(samples, 100)
         assert len(windows) == 2
 
     def test_remainder_exactly_half_included(self):
-        record = record_of_length(250)
-        windows = decompose_crops(record, 100)
+        samples = record_of_length(250).samples
+        windows = decompose_crops(samples, 100)
         assert len(windows) == 3
 
     def test_short_signal_padded(self):
-        record = record_of_length(40)
-        windows = decompose_crops(record, 100)
+        samples = record_of_length(40).samples
+        windows = decompose_crops(samples, 100)
         assert len(windows) == 1
         assert windows[0].size == 100
-        np.testing.assert_array_equal(windows[0][30:70], record.samples)
-        assert (windows[0][:30] == record.samples[0]).all()
-        assert (windows[0][70:] == record.samples[-1]).all()
+        np.testing.assert_array_equal(windows[0][30:70], samples)
+        assert (windows[0][:30] == samples[0]).all()
+        assert (windows[0][70:] == samples[-1]).all()
 
 
 class TestPredict:
