@@ -1,14 +1,17 @@
 """Classification quality metrics with the AF class (1) as positive.
 
 Per-class precision/recall/F1 for both classes, macro averages, counting
-restricted to accepted predictions, coverage-versus-quality curves, and
-the area under the risk-coverage curve.
+restricted to accepted predictions, coverage-versus-quality curves, the
+area under the risk-coverage curve, and the AUROC of uncertainty as a
+detector of wrong predictions.
 Any 0/0 ratio is defined as 0 rather than raising, so sweeps over tiny
 accepted subsets stay total.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from .betadist import hard_label
@@ -126,14 +129,40 @@ def aurc(preds: list[Prediction]) -> float:
     errors = 0
     risk_sum = 0.0
     for k, i in enumerate(order, start=1):
-        p = preds[i]
-        if p.true_target is None:
-            raise UsageError(
-                f"prediction for {p.record_id!r} has no true target to evaluate"
-            )
-        errors += p.predicted_class != hard_label(p.true_target)
+        errors += _is_wrong(preds[i])
         risk_sum += errors / k
     return risk_sum / len(preds)
+
+
+def auroc_uncertainty(preds: list[Prediction]) -> float:
+    """AUROC of uncertainty as a score for wrong versus right predictions
+    (Hendrycks & Gimpel 2017): the chance that a wrong prediction is more
+    uncertain than a right one, a tie counting 1/2. 1 means uncertainty
+    ranks every error above every right answer, 0.5 is chance. nan when
+    every prediction is right or every one is wrong."""
+    scored = sorted((p.summary.uncertainty, _is_wrong(p)) for p in preds)
+    n_wrong = sum(wrong for _, wrong in scored)
+    n_right = len(scored) - n_wrong
+    if n_wrong == 0 or n_right == 0:
+        return math.nan
+    # Walk the uncertainty levels upwards: each wrong prediction beats the
+    # right ones below its level and ties with the right ones at it.
+    wins = 0.0
+    right_below = 0
+    for _, level in itertools.groupby(scored, key=lambda pair: pair[0]):
+        wrong = [w for _, w in level]
+        n_level_wrong = sum(wrong)
+        n_level_right = len(wrong) - n_level_wrong
+        wins += n_level_wrong * (right_below + 0.5 * n_level_right)
+        right_below += n_level_right
+    return wins / (n_wrong * n_right)
+
+
+def _is_wrong(p: Prediction) -> bool:
+    if p.true_target is None:
+        raise UsageError(
+            f"prediction for {p.record_id!r} has no true target to evaluate")
+    return p.predicted_class != hard_label(p.true_target)
 
 
 def report_csv_rows(rep: MetricsReport) -> list[list[str]]:

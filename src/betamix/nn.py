@@ -41,7 +41,11 @@ Conventions:
     pinned: the conv is one GEMM per crop and batch norm one affine pass,
     so its bits follow the BLAS build. On one build it is deterministic,
     and each crop's output does not depend on the other crops in its
-    batch.
+    batch. Batch norm's infer map (BatchNorm1D.infer_affine) is per
+    channel, so a conv directly followed by one can fold it into its
+    kernel and bias and run Conv1D.infer_gemm once: the residual blocks
+    of model.py do that, and emit the folded output as the batch norm's,
+    so the layer contract and the finite checks hold on the fused path.
 """
 
 from __future__ import annotations
@@ -161,7 +165,14 @@ class Layer:
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         y, cache = self._forward(x, train)
-        self._cache = cache if train else None
+        return self.emit(y, cache if train else None)
+
+    def emit(self, y: np.ndarray, cache=None) -> np.ndarray:
+        """Hand y on as this layer's output: keep cache for backward (None
+        drops any earlier one) and, with DEBUG_FINITE_CHECKS set, check y.
+        A fused infer path that computes a layer's output without calling
+        its forward emits the output here, so the contract still holds."""
+        self._cache = cache
         if DEBUG_FINITE_CHECKS and not np.isfinite(y).all():
             raise FloatingPointError(f"non-finite values leaving {self.name}")
         return y
@@ -212,7 +223,10 @@ class Conv1D(Layer):
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
 
-    def _forward(self, x, train):
+    def _windows(self, x):
+        """(windows, length, left): the (batch, in_ch, out_len, kernel)
+        windows of x as a read-only strided view over a zero-padded copy,
+        window i, tap j reading padded position i * stride + j."""
         b, c, length = x.shape
         if c != self.in_ch:
             raise ValueError(f"{self.name}: expected {self.in_ch} channels, got {c}")
@@ -220,23 +234,36 @@ class Conv1D(Layer):
         out_len, left, right = same_pad_amounts(length, kernel, stride)
         xp = np.zeros((b, c, left + length + right), dtype=x.dtype)
         xp[:, :, left : left + length] = x
-        # (b, in_ch, out_len, kernel) windows as a read-only strided view
-        # over the padded buffer: window i, tap j reads xp[..., i*stride + j].
         s0, s1, s2 = xp.strides
         windows = np.ndarray((b, c, out_len, kernel), xp.dtype, xp, 0,
                              (s0, s1, s2 * stride, s2))
         windows.flags.writeable = False
+        return windows, length, left
+
+    def infer_gemm(self, x, weight, bias):
+        """The infer-mode forward with the given (out_ch, in_ch, kernel)
+        kernel and (out_ch,) bias: one GEMM per crop over (in_ch * kernel,
+        out_len) columns, the output already in (batch, out_ch, out_len)
+        layout. Its sums run in the BLAS kernel's order. The layer's own
+        infer forward passes its parameters; a residual block passes them
+        with the following batch norm folded in. Running it is an infer
+        forward of this layer, so it drops any train cache."""
+        self._cache = None
+        windows, _, _ = self._windows(x)
+        b, c, out_len, kernel = windows.shape
+        cols = windows.transpose(0, 1, 3, 2).reshape(b, c * kernel, out_len)
+        y = np.matmul(weight.reshape(self.out_ch, c * kernel), cols)
+        y += bias[:, None]
+        return y
+
+    def _forward(self, x, train):
         if not train:
-            # Infer: one GEMM per crop over (in_ch * kernel, out_len)
-            # columns, the output already in (batch, out_ch, out_len)
-            # layout. Its sums run in the BLAS kernel's order. Training
-            # keeps the lane-major loop below: perfbench's paper loss
-            # replay is chaotic, and this GEMM in the train forward moved
-            # its step-5 loss by 7.2e-2 against rtol 1e-3.
-            cols = windows.transpose(0, 1, 3, 2).reshape(b, c * kernel, out_len)
-            y = np.matmul(self.weight.value.reshape(self.out_ch, c * kernel), cols)
-            y += self.bias.value[:, None]
-            return y, None
+            # Training keeps the lane-major loop below: perfbench's paper
+            # loss replay is chaotic, and the GEMM in the train forward
+            # moved its step-5 loss by 7.2e-2 against rtol 1e-3.
+            return self.infer_gemm(x, self.weight.value, self.bias.value), None
+        windows, length, left = self._windows(x)
+        b, c, out_len, kernel = windows.shape
         # Lane-major columns: one contiguous run of batch * out_len samples
         # per (input channel, tap), copied once from the strided windows.
         cols = windows.transpose(1, 3, 0, 2).reshape(c, kernel, b * out_len)
@@ -317,16 +344,20 @@ class BatchNorm1D(Layer):
     def params(self) -> list[Param]:
         return [self.scale, self.shift]
 
+    def infer_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, c) of the infer-mode map y = x * a + c, per channel:
+        a = scale / sqrt(running_var + BN_EPS), c = shift - running_mean * a.
+        Computed from the current parameters on every call and never kept,
+        so an Adam step or a checkpoint load cannot leave a stale map."""
+        a = self.scale.value / np.sqrt(self.running_var + BN_EPS)
+        return a, self.shift.value - self.running_mean * a
+
     def _forward(self, x, train):
         b, c, length = x.shape
         if c != self.channels:
             raise ValueError(f"{self.name}: expected {self.channels} channels, got {c}")
         if not train:
-            # Infer: the fixed per-channel affine map y = x * a + c, folded
-            # from the current parameters on every call, so an Adam step
-            # can never leave a stale fold behind.
-            a = self.scale.value / np.sqrt(self.running_var + BN_EPS)
-            c = self.shift.value - self.running_mean * a
+            a, c = self.infer_affine()
             y = x * a[None, :, None]
             y += c[None, :, None]
             return y, None
@@ -417,12 +448,16 @@ class MaxPool1D(Layer):
 
 
 class GlobalMaxPool(Layer):
-    """Maximum over the whole spatial axis; output length is 1."""
+    """Maximum over the whole spatial axis; output length is 1. Infer mode
+    takes the maximum alone; train mode also keeps where it was, the first
+    maximum of each channel, for the backward."""
 
     def __init__(self, name: str = "gpool"):
         self.name = name
 
     def _forward(self, x, train):
+        if not train:
+            return x.max(axis=2, keepdims=True), None
         argmax = x.argmax(axis=2)
         y = np.take_along_axis(x, argmax[..., None], axis=2)
         return y, (argmax, x.shape)
@@ -482,9 +517,9 @@ class Softplus(Layer):
 
     def _forward(self, x, train):
         y = softplus(x)
-        flo_mask = y > SOFTPLUS_FLOOR
-        y = np.maximum(y, np.asarray(SOFTPLUS_FLOOR, dtype=y.dtype))
-        return y, (x, flo_mask)
+        floored = np.maximum(y, np.asarray(SOFTPLUS_FLOOR, dtype=y.dtype))
+        # Infer mode builds no floor mask; backward is its only reader.
+        return floored, ((x, y > SOFTPLUS_FLOOR) if train else None)
 
     def _backward(self, grad_out, cache):
         x, flo_mask = cache

@@ -1,6 +1,7 @@
 """Shared test oracles: quadrature, finite differences, peak detection,
 the per-crop training sampler, the batch-norm and max-pool layers in their
-textbook forms, plus a checkpoint header rewriter for hostile-file tests
+textbook forms, a residual block's infer forward layer by layer, AUROC by
+counting pairs, plus a checkpoint header rewriter for hostile-file tests
 and a walker that reads a model's spatial size after each stage.
 
 Every oracle here is deliberately independent of the library's own code
@@ -227,6 +228,53 @@ def maxpool_argmax_reference(x, size, grad_out):
     dx = np.zeros(x.shape, dtype=grad_out.dtype)
     dx[:, :, :out_len * size] = dwin.reshape(b, c, out_len * size)
     return y, dx
+
+
+def residual_block_infer_reference(block, x, eps):
+    """A residual block's infer forward in float64, one layer at a time:
+    conv (np.pad, sliding_window_view, einsum), the batch norm's
+    (x - mean) / sqrt(var + eps) * scale + shift, ReLU, conv, batch norm,
+    the shortcut (identity or projection conv) added, ReLU."""
+    def f64(a):
+        return np.asarray(a, dtype=np.float64)
+
+    def conv(layer, x):
+        k, stride = layer.kernel_size, layer.stride
+        length = x.shape[2]
+        out_len = -(-length // stride)
+        total = max(0, (out_len - 1) * stride + k - length)
+        xp = np.pad(x, ((0, 0), (0, 0), (total // 2, total - total // 2)))
+        windows = sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
+        return (np.einsum("bcok,fck->bfo", windows, f64(layer.weight.value))
+                + f64(layer.bias.value)[None, :, None])
+
+    def bn(layer, x):
+        def ch(v):
+            return f64(v)[None, :, None]
+        return ((x - ch(layer.running_mean)) / np.sqrt(ch(layer.running_var) + eps)
+                * ch(layer.scale.value) + ch(layer.shift.value))
+
+    x = f64(x)
+    z = np.maximum(bn(block.bn1, conv(block.conv1, x)), 0.0)
+    z = bn(block.bn2, conv(block.conv2, z))
+    shortcut = conv(block.proj, x) if block.proj is not None else x
+    return np.maximum(z + shortcut, 0.0)
+
+
+def auroc_pairwise_reference(uncertainties, wrong):
+    """AUROC of uncertainty for wrong versus right by counting every
+    (wrong, right) pair: 1 when the wrong one is more uncertain, 1/2 on a
+    tie, 0 otherwise, averaged over the pairs; nan without any pair."""
+    wins = pairs = 0.0
+    for u_wrong, is_wrong in zip(uncertainties, wrong):
+        if not is_wrong:
+            continue
+        for u_right, other_wrong in zip(uncertainties, wrong):
+            if other_wrong:
+                continue
+            pairs += 1
+            wins += 1.0 if u_wrong > u_right else 0.5 if u_wrong == u_right else 0.0
+    return wins / pairs if pairs else math.nan
 
 
 def rewrite_checkpoint_header(path, edit) -> None:

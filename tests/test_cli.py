@@ -5,6 +5,7 @@ are observable without subprocess overhead.
 """
 
 import json
+import math
 import shutil
 import struct
 from pathlib import Path
@@ -346,8 +347,11 @@ class TestEval:
         assert classes == ["A", "NO", "Overall", "A", "NO", "Overall"]
         keys = [l.split(",")[0] for l in lines[7:]]
         assert keys == ["uncertainty_threshold", "n_all", "n_accepted",
-                        "misclassified_all", "misclassified_accepted", "aurc"]
-        assert 0.0 <= float(lines[-1].split(",")[1]) <= 1.0
+                        "misclassified_all", "misclassified_accepted", "aurc",
+                        "auroc_uncertainty"]
+        assert 0.0 <= float(lines[-2].split(",")[1]) <= 1.0
+        auroc = float(lines[-1].split(",")[1])
+        assert math.isnan(auroc) or 0.0 <= auroc <= 1.0
 
     def test_bad_fraction_is_usage_error(self, trained, tmp_path):
         root, data, ckpt = trained

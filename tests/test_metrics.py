@@ -1,5 +1,6 @@
 """Classification metrics against exact-rational arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,14 @@ from betamix.errors import UsageError
 from betamix.metrics import (
     ConfusionCounts,
     aurc,
+    auroc_uncertainty,
     confusion,
     coverage_curve,
     report,
     report_csv_rows,
 )
 from betamix.predict import Prediction
+from conftest import auroc_pairwise_reference
 
 
 def make_prediction(predicted, true, uncertainty=0.1, accepted=None):
@@ -199,6 +202,45 @@ class TestAurc:
     def test_missing_target_rejected(self):
         with pytest.raises(UsageError):
             aurc([make_prediction(1, None)])
+
+
+class TestAurocUncertainty:
+    def test_hand_computed(self):
+        """Eight right answers at 0 to 0.07 and two wrong ones at 0.9 and
+        0.95 separate perfectly. Moved to 0.07, the second wrong answer
+        beats seven right ones and ties with the eighth."""
+        preds = TestCoverageCurve().build_fixture()
+        assert auroc_uncertainty(preds) == 1.0
+        preds[-1] = make_prediction(0, 1.0, uncertainty=0.01 * 7)
+        assert auroc_uncertainty(preds) == (8 + 7.5) / 16
+
+    def test_tie_counts_half(self):
+        wrong, right = make_prediction(1, 0.0, 0.5), make_prediction(1, 1.0, 0.5)
+        assert auroc_uncertainty([wrong, right]) == 0.5
+        assert auroc_uncertainty([make_prediction(1, 0.0, 0.2), right]) == 0.0
+
+    def test_nan_when_all_right_or_all_wrong(self):
+        right = [make_prediction(1, 1.0, u) for u in (0.1, 0.2)]
+        wrong = [make_prediction(0, 1.0, u) for u in (0.1, 0.2)]
+        assert math.isnan(auroc_uncertainty(right))
+        assert math.isnan(auroc_uncertainty(wrong))
+        assert math.isnan(auroc_uncertainty([]))
+
+    @pytest.mark.parametrize("n", [2, 9, 40, 100])
+    def test_matches_pairwise_oracle(self, rng, n):
+        # Uncertainties from a four-value set, so many pairs tie.
+        preds = [make_prediction(int(rng.integers(2)), float(rng.integers(2)),
+                                 uncertainty=float(rng.integers(4)) / 4)
+                 for _ in range(n)]
+        expected = auroc_pairwise_reference(
+            [p.summary.uncertainty for p in preds],
+            [p.predicted_class != p.true_target for p in preds])
+        got = auroc_uncertainty(preds)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+    def test_missing_target_rejected(self):
+        with pytest.raises(UsageError):
+            auroc_uncertainty([make_prediction(1, None)])
 
 
 class TestCsvExport:

@@ -583,6 +583,19 @@ class TestGlobalMaxPool:
                 expected = max(x[b, c, i] for i in range(21))
                 assert y[b, c, 0] == expected
 
+    def test_infer_output_bytes_equal_train(self, rng):
+        """Infer mode takes x.max alone, with no argmax; its output equals
+        the train path's gather at the argmax byte for byte, ties and NaN
+        included, and it keeps no cache."""
+        layer = GlobalMaxPool()
+        x = rng.normal(size=(3, 4, 21)).astype(np.float32)
+        x[0, 1, [4, 9]] = 5.0
+        x[2, 3, 7] = np.nan
+        train = layer.forward(x, train=True)
+        infer = layer.forward(x)
+        assert infer.shape == (3, 4, 1) and infer.tobytes() == train.tobytes()
+        assert layer._cache is None
+
     def test_backward_puts_grad_at_argmax(self, rng):
         layer = GlobalMaxPool()
         x = rng.normal(size=(2, 3, 9)).astype(np.float32)
@@ -659,6 +672,18 @@ class TestSoftplus:
         dx = layer.backward(np.ones_like(x))
         assert dx[0, 0] == 0.0
         assert dx[0, 1] > 0.0
+
+    def test_infer_output_bytes_equal_train(self, rng):
+        """Infer mode builds no floor mask; its output equals the train
+        path's byte for byte, floored entries included, and it keeps no
+        cache."""
+        layer = Softplus()
+        x = (rng.normal(size=(4, 2)) * 30.0).astype(np.float32)
+        x[0, 0] = -50.0
+        train = layer.forward(x, train=True)
+        infer = layer.forward(x)
+        assert infer.tobytes() == train.tobytes()
+        assert layer._cache is None
 
     @pytest.mark.parametrize("dtype,h,tol", [(np.float64, 1e-6, 1e-6)])
     def test_finite_difference(self, rng, dtype, h, tol):
@@ -785,3 +810,19 @@ class TestDebugFiniteChecks:
                         layer.backward(np.full_like(y, np.inf))
                 finally:
                     nn_mod.DEBUG_FINITE_CHECKS = False
+
+    @pytest.mark.parametrize("bn", ["bn1", "bn2"])
+    def test_folded_block_output_checked(self, rng, bn):
+        """A residual block's infer forward folds each batch norm into its
+        conv; a NaN running variance makes the folded output non-finite,
+        and the check names the batch norm whose output it is."""
+        import betamix.nn as nn_mod
+        model = build_model("tiny", seed=2)
+        getattr(model.groups[1][0], bn).running_var[1] = np.nan
+        x = rng.normal(size=(2, 1, 256)).astype(np.float32)
+        nn_mod.DEBUG_FINITE_CHECKS = True
+        try:
+            with pytest.raises(FloatingPointError, match=f"g1.b0.{bn}$"):
+                model.forward(x)
+        finally:
+            nn_mod.DEBUG_FINITE_CHECKS = False
