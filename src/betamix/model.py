@@ -5,6 +5,11 @@ forward passes that yield beta parameters per crop, wires the beta
 negative log-likelihood into backprop, and serializes models to a small
 self-describing binary format.
 
+Every conv whose output feeds a batch norm (the stem conv, through its
+max pool, and each block's conv1 and conv2) has no bias: the batch norm
+subtracts any per-channel constant, and its shift plays the bias's role
+(He et al. 2016). Only the blocks' projection convs carry one.
+
 The infer forward fuses each residual block's conv-BN pairs: every batch
 norm inside a block is folded into the conv before it, so the pair is one
 GEMM. The stem's batch norm stays a layer of its own, because the stem's
@@ -58,7 +63,9 @@ from .nn import (
 )
 
 CHECKPOINT_MAGIC = b"BGC1"
-CHECKPOINT_VERSION = 1
+# Version 2 files hold no bias for the convs that feed a batch norm;
+# version 1 files, which did, are refused and the model must be retrained.
+CHECKPOINT_VERSION = 2
 
 # Hard labels are clipped into [LABEL_EPS, 1 - LABEL_EPS] before the beta
 # log-density is evaluated at them.
@@ -118,12 +125,11 @@ def _walk_back(nodes, g: np.ndarray) -> np.ndarray:
 
 def _conv_bn_infer(conv: Conv1D, bn: BatchNorm1D, x: np.ndarray) -> np.ndarray:
     """conv then bn in infer mode as one GEMM: bn's map y * a + c folded
-    into conv's kernel W * a and bias b * a + c (Jacob et al. 2018). The
-    fold is recomputed from the live parameters on every call. The output
-    is bn's, so bn emits it."""
+    into conv's kernel W * a and bias c (Jacob et al. 2018); the conv has
+    no bias of its own. The fold is recomputed from the live parameters on
+    every call. The output is bn's, so bn emits it."""
     a, c = bn.infer_affine()
-    return bn.emit(conv.infer_gemm(x, conv.weight.value * a[:, None, None],
-                                   conv.bias.value * a + c))
+    return bn.emit(conv.infer_gemm(x, conv.weight.value * a[:, None, None], c))
 
 
 class ResidualBlock:
@@ -134,7 +140,7 @@ class ResidualBlock:
 
     In infer mode each batch norm is a fixed per-channel affine map, so
     conv1-bn1 and conv2-bn2 each run as one GEMM with the batch norm folded
-    into the conv's kernel and bias, and both ReLUs run in place on arrays
+    into the conv's kernel and a bias, and both ReLUs run in place on arrays
     the block owns. The fused output is accurate to float32 rounding, as
     the unfused infer forward is. The train forward walks the layers one
     by one, its bits unchanged.
@@ -143,12 +149,12 @@ class ResidualBlock:
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int, *,
                  rng, dtype, name: str):
         self.name = name
-        self.conv1 = Conv1D(in_ch, out_ch, kernel, stride,
-                            rng=rng, dtype=dtype, name=f"{name}.conv1")
+        self.conv1 = Conv1D(in_ch, out_ch, kernel, stride, rng=rng,
+                            bias=False, dtype=dtype, name=f"{name}.conv1")
         self.bn1 = BatchNorm1D(out_ch, dtype=dtype, name=f"{name}.bn1")
         self.relu_inner = ReLU(name=f"{name}.relu1")
-        self.conv2 = Conv1D(out_ch, out_ch, kernel, 1,
-                            rng=rng, dtype=dtype, name=f"{name}.conv2")
+        self.conv2 = Conv1D(out_ch, out_ch, kernel, 1, rng=rng,
+                            bias=False, dtype=dtype, name=f"{name}.conv2")
         self.bn2 = BatchNorm1D(out_ch, dtype=dtype, name=f"{name}.bn2")
         if stride != 1 or in_ch != out_ch:
             self.proj = Conv1D(in_ch, out_ch, 1, stride,
@@ -193,8 +199,8 @@ class Model:
         rng = np.random.default_rng(int(seed))
 
         stem_kernel, stem_ch, stem_pool = spec.stem
-        self.stem_conv = Conv1D(1, stem_ch, stem_kernel, 1,
-                                rng=rng, dtype=dtype, name="stem.conv")
+        self.stem_conv = Conv1D(1, stem_ch, stem_kernel, 1, rng=rng,
+                                bias=False, dtype=dtype, name="stem.conv")
         self.stem_pool = MaxPool1D(stem_pool, name="stem.pool")
         self.stem_bn = BatchNorm1D(stem_ch, dtype=dtype, name="stem.bn")
         self.stem_relu = ReLU(name="stem.relu")
@@ -449,7 +455,9 @@ def load_checkpoint(path) -> Model:
     """Reconstruct a model; the round trip reproduces forward passes bitwise.
 
     A file that cannot be opened, or whose header or tensors do not
-    describe a complete, finite model, raises a CheckpointError.
+    describe a complete, finite model with non-negative batch-norm running
+    variances, raises a CheckpointError; a format version other than
+    CHECKPOINT_VERSION raises UnsupportedVersionError.
     """
     with open_input(path, "checkpoint file", CheckpointError) as fh:
         magic = fh.read(4)
@@ -462,7 +470,8 @@ def load_checkpoint(path) -> Model:
         if version != CHECKPOINT_VERSION:
             raise UnsupportedVersionError(
                 f"checkpoint format version {version} is not supported "
-                f"(expected {CHECKPOINT_VERSION})"
+                f"(expected {CHECKPOINT_VERSION}); retrain the model to "
+                f"write a version {CHECKPOINT_VERSION} checkpoint"
             )
         (meta_len,) = reader.unpack("<I", "header length")
         header = reader.read(meta_len, "header")
@@ -505,6 +514,11 @@ def load_checkpoint(path) -> Model:
             if not np.isfinite(arr).all():
                 raise CorruptCheckpointError(
                     f"{path}: entry {name!r} holds NaN or inf")
+            # Training's running variance is an average of variances, so a
+            # negative one cannot come from a trained model.
+            if name.endswith(".running_var") and (arr < 0).any():
+                raise CorruptCheckpointError(
+                    f"{path}: entry {name!r} holds a negative variance")
             dest = targets[name]
             if dest.shape != arr.shape:
                 raise TensorShapeError(

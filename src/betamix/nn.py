@@ -29,21 +29,22 @@ Conventions:
     where a run ends up, and they are pinned. The train-mode conv forward
     is lane-major: it copies the windows once into columns of shape
     (in_ch, kernel, batch * out_len), adds one column at a time into an
-    (out_ch, batch * out_len) accumulator started at the bias, input
-    channel by input channel and tap by tap within each, and transposes
-    the result once to (batch, out_ch, out_len). The conv backward is two
-    GEMMs. The input gradient is one matmul for every tap followed by a
-    col2im that adds the taps in order; its adds are pinned. The kernel
-    gradient is one GEMM over the windows copied to (batch * out_len,
-    in_ch * kernel) rows, the operand layout np.tensordot builds, so its
-    bits equal tensordot's and follow the BLAS build.
+    (out_ch, batch * out_len) accumulator started at the bias (at zero for
+    a conv without one), input channel by input channel and tap by tap
+    within each, and transposes the result once to (batch, out_ch,
+    out_len). The conv backward is two GEMMs. The input gradient is one
+    matmul for every tap followed by a col2im that adds the taps in order;
+    its adds are pinned. The kernel gradient is one GEMM over the windows
+    copied to (batch * out_len, in_ch * kernel) rows, the operand layout
+    np.tensordot builds, so its bits equal tensordot's and follow the BLAS
+    build.
   - The infer-mode forward is accurate to float32 rounding rather than
     pinned: the conv is one GEMM per crop and batch norm one affine pass,
     so its bits follow the BLAS build. On one build it is deterministic,
     and each crop's output does not depend on the other crops in its
     batch. Batch norm's infer map (BatchNorm1D.infer_affine) is per
     channel, so a conv directly followed by one can fold it into its
-    kernel and bias and run Conv1D.infer_gemm once: the residual blocks
+    kernel and a bias and run Conv1D.infer_gemm once: the residual blocks
     of model.py do that, and emit the folded output as the batch norm's,
     so the layer contract and the finite checks hold on the fused path.
 """
@@ -202,10 +203,20 @@ class Conv1D(Layer):
     col2im adds the taps in a fixed order, straight into the unpadded
     gradient. The kernel gradient is np.tensordot's GEMM on the same
     (batch * out_len, in_ch * kernel) operand, filled one tap at a time,
-    so its bits are tensordot's and follow the BLAS build."""
+    so its bits are tensordot's and follow the BLAS build.
+
+    With bias=False the layer has no bias: self.bias is None, params()
+    holds only the weight, and the backward computes no bias gradient. Its
+    output is that of the same conv with a zero bias, byte for byte in
+    train mode; in infer mode an output of exactly zero may keep a
+    negative sign that adding a zero bias would clear. A conv whose output
+    feeds a batch norm takes it: the batch norm cancels any per-channel
+    constant, so such a bias would have no effect on the output and only a
+    rounding-residue gradient."""
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1, *,
-                 rng: np.random.Generator, dtype=DEFAULT_DTYPE, name: str = "conv"):
+                 rng: np.random.Generator, bias: bool = True,
+                 dtype=DEFAULT_DTYPE, name: str = "conv"):
         if stride < 1:
             raise ValueError("stride must be >= 1")
         self.in_ch = in_ch
@@ -218,10 +229,11 @@ class Conv1D(Layer):
                         rng, dtype),
             name=f"{name}.weight",
         )
-        self.bias = Param(np.zeros(out_ch, dtype=dtype), name=f"{name}.bias")
+        self.bias = (Param(np.zeros(out_ch, dtype=dtype), name=f"{name}.bias")
+                     if bias else None)
 
     def params(self) -> list[Param]:
-        return [self.weight, self.bias]
+        return [self.weight] if self.bias is None else [self.weight, self.bias]
 
     def _windows(self, x):
         """(windows, length, left): the (batch, in_ch, out_len, kernel)
@@ -242,18 +254,20 @@ class Conv1D(Layer):
 
     def infer_gemm(self, x, weight, bias):
         """The infer-mode forward with the given (out_ch, in_ch, kernel)
-        kernel and (out_ch,) bias: one GEMM per crop over (in_ch * kernel,
-        out_len) columns, the output already in (batch, out_ch, out_len)
-        layout. Its sums run in the BLAS kernel's order. The layer's own
-        infer forward passes its parameters; a residual block passes them
-        with the following batch norm folded in. Running it is an infer
-        forward of this layer, so it drops any train cache."""
+        kernel and (out_ch,) bias, or None for no bias: one GEMM per crop
+        over (in_ch * kernel, out_len) columns, the output already in
+        (batch, out_ch, out_len) layout. Its sums run in the BLAS kernel's
+        order. The layer's own infer forward passes its parameters; a
+        residual block passes its kernel and the bias that fold the
+        following batch norm in. Running it is an infer forward of this
+        layer, so it drops any train cache."""
         self._cache = None
         windows, _, _ = self._windows(x)
         b, c, out_len, kernel = windows.shape
         cols = windows.transpose(0, 1, 3, 2).reshape(b, c * kernel, out_len)
         y = np.matmul(weight.reshape(self.out_ch, c * kernel), cols)
-        y += bias[:, None]
+        if bias is not None:
+            y += bias[:, None]
         return y
 
     def _forward(self, x, train):
@@ -261,15 +275,17 @@ class Conv1D(Layer):
             # Training keeps the lane-major loop below: perfbench's paper
             # loss replay is chaotic, and the GEMM in the train forward
             # moved its step-5 loss by 7.2e-2 against rtol 1e-3.
-            return self.infer_gemm(x, self.weight.value, self.bias.value), None
+            bias = None if self.bias is None else self.bias.value
+            return self.infer_gemm(x, self.weight.value, bias), None
         windows, length, left = self._windows(x)
         b, c, out_len, kernel = windows.shape
         # Lane-major columns: one contiguous run of batch * out_len samples
         # per (input channel, tap), copied once from the strided windows.
         cols = windows.transpose(1, 3, 0, 2).reshape(c, kernel, b * out_len)
         k = self.weight.value
-        acc = np.empty((self.out_ch, b * out_len), dtype=x.dtype)
-        acc[...] = self.bias.value[:, None]
+        acc = np.zeros((self.out_ch, b * out_len), dtype=x.dtype)
+        if self.bias is not None:
+            acc[...] = self.bias.value[:, None]
         # Accumulate channel-major then tap-major so the summation order per
         # output element is fixed (bitwise-reproducible, oracle-matchable).
         for ci in range(self.in_ch):
@@ -286,7 +302,8 @@ class Conv1D(Layer):
         if grad_out.shape != (b, self.out_ch, out_len):
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} does not "
                              f"match forward output {(b, self.out_ch, out_len)}")
-        self.bias.grad += grad_out.sum(axis=(0, 2))
+        if self.bias is not None:
+            self.bias.grad += grad_out.sum(axis=(0, 2))
         # dW: im2col into (b, out_len, in_ch, kernel) rows, filled one tap at
         # a time, and one GEMM over the batch and output positions. Both
         # operands are laid out as np.tensordot lays them out, so the GEMM

@@ -234,7 +234,8 @@ def residual_block_infer_reference(block, x, eps):
     """A residual block's infer forward in float64, one layer at a time:
     conv (np.pad, sliding_window_view, einsum), the batch norm's
     (x - mean) / sqrt(var + eps) * scale + shift, ReLU, conv, batch norm,
-    the shortcut (identity or projection conv) added, ReLU."""
+    the shortcut (identity or projection conv) added, ReLU. A conv
+    without a bias adds zero."""
     def f64(a):
         return np.asarray(a, dtype=np.float64)
 
@@ -245,8 +246,8 @@ def residual_block_infer_reference(block, x, eps):
         total = max(0, (out_len - 1) * stride + k - length)
         xp = np.pad(x, ((0, 0), (0, 0), (total // 2, total - total // 2)))
         windows = sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
-        return (np.einsum("bcok,fck->bfo", windows, f64(layer.weight.value))
-                + f64(layer.bias.value)[None, :, None])
+        y = np.einsum("bcok,fck->bfo", windows, f64(layer.weight.value))
+        return y if layer.bias is None else y + f64(layer.bias.value)[None, :, None]
 
     def bn(layer, x):
         def ch(v):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from betamix.cli import main
-from betamix.model import load_checkpoint
+from betamix.model import load_checkpoint, save_checkpoint
 from conftest import rewrite_checkpoint_header
 
 TRAIN_CONFIG = """
@@ -193,6 +193,12 @@ class TestPredict:
         assert main(["predict", "--model", str(ckpt), "--data", str(data),
                      "--ids", "ghost", "--out", str(tmp_path / "x.jsonl")]) == 2
 
+    # Checkpoints that parse but must be refused: the format version 1,
+    # and a negative running variance in the stem's and in a block's
+    # batch norm (which made the head emit NaN and exit 3).
+    CHECKPOINT_REFUSALS = ("version_1", "stem_running_var_-1",
+                           "block_running_var_-2")
+
     HEADER_EDITS = {
         "header_bn_momentum_9.1": lambda m: {**m, "bn_momentum": 9.1},
         "header_stem_kernel_0": lambda m: {
@@ -215,7 +221,7 @@ class TestPredict:
         "model_is_directory", "record_is_directory", "nan_sample",
         "sample_3e38", "nan_weight", "manifest_not_utf8",
         "manifest_path_parent", "manifest_path_absolute",
-        "header_nested_100000", *HEADER_EDITS])
+        "header_nested_100000", *HEADER_EDITS, *CHECKPOINT_REFUSALS])
     def test_hostile_files_are_data_errors(self, trained, tmp_path, capsys,
                                            case):
         """A missing or directory input, a length field declaring far more
@@ -225,7 +231,8 @@ class TestPredict:
         preset's sizes or nests too deeply to parse), a manifest that is not UTF-8 or a manifest path
         leading out of the dataset directory exits 2 with a one-line data
         error: no traceback, MemoryError, OverflowError or internal
-        error."""
+        error. A version-1 checkpoint or a negative batch-norm running
+        variance exits 2 from eval and density too."""
         _, data, ckpt = trained
         model = Path(shutil.copy(ckpt, tmp_path / "model.bgc"))
         data = Path(shutil.copytree(data, tmp_path / "data"))
@@ -247,6 +254,15 @@ class TestPredict:
                 (rank,) = struct.unpack_from("<I", blob, rank_at)
                 struct.pack_into("<f", blob, rank_at + 4 + 4 * rank, float("nan"))
             model.write_bytes(bytes(blob))
+        elif case == "version_1":
+            blob = bytearray(model.read_bytes())
+            struct.pack_into("<I", blob, 4, 1)
+            model.write_bytes(bytes(blob))
+        elif "_running_var_" in case:
+            net = load_checkpoint(model)
+            bn = net.stem_bn if case.startswith("stem") else net.groups[0][0].bn1
+            bn.running_var[0] = float(case.rsplit("_", 1)[1])
+            save_checkpoint(net, model)
         elif case in self.HEADER_EDITS:
             rewrite_checkpoint_header(model, self.HEADER_EDITS[case])
         elif case == "header_nested_100000":
@@ -284,6 +300,13 @@ class TestPredict:
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         if case == "sample_3e38":
             assert f"record {record.stem!r}: sample magnitude 3e+38" in err, err
+        if case in self.CHECKPOINT_REFUSALS:
+            assert ("retrain" if case == "version_1"
+                    else "negative variance") in err, err
+            for argv in (["eval", "--keep-fraction", "0.9"],
+                         ["density", "--id", record.stem, "--points", "11"]):
+                assert main([*argv, "--model", str(model), "--data", str(data),
+                             "--out", str(tmp_path / "y.out")]) == 2
 
     @pytest.mark.parametrize("peak, code", [(1e12, 0), (1.1e12, 2)])
     def test_sample_bound_applies_before_centring(self, trained, tmp_path,

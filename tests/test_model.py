@@ -54,20 +54,33 @@ class TestBuildModel:
         assert sizes == [1024, 512, 256, 128, 64, 32, 16, 8, 1]
 
     def test_paper_parameter_census(self):
-        """Hand-derived before the build:
+        """Hand-derived before the build. Only the projection convs have
+        a bias; every other conv feeds a batch norm and has none.
 
-        stem: conv 8*1*5+8 = 48, bn 16                         ->    64
-        groups (first block adds a projection conv):
-          2x(8->8):    504 + 432            = 936  (x2 groups) ->  1872
-          (8->12):     900 + 936            = 1836             ->  1836
-          (12->12):   1092 + 936            = 2028             ->  2028
-          (12->16):   1648 + 2*1632         = 4912             ->  4912
-          (16->16):   1904 + 2*1632         = 5168             ->  5168
-          (16->20):   2620 + 2520           = 5140             ->  5140
+        stem: conv 8*1*5 = 40, bn 16                           ->    56
+        groups (first block adds a projection conv with a bias):
+          2x(8->8):    488 + 416            = 904  (x2 groups) ->  1808
+          (8->12):     876 + 912            = 1788             ->  1788
+          (12->12):   1068 + 912            = 1980             ->  1980
+          (12->16):   1616 + 2*1600         = 4816             ->  4816
+          (16->16):   1872 + 2*1600         = 5072             ->  5072
+          (16->20):   2580 + 2480           = 5060             ->  5060
         head: dense 20*2+2                                     ->    42
         """
         model = build_model("paper", seed=0)
-        assert sum(p.value.size for p in model.params()) == 21062
+        assert sum(p.value.size for p in model.params()) == 20622
+
+    @pytest.mark.parametrize("preset,n_arrays", [("paper", 115), ("tiny", 21)])
+    def test_only_projection_convs_have_a_bias(self, preset, n_arrays):
+        """The stem conv and every block's conv1 and conv2 feed a batch
+        norm, which cancels a bias, so they have none; every projection
+        conv has one, and so has each checkpoint."""
+        model = build_model(preset, seed=0)
+        assert len(model.params()) == n_arrays
+        conv_biases = [name for name, _ in model.named_entries()
+                       if name.endswith(".bias") and not name.startswith("head.")]
+        assert conv_biases == [f"{block.name}.proj.bias" for group in model.groups
+                               for block in group if block.proj is not None]
 
     def test_tiny_stage_sizes(self):
         model = build_model("tiny", seed=0)
@@ -202,7 +215,7 @@ class TestForward:
 
 def give_block_statistics(block, rng):
     """Non-trivial running statistics, BN scales of both signs (channel 0
-    negative) and conv biases, as training leaves them."""
+    negative) and a projection bias, as training leaves them."""
     for bn in (block.bn1, block.bn2):
         c = bn.channels
         bn.scale.value[...] = rng.uniform(-2.0, 2.0, size=c)
@@ -210,9 +223,8 @@ def give_block_statistics(block, rng):
         bn.shift.value[...] = rng.normal(size=c)
         bn.running_mean[...] = rng.normal(size=c) * 2.0
         bn.running_var[...] = rng.uniform(0.05, 4.0, size=c)
-    for conv in (block.conv1, block.conv2, block.proj):
-        if conv is not None:
-            conv.bias.value[...] = rng.normal(size=conv.out_ch) * 0.5
+    if block.proj is not None:
+        block.proj.bias.value[...] = rng.normal(size=block.proj.out_ch) * 0.5
 
 
 class TestFusedInferBlock:
@@ -452,14 +464,37 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_unknown_version_rejected_distinctly(self, tmp_path):
+        """Version 99 and version 1, whose files held the biases of the
+        convs that feed a batch norm, are both refused; version 1's
+        message says to retrain."""
         model = build_model("tiny", seed=9)
         path = tmp_path / "model.bgc"
         save_checkpoint(model, path)
         data = bytearray(path.read_bytes())
-        data[4:8] = struct.pack("<I", 99)
-        path.write_bytes(bytes(data))
-        with pytest.raises(UnsupportedVersionError):
-            load_checkpoint(path)
+        for version in (99, 1):
+            data[4:8] = struct.pack("<I", version)
+            path.write_bytes(bytes(data))
+            with pytest.raises(UnsupportedVersionError, match="retrain"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("variance,loads", [(-1.0, False), (-1e-30, False),
+                                                (0.0, True)])
+    def test_negative_running_variance_is_corrupt(self, tmp_path, rng,
+                                                  variance, loads):
+        """A running variance is an average of variances, so a negative one
+        marks a corrupt file; a zero one still loads and predicts finite
+        values, the batch-norm epsilon keeping its square root positive."""
+        model = build_model("tiny", seed=9)
+        model.groups[0][0].bn1.running_var[1] = variance
+        path = tmp_path / "model.bgc"
+        save_checkpoint(model, path)
+        if not loads:
+            with pytest.raises(CorruptCheckpointError, match="negative variance"):
+                load_checkpoint(path)
+            return
+        out = load_checkpoint(path).forward(
+            rng.normal(size=(2, 1, 256)).astype(np.float32))
+        assert np.isfinite(out).all()
 
     def test_shape_mismatch_rejected_distinctly(self, tmp_path):
         """Rewrite the first entry's dims to a different shape with the

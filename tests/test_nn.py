@@ -37,26 +37,49 @@ from conftest import (
 
 
 # Conv1D forward cases: (batch, in_ch, out_ch, kernel, stride, length,
-# dtype). Ids such as "2-same" name the stride and the padding of a case;
-# the named ones are the edges of the train forward's (in_ch, kernel,
-# batch * out_len) column layout and the infer forward's per-crop
-# (in_ch * kernel, out_len) GEMM operand.
-FORWARD_CASE_ARGS = "batch,in_ch,out_ch,kernel,stride,length,dtype"
+# dtype, bias). Ids such as "2-same" name the stride and the padding of a
+# case; the named ones are the edges of the train forward's (in_ch,
+# kernel, batch * out_len) column layout and the infer forward's per-crop
+# (in_ch * kernel, out_len) GEMM operand. "no-bias" is a conv built with
+# bias=False, as every conv that feeds a batch norm is.
+FORWARD_CASE_ARGS = "batch,in_ch,out_ch,kernel,stride,length,dtype,bias"
 FORWARD_CASES = [
-    (2, 3, 4, 5, 1, 17, np.float32),
-    (2, 3, 4, 5, 2, 17, np.float32),
-    (2, 3, 4, 5, 3, 17, np.float32),
-    (1, 3, 4, 3, 1, 9, np.float32),
-    (3, 2, 3, 3, 2, 1, np.float32),
-    (3, 2, 3, 3, 2, 2, np.float32),
-    (4, 1, 8, 5, 1, 32, np.float32),
-    (4, 8, 8, 1, 2, 16, np.float32),
-    (64, 20, 20, 3, 1, 8, np.float32),
-    (2, 3, 4, 5, 2, 17, np.float64),
+    (2, 3, 4, 5, 1, 17, np.float32, True),
+    (2, 3, 4, 5, 2, 17, np.float32, True),
+    (2, 3, 4, 5, 3, 17, np.float32, True),
+    (1, 3, 4, 3, 1, 9, np.float32, True),
+    (3, 2, 3, 3, 2, 1, np.float32, True),
+    (3, 2, 3, 3, 2, 2, np.float32, True),
+    (4, 1, 8, 5, 1, 32, np.float32, True),
+    (4, 8, 8, 1, 2, 16, np.float32, True),
+    (64, 20, 20, 3, 1, 8, np.float32, True),
+    (2, 3, 4, 5, 2, 17, np.float64, True),
+    (4, 8, 12, 3, 2, 33, np.float32, False),
 ]
 FORWARD_CASE_IDS = ["1-same", "2-same", "3-same", "batch1", "out_len1-len1",
                     "out_len1-len2", "stem", "projection", "batch64-20ch",
-                    "float64"]
+                    "float64", "no-bias"]
+
+
+def conv_with_bias(in_ch, out_ch, kernel, stride, dtype, bias, rng):
+    """(layer, bias the oracles add): a Conv1D given a random bias, or one
+    built with bias=False, checked to hold only its weight in params(),
+    with a zero bias for the oracles."""
+    layer = Conv1D(in_ch, out_ch, kernel, stride=stride, rng=rng, bias=bias,
+                   dtype=dtype)
+    if bias:
+        layer.bias.value[...] = rng.normal(size=out_ch)
+        return layer, layer.bias.value
+    assert layer.bias is None and layer.params() == [layer.weight]
+    return layer, np.zeros(out_ch, dtype=dtype)
+
+
+def zero_bias_twin(layer):
+    """A conv with layer's kernel and a zero bias."""
+    twin = Conv1D(layer.in_ch, layer.out_ch, layer.kernel_size, layer.stride,
+                  rng=np.random.default_rng(0), dtype=layer.weight.value.dtype)
+    twin.weight.value[...] = layer.weight.value
+    return twin
 
 
 def naive_conv1d(x, kernel, bias, stride):
@@ -141,35 +164,41 @@ class TestConv1D:
     @pytest.mark.parametrize(FORWARD_CASE_ARGS, FORWARD_CASES,
                              ids=FORWARD_CASE_IDS)
     def test_matches_naive_oracle_bitwise(self, rng, batch, in_ch, out_ch,
-                                          kernel, stride, length, dtype):
+                                          kernel, stride, length, dtype, bias):
         """The train-mode forward sums in the oracle's (channel, tap)
-        order, so it matches the oracle bit for bit."""
-        layer = Conv1D(in_ch, out_ch, kernel, stride=stride, rng=rng, dtype=dtype)
-        layer.bias.value[...] = rng.normal(size=out_ch)
+        order, so it matches the oracle bit for bit. A conv without a bias
+        gives, in train and in infer mode, the bytes of the same conv with
+        a zero bias."""
+        layer, b = conv_with_bias(in_ch, out_ch, kernel, stride, dtype, bias,
+                                  rng)
         x = rng.normal(size=(batch, in_ch, length)).astype(dtype)
         got = layer.forward(x, train=True)
         assert got.dtype == dtype and got.flags.c_contiguous
-        expected = naive_conv1d(x, layer.weight.value, layer.bias.value,
-                                stride)
+        expected = naive_conv1d(x, layer.weight.value, b, stride)
         np.testing.assert_array_equal(got, expected)
+        if not bias:
+            twin = zero_bias_twin(layer)
+            assert got.tobytes() == twin.forward(x, train=True).tobytes()
+            assert layer.forward(x).tobytes() == twin.forward(x).tobytes()
 
     @pytest.mark.parametrize(FORWARD_CASE_ARGS, FORWARD_CASES,
                              ids=FORWARD_CASE_IDS)
     def test_infer_within_dot_product_bound(self, rng, batch, in_ch, out_ch,
-                                            kernel, stride, length, dtype):
+                                            kernel, stride, length, dtype,
+                                            bias):
         """The infer-mode forward is a GEMM that sums in the BLAS kernel's
         order. Any order of n = in_ch * kernel products plus the bias is
         within gamma_{n+1} * (|b| + sum |w||x|) of the exact value, where
         gamma_m = m*u / (1 - m*u) and u is the unit roundoff (Higham 2002,
         section 3.1). The float64 oracle's own sums carry gamma_{n+1} at
         u = 2**-53, so the bound is the sum of the two."""
-        layer = Conv1D(in_ch, out_ch, kernel, stride=stride, rng=rng, dtype=dtype)
-        layer.bias.value[...] = rng.normal(size=out_ch)
+        layer, b = conv_with_bias(in_ch, out_ch, kernel, stride, dtype, bias,
+                                  rng)
         x = rng.normal(size=(batch, in_ch, length)).astype(dtype)
         got = layer.forward(x)
         assert got.dtype == dtype and got.flags.c_contiguous
         w64 = layer.weight.value.astype(np.float64)
-        b64 = layer.bias.value.astype(np.float64)
+        b64 = b.astype(np.float64)
         x64 = x.astype(np.float64)
         expected = naive_conv1d(x64, w64, b64, stride)
         magnitude = naive_conv1d(np.abs(x64), np.abs(w64), np.abs(b64), stride)
@@ -196,29 +225,36 @@ class TestConv1D:
         np.testing.assert_allclose(layer.bias.grad, grad_out.sum(axis=(0, 2)),
                                    rtol=1e-10)
 
-    # (batch, in_ch, out_ch, kernel, stride, length, dtype); "3-2" is
-    # kernel 3, stride 2.
-    @pytest.mark.parametrize("batch,in_ch,out_ch,kernel,stride,length,dtype", [
-        *[(2, 3, 4, k, s, 17, np.float32) for k in (1, 3, 5) for s in (1, 2, 3)],
-        (1, 3, 4, 3, 1, 9, np.float32),
-        (3, 2, 3, 3, 2, 2, np.float32),
-        (3, 2, 3, 5, 1, 3, np.float32),
-        (3, 2, 3, 5, 2, 1, np.float32),
-        (4, 1, 8, 5, 1, 32, np.float32),
-        (4, 8, 8, 1, 2, 16, np.float32),
-        (64, 20, 20, 3, 1, 8, np.float32),
-        (2, 3, 4, 5, 2, 17, np.float64),
-    ], ids=[*[f"{k}-{s}" for k in (1, 3, 5) for s in (1, 2, 3)], "batch1",
-            "out_len1", "shorter_than_kernel", "shorter_than_kernel-out_len1",
-            "stem", "projection", "batch64-20ch", "float64"])
+    # (batch, in_ch, out_ch, kernel, stride, length, dtype, bias); "3-2" is
+    # kernel 3, stride 2, and "no-bias" a conv built with bias=False.
+    @pytest.mark.parametrize(
+        "batch,in_ch,out_ch,kernel,stride,length,dtype,bias", [
+            *[(2, 3, 4, k, s, 17, np.float32, True)
+              for k in (1, 3, 5) for s in (1, 2, 3)],
+            (1, 3, 4, 3, 1, 9, np.float32, True),
+            (3, 2, 3, 3, 2, 2, np.float32, True),
+            (3, 2, 3, 5, 1, 3, np.float32, True),
+            (3, 2, 3, 5, 2, 1, np.float32, True),
+            (4, 1, 8, 5, 1, 32, np.float32, True),
+            (4, 8, 8, 1, 2, 16, np.float32, True),
+            (64, 20, 20, 3, 1, 8, np.float32, True),
+            (2, 3, 4, 5, 2, 17, np.float64, True),
+            (4, 8, 12, 3, 2, 33, np.float32, False),
+        ], ids=[*[f"{k}-{s}" for k in (1, 3, 5) for s in (1, 2, 3)], "batch1",
+                "out_len1", "shorter_than_kernel",
+                "shorter_than_kernel-out_len1", "stem", "projection",
+                "batch64-20ch", "float64", "no-bias"])
     def test_backward_matches_reference_bitwise(self, rng, batch, in_ch, out_ch,
-                                                kernel, stride, length, dtype):
+                                                kernel, stride, length, dtype,
+                                                bias):
         """dX, dW and the bias gradient equal, byte for byte, those of the
         np.pad / sliding_window_view / np.tensordot formulation: the same
         GEMM operands for dW and the same tap-by-tap col2im adds for dX.
         Training is chaotic, so these bits are what keep the desk runs'
-        outcomes fixed."""
-        layer = Conv1D(in_ch, out_ch, kernel, stride=stride, rng=rng, dtype=dtype)
+        outcomes fixed. A conv without a bias gets the same dX and dW and
+        no bias gradient."""
+        layer = Conv1D(in_ch, out_ch, kernel, stride=stride, rng=rng,
+                       bias=bias, dtype=dtype)
         x = rng.normal(size=(batch, in_ch, length)).astype(dtype)
         y = layer.forward(x, train=True)
         grad_out = rng.normal(size=y.shape).astype(dtype)
@@ -228,7 +264,10 @@ class TestConv1D:
         assert dx.dtype == dtype and dx.flags.c_contiguous
         assert dx.tobytes() == expected_dx.tobytes()
         assert layer.weight.grad.tobytes() == expected_dw.tobytes()
-        assert layer.bias.grad.tobytes() == expected_db.tobytes()
+        if bias:
+            assert layer.bias.grad.tobytes() == expected_db.tobytes()
+        else:
+            assert layer.bias is None and layer.params() == [layer.weight]
 
     def test_same_pad_preserves_length(self, rng):
         for k in (1, 3, 5):
