@@ -44,6 +44,7 @@ from .errors import (
     CorruptCheckpointError,
     DataError,
     InternalError,
+    NonFiniteOutputError,
     TensorShapeError,
     UnsupportedVersionError,
     UsageError,

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import metrics as metrics_mod
 from .config import parse_config
 from .data import load_dataset, split_dataset, synth_generate, write_dataset
-from .errors import DataError, InternalError, UsageError
+from .errors import DataError, InternalError, NonFiniteOutputError, UsageError
 from .model import build_model, load_checkpoint, save_checkpoint, train
 from .predict import predict, reject_by_uncertainty, write_predictions
 from .betadist import mixture_density_grid
@@ -74,11 +74,22 @@ def _load_records(data_dir, ids=None):
     return dataset, [by_id[i] for i in ids]
 
 
+def _predict_records(model, records):
+    """Predict each record with a loaded checkpoint. Records are bounded,
+    so a non-finite network output comes from the checkpoint's weights:
+    it is a data error naming the record."""
+    crop_len = model.spec.input_length
+    try:
+        return [predict(model, r, crop_len) for r in records]
+    except NonFiniteOutputError as exc:
+        raise DataError(f"{exc}; the checkpoint's weights overflow the "
+                        f"network") from exc
+
+
 def cmd_predict(args) -> int:
     model = load_checkpoint(args.model)
     _, records = _load_records(args.data, args.ids)
-    crop_len = model.spec.input_length
-    preds = [predict(model, r, crop_len) for r in records]
+    preds = _predict_records(model, records)
     write_predictions(preds, args.out)
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
@@ -93,8 +104,7 @@ def cmd_eval(args) -> int:
     val_records = dataset.val_records()
     if not val_records:
         raise UsageError("dataset has no validation split to evaluate")
-    crop_len = model.spec.input_length
-    preds = [predict(model, r, crop_len) for r in val_records]
+    preds = _predict_records(model, val_records)
     all_report = metrics_mod.report(metrics_mod.confusion(preds))
     flagged, threshold = reject_by_uncertainty(preds, args.keep_fraction)
     accepted_report = metrics_mod.report(
@@ -125,8 +135,17 @@ def cmd_density(args) -> int:
                          f"got {args.points}")
     model = load_checkpoint(args.model)
     _, records = _load_records(args.data, [args.id])
-    pred = predict(model, records[0], model.spec.input_length)
-    grid = mixture_density_grid(pred.components, args.points, DENSITY_GRID_EPS)
+    (pred,) = _predict_records(model, records)
+    try:
+        grid = mixture_density_grid(pred.components, args.points,
+                                    DENSITY_GRID_EPS)
+    except OverflowError as exc:
+        # A trained model's density peaks far below the float range; a
+        # log density this large is the rounding of an absurd (alpha,
+        # beta), which only the checkpoint's weights can produce.
+        raise DataError(f"record {args.id!r}: the predictive density "
+                        f"overflows; the checkpoint's weights overflow the "
+                        f"network") from exc
     with open(args.out, "w") as fh:
         fh.write("t,pdf\n")
         for t, pdf in grid:

@@ -23,7 +23,9 @@ class RunConfig:
     is `betadist.hard_label`. Adam's moments (`nn.ADAM_BETA1/2`,
     `nn.ADAM_EPS`), the batch-norm momentum (`nn.BN_MOMENTUM`), the
     label clip (`model.LABEL_EPS`) and the resample range
-    (`data.AugmentConfig`) are constants."""
+    (`data.AugmentConfig`) are constants. `augment` has no effect when
+    `soft_targets` is set, because the changepoint sampler never
+    resamples."""
 
     arch_preset: str = "paper"
     batch_size: int = 256

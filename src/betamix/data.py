@@ -498,12 +498,18 @@ def sample_changepoint_segments(r: SignalRecord, crop_len: int, n: int,
     return out
 
 
+def has_changepoint_crops(r: SignalRecord, crop_len: int) -> bool:
+    """Whether the changepoint sampler can draw crop_len windows from r:
+    it has annotated changepoints and is at least one crop long."""
+    return (r.rhythm is not None and bool(r.rhythm.changepoints)
+            and len(r) >= crop_len)
+
+
 def sample_changepoint_batch(records: list[SignalRecord], batch_size: int,
                              crop_len: int, rng: np.random.Generator) -> CropBatch:
-    """Batch of soft-labeled segments drawn around rhythm changepoints."""
-    usable = [r for r in records
-              if r.rhythm is not None and r.rhythm.changepoints
-              and len(r) >= crop_len]
+    """Batch of soft-labeled segments drawn around rhythm changepoints,
+    from the records that `has_changepoint_crops` admits."""
+    usable = [r for r in records if has_changepoint_crops(r, crop_len)]
     if not usable:
         raise UsageError("no records with changepoint annotations and enough length")
     crops = np.empty((batch_size, 1, crop_len), dtype=np.float32)

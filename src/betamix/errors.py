@@ -37,3 +37,12 @@ class TensorShapeError(CheckpointError):
 
 class InternalError(BetamixError):
     """An invariant the library promises to maintain was observed broken."""
+
+
+class NonFiniteOutputError(InternalError):
+    """The network gave a record a non-finite (alpha, beta).
+
+    Samples are bounded by data.MAX_ABS_SAMPLE, so only the weights can
+    cause it. The commands that run a loaded checkpoint file it as a data
+    error; during training, where the weights are the run's own, it stays
+    an internal failure."""

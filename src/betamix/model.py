@@ -37,8 +37,8 @@ from . import metrics as metrics_mod
 from . import predict as predict_mod
 from .betadist import (BetaParams, beta_log_pdf, beta_nll_grad, clip_label,
                        hard_label)
-from .data import (AugmentConfig, BinaryReader, open_input,
-                   sample_changepoint_batch, sample_crop_batch)
+from .data import (AugmentConfig, BinaryReader, has_changepoint_crops,
+                   open_input, sample_changepoint_batch, sample_crop_batch)
 from .errors import (
     CheckpointError,
     CorruptCheckpointError,
@@ -339,15 +339,17 @@ class TrainingLog:
     config: dict = field(default_factory=dict)
 
 
-def _validate_train_records(records, soft_targets: bool):
+def _validate_train_records(records, soft_targets: bool, crop_len: int):
+    """The records training draws from: with soft targets, only those the
+    changepoint sampler can use, so the batch bound counts those alone."""
     if not records:
         raise UsageError("training split is empty")
     if soft_targets:
-        usable = [r for r in records
-                  if r.rhythm is not None and len(r.rhythm.changepoints) > 0]
+        usable = [r for r in records if has_changepoint_crops(r, crop_len)]
         if not usable:
             raise UsageError(
-                "soft-target training needs records with changepoint annotations"
+                "soft-target training needs records with changepoint "
+                f"annotations at least one crop ({crop_len} samples) long"
             )
         return usable
     classes = {hard_label(r.target) for r in records}
@@ -379,7 +381,7 @@ def train(model: Model, dataset, config) -> TrainingLog:
         )
     crop_len = model.spec.input_length
     train_records = _validate_train_records(dataset.train_records(),
-                                            config.soft_targets)
+                                            config.soft_targets, crop_len)
     # One epoch's worth of crops bounds the batch, checked before any
     # batch is allocated.
     if config.batch_size > CROPS_PER_RECORD * len(train_records):

@@ -18,7 +18,7 @@ import numpy as np
 from .betadist import (BetaMixture, BetaParams, PredictiveSummary, hard_label,
                        mixture_summary)
 from .data import SignalRecord, orient_signal, pad_to_length
-from .errors import UsageError
+from .errors import NonFiniteOutputError, UsageError
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,15 @@ def predict(model, r: SignalRecord, crop_len: int) -> Prediction:
     The predicted class is hard_label of the mixture mean. The oriented
     samples are cut as a plain array: centring can take a record inside
     the MAX_ABS_SAMPLE bound past it, and the record is validated already.
+    A non-finite network output raises NonFiniteOutputError naming the
+    record.
     """
     windows = decompose_crops(orient_signal(r), crop_len)
     batch = np.stack(windows)[:, None, :]
     out = model.forward(batch, train=False)
+    if not np.isfinite(out).all():
+        raise NonFiniteOutputError(
+            f"record {r.id!r}: the network output (alpha, beta) is not finite")
     mixture = BetaMixture(tuple(
         BetaParams(float(a), float(b)) for a, b in out))
     summary = mixture_summary(mixture)

@@ -6,17 +6,16 @@ desk-scale experiments: a tiny model trained on seeded synthetic data must
 classify well, its uncertainty must single out the misclassified records,
 rejection must strictly reduce errors, and soft-label training must
 produce interior bell densities; each is judged by majority over five
-fixed seeds. Criterion 9 replays the whole pipeline twice and compares
-artifact bytes.
+fixed seeds. The run and the predicates of criteria 6 and 7 live in
+tests/desk.py, which tools/desk_study.py runs over 20 seeds. Criterion 9
+replays the whole pipeline twice and compares artifact bytes.
 """
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from betamix import metrics as M
 from betamix.betadist import (
     BetaMixture,
     BetaParams,
@@ -31,33 +30,19 @@ from betamix.data import (
     Dataset,
     soft_target_for_segment,
     split_dataset,
-    synth_generate,
     synth_generate_changepoints,
     write_dataset,
 )
 from betamix.model import build_model, load_checkpoint, save_checkpoint, train
 from betamix.nn import BatchNorm1D, Conv1D, Dense, GlobalMaxPool, MaxPool1D, ReLU, Softplus
-from betamix.predict import predict, reject_by_uncertainty
 from conftest import (mixture_moments_by_quadrature, numeric_grad, rel_err,
                       stage_sizes)
+from desk import (DESK_CONFIG, KEEP_FRACTION, N_SEEDS, criterion_6,
+                  criterion_7, desk_dataset, desk_run)
 
-N_SEEDS = 5
-KEEP_FRACTION = 0.9
-
-DESK_CONFIG = dict(arch_preset="tiny", batch_size=32,
-                   learning_rate=5e-3, epochs=35, augment=True)
 SOFT_CONFIG = dict(arch_preset="tiny", batch_size=32,
                    learning_rate=3e-3, epochs=20, augment=False,
                    soft_targets=True)
-
-DESK_CONFIG_FILE = """\
-arch_preset = tiny
-batch_size = 32
-learning_rate = 0.005
-epochs = 35
-seed = 0
-augment = true
-"""
 
 
 def verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -68,57 +53,10 @@ def verdict(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-@dataclass
-class DeskRun:
-    seed: int
-    elapsed_s: float
-    final_val_f1: float
-    all_f1: float
-    all_misclassified: int
-    accepted_f1: float
-    accepted_misclassified: int
-    mean_u_misclassified: float | None
-    mean_u_correct: float
-
-
 @pytest.fixture(scope="module")
 def desk_runs():
     """Criterion 6/7 experiment: five seeded end-to-end trainings."""
-    runs = []
-    for seed in range(N_SEEDS):
-        start = time.monotonic()
-        records = synth_generate(100, crop_budget_s=12.0, seed=seed,
-                                 ambiguous_fraction=0.1)
-        dataset = Dataset(records, split_dataset(records, 0.8, seed=seed))
-        config = RunConfig(seed=seed, **DESK_CONFIG).validate()
-        model = build_model("tiny", config.seed)
-        log = train(model, dataset, config)
-        preds = [predict(model, r, model.spec.input_length)
-                 for r in dataset.val_records()]
-        elapsed = time.monotonic() - start
-
-        all_report = M.report(M.confusion(preds))
-        flagged, _ = reject_by_uncertainty(preds, KEEP_FRACTION)
-        accepted_report = M.report(M.confusion(flagged, only_accepted=True))
-        wrong = [p for p in preds
-                 if p.predicted_class != (1 if p.true_target >= 0.5 else 0)]
-        right = [p for p in preds
-                 if p.predicted_class == (1 if p.true_target >= 0.5 else 0)]
-        runs.append(DeskRun(
-            seed=seed,
-            elapsed_s=elapsed,
-            final_val_f1=log.epochs[-1].val_macro_f1,
-            all_f1=all_report.macro_f1,
-            all_misclassified=all_report.n_misclassified,
-            accepted_f1=accepted_report.macro_f1,
-            accepted_misclassified=accepted_report.n_misclassified,
-            mean_u_misclassified=(float(np.mean([p.summary.uncertainty
-                                                 for p in wrong]))
-                                  if wrong else None),
-            mean_u_correct=float(np.mean([p.summary.uncertainty
-                                          for p in right])),
-        ))
-    return runs
+    return [desk_run(seed) for seed in range(N_SEEDS)]
 
 
 class TestAcceptance:
@@ -251,18 +189,12 @@ class TestAcceptance:
         fraction 0.9 the accepted-only macro F1 is within 0.01 of the
         all-data value and strictly fewer accepted records are
         misclassified; each run under 5 CPU minutes."""
-        passes = 0
-        details = []
-        for run in desk_runs:
-            ok = (run.elapsed_s <= 300.0
-                  and run.final_val_f1 >= 0.9
-                  and run.accepted_f1 >= run.all_f1 - 0.01
-                  and run.accepted_misclassified < run.all_misclassified)
-            passes += ok
-            details.append(
-                f"seed {run.seed}: F1 {run.all_f1:.3f} "
-                f"mis {run.all_misclassified}->{run.accepted_misclassified} "
-                f"{run.elapsed_s:.0f}s {'ok' if ok else 'FAIL'}")
+        details = [
+            f"seed {run['seed']}: F1 {run['f1']:.3f} "
+            f"mis {run['misclassified']}->{run['accepted_misclassified']} "
+            f"{run['elapsed_s']:.0f}s {'ok' if criterion_6(run) else 'FAIL'}"
+            for run in desk_runs]
+        passes = sum(map(criterion_6, desk_runs))
         verdict("criterion 6: desk-scale end-to-end",
                 passes >= (N_SEEDS // 2 + 1),
                 f"{passes}/{N_SEEDS} seeds; " + "; ".join(details))
@@ -270,16 +202,13 @@ class TestAcceptance:
     def test_criterion_07_uncertainty_discriminates(self, desk_runs):
         """Majority of five seeds: mean uncertainty of misclassified
         validation records exceeds that of correctly classified ones."""
-        passes = 0
         details = []
         for run in desk_runs:
-            ok = (run.mean_u_misclassified is not None
-                  and run.mean_u_misclassified > run.mean_u_correct)
-            passes += ok
-            wrong = ("none" if run.mean_u_misclassified is None
-                     else f"{run.mean_u_misclassified:.3f}")
-            details.append(f"seed {run.seed}: wrong {wrong} vs "
-                           f"right {run.mean_u_correct:.3f}")
+            wrong = ("none" if run["mean_u_misclassified"] is None
+                     else f"{run['mean_u_misclassified']:.3f}")
+            details.append(f"seed {run['seed']}: wrong {wrong} vs "
+                           f"right {run['mean_u_correct']:.3f}")
+        passes = sum(map(criterion_7, desk_runs))
         verdict("criterion 7: uncertainty discriminates",
                 passes >= (N_SEEDS // 2 + 1),
                 f"{passes}/{N_SEEDS} seeds; " + "; ".join(details))
@@ -338,12 +267,12 @@ class TestAcceptance:
         def one_run(root):
             root.mkdir()
             data_dir = root / "data"
-            records = synth_generate(100, crop_budget_s=12.0, seed=0,
-                                     ambiguous_fraction=0.1)
-            manifest = split_dataset(records, 0.8, seed=0)
-            write_dataset(records, manifest, data_dir)
+            dataset = desk_dataset(0)
+            write_dataset(dataset.records, dataset.manifest, data_dir)
             config_path = root / "run.cfg"
-            config_path.write_text(DESK_CONFIG_FILE)
+            config_path.write_text("".join(
+                f"{key} = {str(value).lower()}\n"
+                for key, value in {**DESK_CONFIG, "seed": 0}.items()))
             ckpt = root / "model.bgc"
             assert main(["train", "--config", str(config_path),
                          "--data", str(data_dir), "--out", str(ckpt)]) == 0

@@ -427,6 +427,79 @@ class TestDensity:
                      "--out", str(tmp_path / "d.csv")]) == 2
 
 
+class TestCheckpointValues:
+    """Values that parse, finite, but that no trained model holds. Where
+    they overflow the network, the record they reach is a data error
+    (exit 2), never an internal one. The overflow itself is expected, so
+    numpy's overflow and invalid-value warnings are silenced here."""
+
+    COMMANDS = (["predict"], ["eval", "--keep-fraction", "0.9"],
+                ["density", "--id", "no0000", "--points", "101"])
+
+    @staticmethod
+    def run_mutated(trained, tmp_path, edits, argv):
+        _, data, ckpt = trained
+        net = load_checkpoint(ckpt)
+        entries = dict(net.named_entries())
+        for name, index, value in edits:
+            entries[name][index] = value
+        model = tmp_path / "model.bgc"
+        save_checkpoint(net, model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return main([*argv, "--model", str(model), "--data", str(data),
+                         "--out", str(tmp_path / "out")])
+
+    def test_huge_stem_weight_is_a_data_error(self, trained, tmp_path,
+                                              capsys):
+        """A stem conv weight of 3e38 overflows every record into NaN."""
+        edit = [("stem.conv.weight", (0, 0, 0), 3e38)]
+        for argv in self.COMMANDS:
+            assert self.run_mutated(trained, tmp_path, edit, argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error: record ") and \
+                "is not finite" in err and err.count("\n") == 1, err
+
+    def test_overflowing_density_is_a_data_error(self, trained, tmp_path,
+                                                 capsys):
+        """Head biases of 1e30 give alpha = beta = 1e30: the moments are
+        finite, but on the default 2001-point grid the log density's
+        rounding overflows exp."""
+        edits = [("head.dense.bias", (0,), 1e30),
+                 ("head.dense.bias", (1,), 1e30)]
+        for argv in self.COMMANDS[:2]:
+            assert self.run_mutated(trained, tmp_path, edits, argv) == 0
+        assert self.run_mutated(trained, tmp_path, edits,
+                                ["density", "--id", "no0000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: record 'no0000': the predictive "
+                              "density overflows") and err.count("\n") == 1, err
+
+    # Entries of every kind: conv weights, a projection bias, batch-norm
+    # scale, shift and running statistics, and the head.
+    ENTRIES = ("stem.conv.weight", "stem.bn.shift", "stem.bn.running_mean",
+               "g0.b0.conv1.weight", "g0.b0.bn2.scale", "g0.b0.bn2.shift",
+               "g1.b0.proj.bias", "g1.b0.bn1.running_var",
+               "head.dense.weight", "head.dense.bias")
+    VALUES = (-1.0, -3e38, 3e38, 1e30, 1e-45)
+
+    def test_seeded_value_mutations_never_exit_3(self, trained, tmp_path):
+        """Each named entry gets each value at a seeded element; predict,
+        eval and density exit 0 or 2. A negative running variance is
+        refused at load (exit 2); a huge weight or shift can overflow."""
+        rng = np.random.default_rng(2024)
+        shapes = {name: value.shape for name, value
+                  in load_checkpoint(trained[2]).named_entries()}
+        codes = {}
+        for name in self.ENTRIES:
+            for value in self.VALUES:
+                index = tuple(int(rng.integers(n)) for n in shapes[name])
+                for argv in self.COMMANDS:
+                    codes[name, value, argv[0]] = self.run_mutated(
+                        trained, tmp_path, [(name, index, value)], argv)
+        assert {k: c for k, c in codes.items() if c not in (0, 2)} == {}
+        assert set(codes.values()) == {0, 2}
+
+
 class TestOutputs:
     @pytest.mark.parametrize("command", [
         "synth", "train", "predict", "eval", "density"])

@@ -9,7 +9,9 @@ import pytest
 import betamix
 from betamix.betadist import BetaParams, beta_log_pdf, clip_label
 from betamix.config import RunConfig
-from betamix.data import Dataset, split_dataset, synth_generate
+from betamix.data import (Dataset, DatasetManifest, ManifestEntry,
+                          RhythmAnnotation, SignalRecord, split_dataset,
+                          synth_generate, synth_generate_changepoints)
 from betamix.errors import (
     CheckpointError,
     CorruptCheckpointError,
@@ -385,6 +387,22 @@ class TestTrain:
         model = build_model("tiny", 0)
         with pytest.raises(UsageError):
             train(model, ds, tiny_config())
+
+    def test_soft_target_batch_bound_counts_only_usable_records(self):
+        """Records shorter than a crop carry changepoints but the sampler
+        skips them, so the 4-crops-per-record bound counts one record."""
+        long, *others = synth_generate_changepoints(10, seed=2)
+        short = [SignalRecord(r.id, r.sampling_rate, r.samples[:200],
+                              r.target, RhythmAnnotation(0, ((100, 1),)))
+                 for r in others]
+        records = [long, *short]
+        manifest = DatasetManifest([ManifestEntry(r.id, f"records/{r.id}.bgs",
+                                                  "train") for r in records])
+        config = tiny_config(soft_targets=True, batch_size=40, epochs=1)
+        with pytest.raises(UsageError, match=r"\(1 records\)"):
+            train(build_model("tiny", 0), Dataset(records, manifest), config)
+        with pytest.raises(UsageError, match="at least one crop"):
+            train(build_model("tiny", 0), Dataset(short, manifest), config)
 
     def test_crop_len_mismatch_rejected(self):
         ds = tiny_dataset()
