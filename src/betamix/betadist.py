@@ -169,15 +169,17 @@ class BetaMixture:
 
 @dataclass(frozen=True)
 class PredictiveSummary:
-    """Point estimate plus spread of the mixture.
-
-    uncertainty is exactly 4x the variance: a [0,1]-supported random
-    variable has variance at most 1/4, so the scaling maps it onto [0,1].
-    """
+    """Point estimate plus spread of the mixture."""
 
     mean: float
     variance: float
-    uncertainty: float
+
+    @property
+    def uncertainty(self) -> float:
+        """4x the variance, clamped at 1 against rounding: a
+        [0,1]-supported random variable has variance at most 1/4, so the
+        scaling maps it onto [0,1]."""
+        return min(4.0 * self.variance, 1.0)
 
 
 def beta_log_pdf(t: float, p: BetaParams) -> float:
@@ -217,11 +219,12 @@ def beta_moments(p: BetaParams) -> tuple[float, float, float]:
 
 
 def mixture_summary(m: BetaMixture) -> PredictiveSummary:
-    """Aggregate an equal-weight mixture into mean/variance/uncertainty.
+    """Aggregate an equal-weight mixture into its mean and variance.
 
     Moments of the mixture are the plain averages of the component moments.
-    The uncertainty is clamped only against negative-zero rounding; a value
-    materially outside [0,1] means the moment math is broken and raises.
+    The variance is clamped only against negative-zero rounding; an
+    uncertainty materially outside [0,1] means the moment math is broken
+    and raises.
     """
     n = len(m.components)
     mean_sum = 0.0
@@ -238,14 +241,10 @@ def mixture_summary(m: BetaMixture) -> PredictiveSummary:
                 f"mixture variance {variance!r} is negative beyond rounding"
             )
         variance = 0.0
-    uncertainty = 4.0 * variance
-    if uncertainty > 1.0:
-        if uncertainty > 1.0 + 1e-12:
-            raise InternalError(
-                f"uncertainty {uncertainty!r} exceeds 1 beyond rounding"
-            )
-        uncertainty = 1.0
-    return PredictiveSummary(mean=mean, variance=variance, uncertainty=uncertainty)
+    if 4.0 * variance > 1.0 + 1e-12:
+        raise InternalError(
+            f"uncertainty {4.0 * variance!r} exceeds 1 beyond rounding")
+    return PredictiveSummary(mean=mean, variance=variance)
 
 
 def mixture_density_grid(

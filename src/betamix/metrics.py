@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .betadist import hard_label
@@ -52,26 +53,19 @@ class MetricsReport:
 def confusion(preds: list[Prediction], only_accepted: bool = False
               ) -> ConfusionCounts:
     """Count the 2x2 table, binarizing soft true targets with hard_label."""
-    tp = fp = fn = tn = 0
-    for p in preds:
-        if only_accepted and not p.accepted:
-            continue
-        if p.true_target is None:
-            raise UsageError(
-                f"prediction for {p.record_id!r} has no true target to evaluate"
-            )
-        truth = hard_label(p.true_target)
-        if p.predicted_class == 1:
-            if truth == 1:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if truth == 1:
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp, fp, fn, tn)
+    cells = Counter((p.predicted_class, _truth(p)) for p in preds
+                    if p.accepted or not only_accepted)
+    return ConfusionCounts(tp=cells[1, 1], fp=cells[1, 0], fn=cells[0, 1],
+                           tn=cells[0, 0])
+
+
+def _truth(p: Prediction) -> int:
+    """The class of p's true target; a prediction without one cannot be
+    scored."""
+    if p.true_target is None:
+        raise UsageError(
+            f"prediction for {p.record_id!r} has no true target to evaluate")
+    return hard_label(p.true_target)
 
 
 def _prf(tp: int, fp: int, fn: int) -> ClassMetrics:
@@ -108,8 +102,6 @@ def coverage_curve(preds: list[Prediction], fractions: list[float]
     """Metrics after keeping each given fraction of most-certain predictions."""
     out = []
     for fraction in fractions:
-        if not (0.0 < fraction <= 1.0):
-            raise UsageError(f"keep fraction must lie in (0,1], got {fraction}")
         flagged, _ = reject_by_uncertainty(preds, fraction)
         out.append((fraction, report(confusion(flagged, only_accepted=True))))
     return out
@@ -159,22 +151,4 @@ def auroc_uncertainty(preds: list[Prediction]) -> float:
 
 
 def _is_wrong(p: Prediction) -> bool:
-    if p.true_target is None:
-        raise UsageError(
-            f"prediction for {p.record_id!r} has no true target to evaluate")
-    return p.predicted_class != hard_label(p.true_target)
-
-
-def report_csv_rows(rep: MetricsReport) -> list[list[str]]:
-    """A/NO/Overall rows in the export layout."""
-    def fmt(x: float) -> str:
-        return repr(float(x))
-
-    return [
-        ["A", fmt(rep.class_a.precision), fmt(rep.class_a.recall),
-         fmt(rep.class_a.f1)],
-        ["NO", fmt(rep.class_no.precision), fmt(rep.class_no.recall),
-         fmt(rep.class_no.f1)],
-        ["Overall", fmt(rep.macro_precision), fmt(rep.macro_recall),
-         fmt(rep.macro_f1)],
-    ]
+    return p.predicted_class != _truth(p)

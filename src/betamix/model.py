@@ -71,8 +71,8 @@ CHECKPOINT_VERSION = 2
 # log-density is evaluated at them.
 LABEL_EPS = 0.01
 
-# Crop draws per training record per epoch; the batch schedule repeats
-# this many windows of coverage deterministically every epoch.
+# Crop draws per training record per epoch; each epoch draws this many
+# fresh windows of coverage from the run's one crop generator.
 CROPS_PER_RECORD = 4
 
 
@@ -368,12 +368,13 @@ def train(model: Model, dataset, config) -> TrainingLog:
     applies one Adam step per batch, and closes with a validation pass of
     full-signal predictions. Crops are model.spec.input_length samples
     long, and the validation pass is `predict` itself, so each epoch's
-    val_macro_f1 is the F1 that `eval` reports for the same weights. The
-    batch schedule is a deterministic function of config.seed and
-    identical in every epoch (classic fixed-dataset epochs), so a zero
-    learning rate yields a constant loss trace and two runs with the same
-    seed match exactly.
+    val_macro_f1 is the F1 that `eval` reports for the same weights. One
+    crop generator, seeded from config.seed, serves the whole run, so each
+    epoch draws fresh crops and augmentation factors (even a zero learning
+    rate gives a different loss every epoch), and two runs with the same
+    seed match exactly. The config is validated first.
     """
+    config.validate()
     if config.arch_preset != model.spec.preset_name:
         raise UsageError(
             f"config arch_preset {config.arch_preset!r} does not match the "
@@ -398,8 +399,8 @@ def train(model: Model, dataset, config) -> TrainingLog:
         CROPS_PER_RECORD * len(train_records) / config.batch_size))
 
     log = TrainingLog(config=asdict(config))
+    rng = np.random.default_rng([config.seed, 1])
     for epoch in range(config.epochs):
-        rng = np.random.default_rng([config.seed, 1])
         loss_sum = 0.0
         for _ in range(steps_per_epoch):
             if config.soft_targets:

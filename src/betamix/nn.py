@@ -465,24 +465,22 @@ class MaxPool1D(Layer):
 
 
 class GlobalMaxPool(Layer):
-    """Maximum over the whole spatial axis; output length is 1. Infer mode
-    takes the maximum alone; train mode also keeps where it was, the first
-    maximum of each channel, for the backward."""
+    """Maximum over the whole spatial axis; output length is 1. The
+    backward routes each channel's gradient to its first maximum, found
+    from the input that the forward keeps. The argmax is left to the
+    backward, which only training runs: inside a paper-preset `predict`
+    on a 2-core host, the forward took 21-24 us as x.max and 62-76 us as
+    a gather at the argmax (np.take_along_axis)."""
 
     def __init__(self, name: str = "gpool"):
         self.name = name
 
     def _forward(self, x, train):
-        if not train:
-            return x.max(axis=2, keepdims=True), None
-        argmax = x.argmax(axis=2)
-        y = np.take_along_axis(x, argmax[..., None], axis=2)
-        return y, (argmax, x.shape)
+        return x.max(axis=2, keepdims=True), x
 
-    def _backward(self, grad_out, cache):
-        argmax, x_shape = cache
-        dx = np.zeros(x_shape, dtype=grad_out.dtype)
-        np.put_along_axis(dx, argmax[..., None], grad_out, axis=2)
+    def _backward(self, grad_out, x):
+        dx = np.zeros(x.shape, dtype=grad_out.dtype)
+        np.put_along_axis(dx, x.argmax(axis=2)[..., None], grad_out, axis=2)
         return dx
 
 

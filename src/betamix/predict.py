@@ -26,9 +26,13 @@ class Prediction:
     record_id: str
     summary: PredictiveSummary
     components: BetaMixture
-    predicted_class: int
     true_target: float | None = None
     accepted: bool | None = None
+
+    @property
+    def predicted_class(self) -> int:
+        """hard_label of the mixture mean."""
+        return hard_label(self.summary.mean)
 
 
 def decompose_crops(samples: np.ndarray, crop_len: int) -> list[np.ndarray]:
@@ -57,11 +61,10 @@ def predict(model, r: SignalRecord, crop_len: int) -> Prediction:
     """Orient, decompose, forward every crop, and summarize the mixture.
 
     crop_len must be the model's input length (model.spec.input_length).
-    The predicted class is hard_label of the mixture mean. The oriented
-    samples are cut as a plain array: centring can take a record inside
-    the MAX_ABS_SAMPLE bound past it, and the record is validated already.
-    A non-finite network output raises NonFiniteOutputError naming the
-    record.
+    The oriented samples are cut as a plain array: centring can take a
+    record inside the MAX_ABS_SAMPLE bound past it, and the record is
+    validated already. A non-finite network output raises
+    NonFiniteOutputError naming the record.
     """
     windows = decompose_crops(orient_signal(r), crop_len)
     batch = np.stack(windows)[:, None, :]
@@ -71,14 +74,8 @@ def predict(model, r: SignalRecord, crop_len: int) -> Prediction:
             f"record {r.id!r}: the network output (alpha, beta) is not finite")
     mixture = BetaMixture(tuple(
         BetaParams(float(a), float(b)) for a, b in out))
-    summary = mixture_summary(mixture)
-    return Prediction(
-        record_id=r.id,
-        summary=summary,
-        components=mixture,
-        predicted_class=hard_label(summary.mean),
-        true_target=r.target,
-    )
+    return Prediction(record_id=r.id, summary=mixture_summary(mixture),
+                      components=mixture, true_target=r.target)
 
 
 def reject_by_uncertainty(preds: list[Prediction], keep_fraction: float

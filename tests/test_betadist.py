@@ -14,6 +14,7 @@ import pytest
 from betamix.betadist import (
     BetaMixture,
     BetaParams,
+    PredictiveSummary,
     beta_log_pdf,
     beta_moments,
     beta_nll_grad,
@@ -231,6 +232,12 @@ class TestMixtureSummary:
                 for _ in range(int(rng.integers(1, 12))))
             s = mixture_summary(BetaMixture(comps))
             assert s.uncertainty == pytest.approx(4.0 * s.variance, rel=1e-12)
+
+    def test_uncertainty_is_derived_from_variance(self):
+        """uncertainty is 4 * variance bit for bit, clamped to 1 where
+        rounding puts the variance just above 1/4."""
+        assert PredictiveSummary(0.3, 0.1).uncertainty == 4.0 * 0.1
+        assert PredictiveSummary(0.5, 0.25 + 1e-14).uncertainty == 1.0
 
     def test_bounds_sweep(self, rng):
         """uncertainty in [0,1] and variance <= mean(1-mean), everywhere."""

@@ -474,6 +474,23 @@ class TestCheckpointValues:
         assert err.startswith("data error: record 'no0000': the predictive "
                               "density overflows") and err.count("\n") == 1, err
 
+    def test_absurd_concentration_density_is_a_data_error(self, trained,
+                                                          tmp_path, capsys):
+        """Head biases of 1e18 give alpha = beta = 1e18: the grid does not
+        overflow, but its log density is rounding noise (a pdf of 1.0 at
+        t = 0.5, where the true peak is 1.1e9)."""
+        edits = [("head.dense.bias", (0,), 1e18),
+                 ("head.dense.bias", (1,), 1e18)]
+        for argv in self.COMMANDS[:2]:
+            assert self.run_mutated(trained, tmp_path, edits, argv) == 0
+        capsys.readouterr()
+        assert self.run_mutated(trained, tmp_path, edits,
+                                self.COMMANDS[2]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: record 'no0000': a component's "
+                              "alpha or beta exceeds 1e+12") and \
+            err.count("\n") == 1, err
+
     # Entries of every kind: conv weights, a projection bias, batch-norm
     # scale, shift and running statistics, and the head.
     ENTRIES = ("stem.conv.weight", "stem.bn.shift", "stem.bn.running_mean",

@@ -14,19 +14,16 @@ from betamix.metrics import (
     confusion,
     coverage_curve,
     report,
-    report_csv_rows,
 )
 from betamix.predict import Prediction
 from conftest import auroc_pairwise_reference
 
 
 def make_prediction(predicted, true, uncertainty=0.1, accepted=None):
-    summary = PredictiveSummary(mean=float(predicted), variance=uncertainty / 4.0,
-                                uncertainty=uncertainty)
+    summary = PredictiveSummary(mean=float(predicted), variance=uncertainty / 4.0)
     return Prediction(record_id=f"r{id(summary) % 9999}", summary=summary,
                       components=BetaMixture((BetaParams(1.0, 1.0),)),
-                      predicted_class=predicted, true_target=true,
-                      accepted=accepted)
+                      true_target=true, accepted=accepted)
 
 
 def rational_report(tp, fp, fn, tn):
@@ -82,8 +79,7 @@ class TestConfusion:
     def test_missing_target_rejected(self):
         pred = make_prediction(1, 1.0)
         broken = Prediction(record_id="x", summary=pred.summary,
-                            components=pred.components, predicted_class=1,
-                            true_target=None)
+                            components=pred.components, true_target=None)
         with pytest.raises(UsageError):
             confusion([broken])
 
@@ -242,11 +238,3 @@ class TestAurocUncertainty:
         with pytest.raises(UsageError):
             auroc_uncertainty([make_prediction(1, None)])
 
-
-class TestCsvExport:
-    def test_layout(self):
-        rep = report(ConfusionCounts(tp=17, fp=3, fn=4, tn=76))
-        rows = report_csv_rows(rep)
-        assert [r[0] for r in rows] == ["A", "NO", "Overall"]
-        assert all(len(r) == 4 for r in rows)
-        assert float(rows[0][1]) == pytest.approx(0.85)

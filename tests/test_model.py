@@ -358,16 +358,29 @@ class TestLossAndGrads:
 
 
 class TestTrain:
-    def test_lr_zero_keeps_loss_and_params_constant(self):
+    def test_lr_zero_keeps_params_and_draws_fresh_crops(self):
+        """At learning rate 0 no parameter moves, yet each epoch's loss
+        differs: every epoch draws fresh crops from the run's one
+        generator."""
         ds = tiny_dataset()
         config = tiny_config(learning_rate=0.0, epochs=3)
         model = build_model("tiny", config.seed)
         before = [p.value.copy() for p in model.params()]
         log = train(model, ds, config)
         losses = [e.train_loss for e in log.epochs]
-        assert losses == pytest.approx([losses[0]] * len(losses), rel=1e-12)
+        assert len(set(losses)) == len(losses), losses
         for p, b in zip(model.params(), before):
             np.testing.assert_array_equal(p.value, b)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 5.0), ("epochs", -2), ("seed", -1)])
+    def test_invalid_config_is_usage_error(self, field, value):
+        """train validates the config it is given, so a value no config
+        file may hold fails as a usage error before any step."""
+        config = tiny_config()
+        setattr(config, field, value)
+        with pytest.raises(UsageError):
+            train(build_model("tiny", 0), tiny_dataset(), config)
 
     def test_fixed_seed_reproduces_loss_trace(self):
         ds = tiny_dataset()

@@ -623,9 +623,8 @@ class TestGlobalMaxPool:
                 assert y[b, c, 0] == expected
 
     def test_infer_output_bytes_equal_train(self, rng):
-        """Infer mode takes x.max alone, with no argmax; its output equals
-        the train path's gather at the argmax byte for byte, ties and NaN
-        included, and it keeps no cache."""
+        """Both modes run one forward, so their outputs are equal byte for
+        byte, ties and NaN included; infer mode keeps no cache."""
         layer = GlobalMaxPool()
         x = rng.normal(size=(3, 4, 21)).astype(np.float32)
         x[0, 1, [4, 9]] = 5.0

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,11 +32,11 @@ def record_of_length(n, record_id="r", target=0.0):
 
 
 def fake_prediction(record_id, uncertainty, predicted=0, true=0.0):
-    summary = PredictiveSummary(mean=0.2, variance=uncertainty / 4.0,
-                                uncertainty=uncertainty)
+    summary = PredictiveSummary(mean=0.8 if predicted else 0.2,
+                                variance=uncertainty / 4.0)
     return Prediction(record_id=record_id, summary=summary,
                       components=BetaMixture((BetaParams(1.0, 1.0),)),
-                      predicted_class=predicted, true_target=true)
+                      true_target=true)
 
 
 class TestDecomposeCrops:
@@ -130,6 +131,24 @@ class TestPredict:
                 layers.append(node)
         assert len(layers) == 21
         assert [l.name for l in layers if l._cache is not None] == []
+
+
+class TestPredictedClass:
+    def test_is_hard_label_of_the_mean(self):
+        """A mean of exactly 0.5 gives class 1; one just below gives 0."""
+        pred = fake_prediction("p", 0.1)
+        at_cut = replace(pred, summary=PredictiveSummary(0.5, 0.01))
+        below = replace(pred, summary=PredictiveSummary(
+            math.nextafter(0.5, 0.0), 0.01))
+        assert (at_cut.predicted_class, below.predicted_class) == (1, 0)
+
+    def test_cannot_be_set_against_the_mean(self):
+        """The class is derived from the mean, so no prediction can hold
+        a class its mean contradicts."""
+        with pytest.raises(TypeError):
+            Prediction(record_id="p", summary=PredictiveSummary(0.2, 0.01),
+                       components=BetaMixture((BetaParams(1.0, 1.0),)),
+                       predicted_class=1)
 
 
 class TestRejectByUncertainty:
