@@ -138,6 +138,10 @@ class ManifestEntry:
 
 @dataclass
 class DatasetManifest:
+    """A dataset's entries and the seed that split them. `write_dataset`
+    writes the seed as a comment, a note for people that `load_dataset`
+    does not read, so a loaded manifest's seed is None."""
+
     entries: list[ManifestEntry]
     seed: int | None = None
 
@@ -306,44 +310,29 @@ def _inside_dataset(rel_path: str) -> bool:
 
 def load_dataset(manifest_path) -> Dataset:
     """Parse a UTF-8 manifest and every record it references, validating
-    both."""
+    both. Lines starting with "#" and blank lines are skipped unread."""
     manifest_path = Path(manifest_path)
-    seed = None
-    rows = []
     with open_input(manifest_path, "manifest", mode="r", newline="") as fh:
         try:
-            raw_lines = fh.readlines()
+            lines = [line for line in fh if not line.startswith("#")]
         except UnicodeDecodeError as exc:
             raise DataError(
                 f"{manifest_path}: not UTF-8 text ({exc.reason})") from exc
-        lines = []
-        for raw in raw_lines:
-            if raw.startswith("#"):
-                stripped = raw[1:].strip()
-                if stripped.startswith("split_seed="):
-                    try:
-                        seed = int(stripped.split("=", 1)[1])
-                    except ValueError as exc:
-                        raise DataError(
-                            f"{manifest_path}: bad split_seed comment") from exc
-                continue
-            lines.append(raw)
-        reader = csv.reader(lines)
-        header = next(reader, None)
-        if header != ["id", "path", "target", "split"]:
-            raise DataError(
-                f"{manifest_path}: expected header id,path,target,split, got {header}"
-            )
-        for row in reader:
-            if len(row) != 4:
-                raise DataError(f"{manifest_path}: malformed row {row!r}")
-            rows.append(row)
-    if not rows:
+    rows = [row for row in csv.reader(lines) if row]
+    header = rows[0] if rows else None
+    if header != ["id", "path", "target", "split"]:
+        raise DataError(
+            f"{manifest_path}: expected header id,path,target,split, got {header}"
+        )
+    if len(rows) == 1:
         raise UsageError(f"{manifest_path}: no records in manifest")
     entries = []
     records = []
     seen = set()
-    for rec_id, rel_path, target_s, split in rows:
+    for row in rows[1:]:
+        if len(row) != 4:
+            raise DataError(f"{manifest_path}: malformed row {row!r}")
+        rec_id, rel_path, target_s, split = row
         if rec_id in seen:
             raise DataError(f"{manifest_path}: duplicate record id {rec_id!r}")
         seen.add(rec_id)
@@ -363,7 +352,7 @@ def load_dataset(manifest_path) -> Dataset:
                             f"{rec_id!r} leaves the dataset directory")
         entries.append(ManifestEntry(rec_id, rel_path, split))
         records.append(read_record(manifest_path.parent / rel_path, rec_id, target))
-    return Dataset(records, DatasetManifest(entries, seed))
+    return Dataset(records, DatasetManifest(entries))
 
 
 # -- signal operations -------------------------------------------------------
@@ -482,12 +471,10 @@ def sample_changepoint_segments(r: SignalRecord, crop_len: int, n: int,
     changepoint placed at a uniformly random position inside the window,
     clamped so the window stays within the record.
     """
-    if r.rhythm is None or not r.rhythm.changepoints:
-        raise UsageError(f"record {r.id!r} has no changepoints to sample around")
-    if len(r) < crop_len:
-        raise UsageError(
-            f"record {r.id!r} of length {len(r)} is shorter than crop {crop_len}"
-        )
+    if not has_changepoint_crops(r, crop_len):
+        raise UsageError(f"record {r.id!r} has no changepoint crops: they need "
+                         f"rhythm changepoints and at least {crop_len} "
+                         f"samples (it has {len(r)})")
     cps = [idx for idx, _ in r.rhythm.changepoints]
     out = []
     for _ in range(n):

@@ -459,8 +459,12 @@ def load_checkpoint(path) -> Model:
 
     A file that cannot be opened, or whose header or tensors do not
     describe a complete, finite model with non-negative batch-norm running
-    variances, raises a CheckpointError; a format version other than
-    CHECKPOINT_VERSION raises UnsupportedVersionError.
+    variances and each entry once, raises a CheckpointError; a format
+    version other than CHECKPOINT_VERSION raises UnsupportedVersionError.
+
+    Adam's moments are not saved, so the header's step count, like its
+    config echo, is a record of the run: the loaded model's optimizer
+    starts at step 0.
     """
     with open_input(path, "checkpoint file", CheckpointError) as fh:
         magic = fh.read(4)
@@ -491,7 +495,6 @@ def load_checkpoint(path) -> Model:
                 if float(meta[key]) != value:
                     raise ValueError(f"{key} {meta[key]!r} is not {value}")
             model = Model(spec, seed=0)
-            step_count = int(meta["step_count"])
         except (KeyError, TypeError, ValueError, OverflowError,
                 RecursionError) as exc:
             raise CorruptCheckpointError(
@@ -514,6 +517,9 @@ def load_checkpoint(path) -> Model:
                     f"checkpoint entry {name!r} does not exist in architecture "
                     f"{spec.preset_name!r}"
                 )
+            if name in seen:
+                raise CorruptCheckpointError(
+                    f"{path}: entry {name!r} is repeated")
             if not np.isfinite(arr).all():
                 raise CorruptCheckpointError(
                     f"{path}: entry {name!r} holds NaN or inf")
@@ -537,5 +543,4 @@ def load_checkpoint(path) -> Model:
                 if len(missing) > 4 else
                 f"checkpoint is missing entries: {sorted(missing)}"
             )
-    model.adam.step_count = step_count
     return model

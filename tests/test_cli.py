@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from betamix.cli import main
+from betamix.betadist import BetaParams, beta_log_pdf
+from betamix.cli import DENSITY_GRID_EPS, DENSITY_MAX_CONCENTRATION, main
 from betamix.model import load_checkpoint, save_checkpoint
 from conftest import rewrite_checkpoint_header
 
@@ -204,7 +205,8 @@ class TestPredict:
         "header_stem_kernel_0": lambda m: {
             **m, "spec": {**m["spec"], "stem": [0, *m["spec"]["stem"][1:]]}},
         "header_not_object": lambda m: [m],
-        "header_step_count_inf": lambda m: {**m, "step_count": float("inf")},
+        # float() of a 400-digit integer raises OverflowError.
+        "header_bn_eps_10**400": lambda m: {**m, "bn_eps": 10**400},
         "header_bn_eps_-1": lambda m: {**m, "bn_eps": -1.0},
         "header_bn_eps_1e-3": lambda m: {**m, "bn_eps": 1e-3},
         "header_stem_channels_2**40": lambda m: {
@@ -463,7 +465,8 @@ class TestCheckpointValues:
                                                  capsys):
         """Head biases of 1e30 give alpha = beta = 1e30: the moments are
         finite, but on the default 2001-point grid the log density's
-        rounding overflows exp."""
+        rounding would overflow exp. The concentration bound refuses the
+        record before the grid is built."""
         edits = [("head.dense.bias", (0,), 1e30),
                  ("head.dense.bias", (1,), 1e30)]
         for argv in self.COMMANDS[:2]:
@@ -471,8 +474,28 @@ class TestCheckpointValues:
         assert self.run_mutated(trained, tmp_path, edits,
                                 ["density", "--id", "no0000"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: record 'no0000': the predictive "
-                              "density overflows") and err.count("\n") == 1, err
+        assert err.startswith("data error: record 'no0000': a component's "
+                              "alpha or beta exceeds 1e+12") and \
+            err.count("\n") == 1, err
+
+    def test_density_within_the_bound_cannot_overflow(self):
+        """Alpha and beta log-spaced over [1e-6, DENSITY_MAX_CONCENTRATION]:
+        a beta density on [eps, 1 - eps] peaks at its mode or at an end, and
+        the largest log density there is about 17, far below exp's overflow
+        at 709.8. A mixture's density is a mean of these, so a grid that
+        passes the concentration check cannot overflow."""
+        eps = DENSITY_GRID_EPS
+        values = np.logspace(-6, math.log10(DENSITY_MAX_CONCENTRATION), 37)
+        largest = -math.inf
+        for alpha in values:
+            for beta in values:
+                p = BetaParams(float(alpha), float(beta))
+                ts = [eps, 0.5, 1.0 - eps]
+                if alpha > 1.0 and beta > 1.0:
+                    mode = (alpha - 1.0) / (alpha + beta - 2.0)
+                    ts.append(min(max(float(mode), eps), 1.0 - eps))
+                largest = max(largest, *(beta_log_pdf(t, p) for t in ts))
+        assert largest < 20.0, largest
 
     def test_absurd_concentration_density_is_a_data_error(self, trained,
                                                           tmp_path, capsys):

@@ -113,12 +113,35 @@ class TestDatasetIO:
         records = synth_generate(3, crop_budget_s=10.0, seed=8)
         manifest = split_dataset(records, 0.8, seed=8)
         write_dataset(records, manifest, tmp_path)
+        text = (tmp_path / "manifest.csv").read_text(encoding="utf-8")
+        assert text.startswith("# split_seed=8\n")
         loaded = load_dataset(tmp_path / "manifest.csv")
         assert [e.id for e in loaded.manifest.entries] == [r.id for r in records]
-        assert loaded.manifest.seed == 8
+        # The comment is a note for people; no comment is parsed.
+        assert loaded.manifest.seed is None
         for original, reread in zip(records, loaded.records, strict=True):
             np.testing.assert_array_equal(original.samples, reread.samples)
             assert reread.target == original.target
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        """A hand-edited seed comment, an extra comment and a trailing blank
+        line, as editors leave, load equal to the plain manifest; the
+        edited comment once exited 2 as a bad split_seed comment, and the
+        blank line as a malformed row."""
+        records = synth_generate(3, crop_budget_s=10.0, seed=8)
+        write_dataset(records, split_dataset(records, 0.8, seed=8), tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        plain = load_dataset(manifest)
+        rows = manifest.read_text(encoding="utf-8").split("\n", 1)[1]
+        manifest.write_text(
+            "# split_seed=0 (regenerated by hand)\n# checked by eye\n"
+            + rows + "\n", encoding="utf-8")
+        edited = load_dataset(manifest)
+        assert edited.manifest == plain.manifest
+        assert [r.id for r in edited.records] == [r.id for r in plain.records]
+        for a, b in zip(plain.records, edited.records, strict=True):
+            np.testing.assert_array_equal(a.samples, b.samples)
+            assert (a.target, a.rhythm) == (b.target, b.rhythm)
 
     def test_known_lengths_preserved(self, tmp_path):
         records = [spike_record("a", n=333), spike_record("b", n=555, target=1.0),

@@ -471,13 +471,67 @@ class TestCheckpoint:
         np.testing.assert_array_equal(model.forward(x), loaded.forward(x))
 
     def test_metadata_round_trip(self, tmp_path):
+        """The header's step count is a record of the run: Adam's moments
+        are not saved, so the loaded optimizer starts at step 0."""
         model = build_model("tiny", seed=9)
         model.adam.step_count = 321
         path = tmp_path / "model.bgc"
         save_checkpoint(model, path, config_echo={"note": "x"})
         loaded = load_checkpoint(path)
         assert loaded.spec == model.spec
-        assert loaded.adam.step_count == 321
+        assert loaded.adam.step_count == 0
+
+    def test_first_adam_step_after_load_moves_by_learning_rate(self, tmp_path):
+        """A loaded model's first Adam step is a fresh optimizer's: each
+        weight with a non-negligible gradient moves by the learning rate.
+        Restoring the saved step count without the moments moved them by
+        0.58 x the learning rate after 3 saved steps."""
+        model = build_model("tiny", seed=9)
+        rng = np.random.default_rng(0)
+        crops = rng.normal(size=(4, 1, 256)).astype(np.float32)
+        targets = [0.0, 1.0, 0.0, 1.0]
+        for _ in range(3):
+            loss_and_grads(model, crops, targets, 0.01)
+            adam_step(model.params(), model.adam)
+        path = tmp_path / "model.bgc"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        loaded.adam.learning_rate = 1e-3
+        loss_and_grads(loaded, crops, targets, 0.01)
+        params = loaded.params()
+        grads = [p.grad.copy() for p in params]
+        before = [p.value.copy() for p in params]
+        adam_step(params, loaded.adam)
+        moved = 0
+        for p, g, w in zip(params, grads, before, strict=True):
+            # Adam's epsilon of 1e-8 shrinks a step by under 1e-3 above 1e-5.
+            big = np.abs(g) > 1e-5
+            step = np.abs(p.value.astype(np.float64) - w)[big]
+            np.testing.assert_allclose(step, 1e-3, rtol=1e-3)
+            moved += step.size
+        assert moved > 100
+
+    def test_repeated_entry_is_corrupt(self, tmp_path):
+        """A checkpoint holding its first entry twice (with the entry count
+        raised to match) is refused naming the entry; the later copy once
+        silently won."""
+        model = build_model("tiny", seed=9)
+        path = tmp_path / "model.bgc"
+        save_checkpoint(model, path)
+        data = bytearray(path.read_bytes())
+        (meta_len,) = struct.unpack_from("<I", data, 8)
+        count_at = 12 + meta_len
+        (count,) = struct.unpack_from("<I", data, count_at)
+        first = count_at + 4
+        (name_len,) = struct.unpack_from("<I", data, first)
+        (rank,) = struct.unpack_from("<I", data, first + 4 + name_len)
+        dims = struct.unpack_from(f"<{rank}I", data, first + 8 + name_len)
+        end = first + 8 + name_len + 4 * rank + 4 * math.prod(dims)
+        struct.pack_into("<I", data, count_at, count + 1)
+        path.write_bytes(bytes(data + data[first:end]))
+        with pytest.raises(CorruptCheckpointError,
+                           match="'stem.conv.weight' is repeated"):
+            load_checkpoint(path)
 
     def test_truncated_file_is_corrupt(self, tmp_path):
         model = build_model("tiny", seed=9)
