@@ -89,9 +89,12 @@ def ln_beta_fn(alpha: float, beta: float) -> float:
     the remaining Stirling terms are combined so the large (x ln x)-scale
     contributions cancel algebraically instead of numerically.
     """
-    a = _require_positive_finite(alpha, "alpha")
-    b = _require_positive_finite(beta, "beta")
+    return _ln_beta(_require_positive_finite(alpha, "alpha"),
+                    _require_positive_finite(beta, "beta"))
 
+
+def _ln_beta(a: float, b: float) -> float:
+    """ln_beta_fn for floats already known to be positive and finite."""
     shift = 0.0
     while a < _ASYMPTOTIC_MIN:
         # ln B(a,b) = ln B(a+1,b) + ln(a+b) - ln(a)
@@ -120,7 +123,11 @@ def digamma(x: float) -> float:
     Upward recurrence psi(x+1) = psi(x) + 1/x lifts the argument above 10,
     then the asymptotic expansion finishes the job.
     """
-    x = _require_positive_finite(x, "x")
+    return _digamma(_require_positive_finite(x, "x"))
+
+
+def _digamma(x: float) -> float:
+    """digamma for a float already known to be positive and finite."""
     acc = 0.0
     while x < _ASYMPTOTIC_MIN:
         acc -= 1.0 / x

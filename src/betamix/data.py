@@ -8,7 +8,8 @@ file per recording. The record format is little-endian throughout:
     per changepoint: u64 sample index + u8 tag (0 normal, 1 AF)
 
 A changepoint's tag applies from its index onward; the leading byte tags
-the stretch before the first changepoint.
+the stretch before the first changepoint. The file ends at its last
+changepoint.
 
 The synthetic generator stands in for clinical data: regular spike trains
 with a pre-spike bump for the normal class, irregular gamma-distributed
@@ -83,7 +84,8 @@ class SignalRecord:
         self.samples = np.ascontiguousarray(self.samples, dtype=np.float32)
         if self.samples.size == 0:
             raise ValueError(f"record {self.id!r}: samples are empty")
-        peak = np.abs(self.samples).max()
+        # A NaN makes both extremes NaN, so the peak is NaN too.
+        peak = max(-self.samples.min(), self.samples.max())
         if not np.isfinite(peak):
             raise ValueError(f"record {self.id!r}: samples hold NaN or inf")
         if peak > MAX_ABS_SAMPLE:
@@ -215,12 +217,13 @@ def open_input(path, what: str, error: type[DataError] = DataError, *,
 
 
 class BinaryReader:
-    """Little-endian fields from an open binary file, for the record and
-    checkpoint formats.
+    """Little-endian fields from an open binary file, for the checkpoint
+    format.
 
     Every declared length is checked against the bytes left in the file
     before it is read, because fh.read(n) allocates n bytes up front: a
     corrupt length field raises `error` instead of exhausting memory.
+    `end` checks that nothing follows the last field.
     """
 
     def __init__(self, fh, error: type[DataError]):
@@ -249,27 +252,53 @@ class BinaryReader:
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
+    def end(self, what: str) -> None:
+        """Raise `error` unless the file ends here, after what."""
+        if self._left:
+            raise self._error(
+                f"{self._fh.name}: {self._left} trailing bytes after {what}")
+
+
+# The fixed fields before a record's samples (magic, version, sampling
+# rate, sample count), the two after them (initial tag, changepoint
+# count) and one changepoint (index, tag).
+_RECORD_HEAD = struct.Struct("<4sIdQ")
+_RECORD_TAIL = struct.Struct("<BI")
+_CHANGEPOINT = struct.Struct("<QB")
+
 
 def read_record(path, record_id: str, target: float) -> SignalRecord:
+    """Read one record file. The file must end at its last changepoint:
+    a file too short for the counts its fields declare, or with bytes
+    after its last field, raises DataError, as does a bad magic, version
+    or field value. The declared sample count is checked against the file
+    size before the samples are allocated."""
     with open_input(path, "record file") as fh:
-        magic = fh.read(4)
-        if magic != RECORD_MAGIC:
-            raise DataError(f"{path}: malformed header (magic {magic!r})")
-        reader = BinaryReader(fh, DataError)
-        (version,) = reader.unpack("<I", "version")
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_RECORD_HEAD.size)
+        if head[:4] != RECORD_MAGIC:
+            raise DataError(f"{path}: malformed header (magic {head[:4]!r})")
+        if len(head) < _RECORD_HEAD.size:
+            raise DataError(f"{path}: truncated while reading header")
+        _, version, rate, count = _RECORD_HEAD.unpack(head)
         if version != RECORD_VERSION:
             raise DataError(f"{path}: unsupported record version {version}")
-        (rate,) = reader.unpack("<d", "sampling rate")
-        (count,) = reader.unpack("<Q", "sample count")
-        samples = reader.read_f32(count, "samples")
-        (initial_tag,) = reader.unpack("<B", "initial tag")
-        (n_cp,) = reader.unpack("<I", "changepoint count")
-        cps = []
-        for _ in range(n_cp):
-            idx, tag = reader.unpack("<QB", "changepoint")
-            cps.append((int(idx), int(tag)))
+        # The bytes left for the changepoints once the samples and the
+        # tail are read.
+        cp_bytes = size - _RECORD_HEAD.size - 4 * count - _RECORD_TAIL.size
+        if cp_bytes < 0:
+            raise DataError(f"{path}: truncated before the changepoint count "
+                            f"({count} samples declared)")
+        samples = np.empty(count, dtype="<f4")
+        fh.readinto(samples)
+        initial_tag, n_cp = _RECORD_TAIL.unpack(fh.read(_RECORD_TAIL.size))
+        if cp_bytes != n_cp * _CHANGEPOINT.size:
+            fault = ("truncated while reading" if cp_bytes < n_cp * _CHANGEPOINT.size
+                     else "trailing bytes after")
+            raise DataError(f"{path}: {fault} {n_cp} changepoints")
+        cps = tuple(_CHANGEPOINT.iter_unpack(fh.read(cp_bytes)))
     try:
-        rhythm = RhythmAnnotation(int(initial_tag), tuple(cps))
+        rhythm = RhythmAnnotation(initial_tag, cps)
         return SignalRecord(record_id, rate, samples, target, rhythm)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -318,7 +347,10 @@ def load_dataset(manifest_path) -> Dataset:
         except UnicodeDecodeError as exc:
             raise DataError(
                 f"{manifest_path}: not UTF-8 text ({exc.reason})") from exc
-    rows = [row for row in csv.reader(lines) if row]
+    try:
+        rows = [row for row in csv.reader(lines) if row]
+    except csv.Error as exc:
+        raise DataError(f"{manifest_path}: {exc}") from exc
     header = rows[0] if rows else None
     if header != ["id", "path", "target", "split"]:
         raise DataError(

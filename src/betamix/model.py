@@ -35,8 +35,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import predict as predict_mod
-from .betadist import (BetaParams, beta_log_pdf, beta_nll_grad, clip_label,
-                       hard_label)
+from .betadist import BetaParams, _digamma, _ln_beta, clip_label, hard_label
 from .data import (AugmentConfig, BinaryReader, has_changepoint_crops,
                    open_input, sample_changepoint_batch, sample_crop_batch)
 from .errors import (
@@ -59,6 +58,7 @@ from .nn import (
     ReLU,
     Softplus,
     adam_step,
+    pack_params,
     DEFAULT_DTYPE,
 )
 
@@ -229,6 +229,9 @@ class Model:
         ]
         self.head = [self.head_dense, self.head_softplus]
 
+        # One flat buffer per role behind every Param, so an Adam step is
+        # one pass per role over the whole model.
+        pack_params(self.params())
         self.adam = AdamState()
 
     # -- structure walking -------------------------------------------------
@@ -311,16 +314,27 @@ def loss_and_grads(model: Model, crops: np.ndarray, targets, label_eps: float) -
         )
     out = model.forward(crops, train=True)
     batch = out.shape[0]
+    rows = out.tolist()
+    # The head's output is checked once for the whole batch; a bad value
+    # raises the ValueError BetaParams gives for the first one.
+    if not (np.isfinite(out).all() and (out > 0).all()):
+        for alpha, beta in rows:
+            BetaParams(alpha, beta)
+    # Per crop, the scalar float64 operations of beta_log_pdf and
+    # beta_nll_grad, unvalidated: each (alpha, beta) is positive and
+    # finite, and clip_label puts each target strictly inside (0, 1).
     nll_sum = 0.0
-    grad = np.empty((batch, 2), dtype=np.float64)
-    for i in range(batch):
-        p = BetaParams(float(out[i, 0]), float(out[i, 1]))
-        t = clip_label(float(targets[i]), label_eps)
-        nll_sum += -beta_log_pdf(t, p)
-        d_alpha, d_beta = beta_nll_grad(t, p)
-        grad[i, 0] = d_alpha / batch
-        grad[i, 1] = d_beta / batch
-    model.backward(grad.astype(model.dtype))
+    grad = []
+    for (alpha, beta), t in zip(rows, targets.tolist()):
+        t = clip_label(t, label_eps)
+        log_t = math.log(t)
+        log_1mt = math.log1p(-t)
+        nll_sum += -((alpha - 1.0) * log_t + (beta - 1.0) * log_1mt
+                     - _ln_beta(alpha, beta))
+        psi_sum = _digamma(alpha + beta)
+        grad.append(((_digamma(alpha) - psi_sum - log_t) / batch,
+                     (_digamma(beta) - psi_sum - log_1mt) / batch))
+    model.backward(np.array(grad, dtype=model.dtype))
     return nll_sum / batch
 
 
@@ -536,6 +550,7 @@ def load_checkpoint(path) -> Model:
                 )
             dest[...] = arr
             seen.add(name)
+        reader.end("the last entry")
         missing = set(targets) - seen
         if missing:
             raise CorruptCheckpointError(

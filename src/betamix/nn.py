@@ -7,6 +7,11 @@ Adam update. Each layer supports only the shapes the network builds.
 Storage is float32 throughout; every layer accepts a dtype override so
 tests can run a float64 shadow copy for tight gradient checks.
 
+Parameters live in one flat buffer per role: a model packs every Param's
+value, gradient and two Adam moments into four contiguous arrays
+(pack_params), and each Param's arrays are views into them, so an Adam
+step is one pass per role over the whole model instead of one per array.
+
 The network uses one value of each layer constant, so the constants are
 fixed here beside their layers rather than passed in: Adam's moment
 decays and epsilon (ADAM_BETA1, ADAM_BETA2, ADAM_EPS), the batch-norm
@@ -62,20 +67,61 @@ DEFAULT_DTYPE = np.float32
 DEBUG_FINITE_CHECKS = False
 
 
-class Param:
-    """A trainable tensor with its gradient and Adam moment buffers."""
+class FlatParams:
+    """The storage behind one or more Params: one contiguous 1-D buffer
+    per role (value, grad, adam_m, adam_v), the Params' arrays being
+    consecutive views into them, and the number of Params it holds."""
 
-    __slots__ = ("name", "value", "grad", "adam_m", "adam_v")
+    __slots__ = ("value", "grad", "adam_m", "adam_v", "count")
+
+    def __init__(self, value, grad, adam_m, adam_v, count: int):
+        self.value, self.grad, self.adam_m, self.adam_v = value, grad, adam_m, adam_v
+        self.count = count
+
+
+class Param:
+    """A trainable tensor with its gradient and Adam moment buffers.
+
+    Parameters live in flat buffers: the four arrays are views into the
+    FlatParams in self.flat, one contiguous buffer per role. A new Param
+    is its own one-array FlatParams; pack_params moves a model's Params
+    into one shared FlatParams, so that adam_step updates them all with
+    one pass per role. Other code writes the arrays in place and never
+    rebinds them."""
+
+    __slots__ = ("name", "flat", "value", "grad", "adam_m", "adam_v")
 
     def __init__(self, value: np.ndarray, name: str = ""):
         self.name = name
         self.value = np.ascontiguousarray(value)
-        self.grad = np.zeros_like(self.value)
-        self.adam_m = np.zeros_like(self.value)
-        self.adam_v = np.zeros_like(self.value)
+        shape, dtype = self.value.shape, self.value.dtype
+        self.grad = np.zeros(shape, dtype)
+        self.adam_m = np.zeros(shape, dtype)
+        self.adam_v = np.zeros(shape, dtype)
+        self.flat = FlatParams(self.value.reshape(-1), self.grad.reshape(-1),
+                               self.adam_m.reshape(-1), self.adam_v.reshape(-1), 1)
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0
+
+def pack_params(params: list[Param]) -> FlatParams:
+    """Move freshly built params into one FlatParams: their values are
+    copied, in list order, into one contiguous buffer, the gradients and
+    Adam moments start at zero, and each Param's arrays become views into
+    the four buffers (names, shapes and values unchanged). Every Param
+    must have the same dtype."""
+    value = np.concatenate([p.value.reshape(-1) for p in params])
+    flat = FlatParams(value, *(np.zeros(value.shape, value.dtype) for _ in range(3)),
+                      len(params))
+    offset = 0
+    for p in params:
+        shape = p.value.shape
+        end = offset + p.value.size
+        p.flat = flat
+        p.value = flat.value[offset:end].reshape(shape)
+        p.grad = flat.grad[offset:end].reshape(shape)
+        p.adam_m = flat.adam_m[offset:end].reshape(shape)
+        p.adam_v = flat.adam_v[offset:end].reshape(shape)
+        offset = end
+    return flat
 
 
 # Adam's moment decay rates and denominator epsilon (Kingma & Ba 2015).
@@ -104,22 +150,31 @@ def xavier_init(shape, fan_in: int, fan_out: int, rng: np.random.Generator,
 def adam_step(params: list[Param], state: AdamState) -> None:
     """One Adam update with bias correction over all params, then zero grads.
 
-    The step counter advances exactly once per call regardless of how many
-    parameters the model has.
+    The update runs once per flat buffer, not once per array: over each
+    FlatParams behind params, its moments, values and gradients are
+    updated by the same elementwise expressions, so every element takes
+    the bits it would take alone. params must hold every Param of each
+    FlatParams it reaches, once (a model's params() does); otherwise
+    ValueError, before anything moves. The step counter advances exactly
+    once per call regardless of how many parameters the model has.
     """
+    flats = list({id(p.flat): p.flat for p in params}.values())
+    if sum(flat.count for flat in flats) != len(params):
+        raise ValueError("adam_step needs every Param of each flat buffer "
+                         "it updates, each once")
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1.0 - b1 ** t
     correction2 = 1.0 - b2 ** t
-    for p in params:
-        g = p.grad
-        p.adam_m[...] = b1 * p.adam_m + (1.0 - b1) * g
-        p.adam_v[...] = b2 * p.adam_v + (1.0 - b2) * (g * g)
-        m_hat = p.adam_m / correction1
-        v_hat = p.adam_v / correction2
-        p.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        p.zero_grad()
+    for flat in flats:
+        g = flat.grad
+        flat.adam_m[...] = b1 * flat.adam_m + (1.0 - b1) * g
+        flat.adam_v[...] = b2 * flat.adam_v + (1.0 - b2) * (g * g)
+        m_hat = flat.adam_m / correction1
+        v_hat = flat.adam_v / correction2
+        flat.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        g[...] = 0
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -425,13 +480,13 @@ class ReLU(Layer):
 
 class MaxPool1D(Layer):
     """Max pooling over non-overlapping windows (the stride is the window
-    size); a trailing remainder shorter than a window is dropped. The
-    gradient flows to the first max of each window; a NaN in a window makes
-    its output NaN."""
+    size, at most 256); a trailing remainder shorter than a window is
+    dropped. The gradient flows to the first max of each window; a NaN in
+    a window makes its output NaN."""
 
     def __init__(self, size: int, name: str = "pool"):
-        if size < 1:
-            raise ValueError("size must be >= 1")
+        if not 1 <= size <= 256:
+            raise ValueError("size must be in [1, 256]")
         self.size = size
         self.name = name
 
@@ -444,13 +499,18 @@ class MaxPool1D(Layer):
         out_len = length // self.size
         windows = x[:, :, :out_len * self.size].reshape(b, c, out_len, self.size)
         # A running maximum over the window positions; a position wins only
-        # when strictly greater, so a tie keeps the first max.
+        # when strictly greater, so a tie keeps the first max. In training
+        # the argmax (uint8, hence the size bound) is taken from the
+        # comparison itself: tap 1's comparison is the argmax so far, and
+        # each later tap selects its index where it wins.
         y = windows[..., 0].copy()
-        argmax = np.zeros((b, c, out_len), dtype=np.intp) if train else None
+        argmax = (np.zeros(y.shape, dtype=np.uint8) if train and self.size == 1
+                  else None)
         for j in range(1, self.size):
             column = windows[..., j]
             if train:
-                np.copyto(argmax, j, where=column > y)
+                wins = column > y
+                argmax = wins.view(np.uint8) if j == 1 else np.where(wins, j, argmax)
             np.maximum(y, column, out=y)
         return y, ((argmax[..., None], length) if train else None)
 

@@ -1,8 +1,9 @@
 """Shared test oracles: quadrature, finite differences, peak detection,
 the per-crop training sampler, the batch-norm and max-pool layers in their
-textbook forms, a residual block's infer forward layer by layer, AUROC by
-counting pairs, plus a checkpoint header rewriter for hostile-file tests
-and a walker that reads a model's spatial size after each stage.
+textbook forms, Adam one array at a time, a residual block's infer
+forward layer by layer, AUROC by counting pairs, plus a checkpoint header
+rewriter for hostile-file tests and a walker that reads a model's spatial
+size after each stage.
 
 Every oracle here is deliberately independent of the library's own code
 paths (naive loops and textbook formulas only), so a test failure points
@@ -228,6 +229,45 @@ def maxpool_argmax_reference(x, size, grad_out):
     dx = np.zeros(x.shape, dtype=grad_out.dtype)
     dx[:, :, :out_len * size] = dwin.reshape(b, c, out_len * size)
     return y, dx
+
+
+def maxpool_first_max_reference(x, size, grad_out):
+    """Non-overlapping max pooling by a Python loop over every window:
+    returns (y, input gradient). Each output is the window's running
+    np.maximum, taken one scalar at a time; the gradient goes to the first
+    position strictly greater than everything before it in the window,
+    and the dropped remainder gets none."""
+    b, c, length = x.shape
+    out_len = length // size
+    y = np.zeros((b, c, out_len), dtype=x.dtype)
+    dx = np.zeros(x.shape, dtype=grad_out.dtype)
+    for i in range(b):
+        for ch in range(c):
+            for o in range(out_len):
+                best, first = x[i, ch, o * size], 0
+                for j in range(1, size):
+                    v = x[i, ch, o * size + j]
+                    if v > best:
+                        first = j
+                    best = np.maximum(best, v)
+                y[i, ch, o] = best
+                dx[i, ch, o * size + first] = grad_out[i, ch, o]
+    return y, dx
+
+
+def adam_per_array_reference(groups, learning_rate, t):
+    """Adam step t (Kingma & Ba 2015) in place on each (value, grad,
+    adam_m, adam_v) group of separate arrays, one group after another,
+    with the moment decays 0.9 and 0.999 and epsilon 1e-8; each grad is
+    zeroed after its update."""
+    b1, b2 = 0.9, 0.999
+    for value, grad, m, v in groups:
+        m[...] = b1 * m + (1.0 - b1) * grad
+        v[...] = b2 * v + (1.0 - b2) * (grad * grad)
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        value -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        grad[...] = 0
 
 
 def residual_block_infer_reference(block, x, eps):

@@ -223,6 +223,7 @@ class TestPredict:
         "model_is_directory", "record_is_directory", "nan_sample",
         "sample_3e38", "nan_weight", "manifest_not_utf8",
         "manifest_path_parent", "manifest_path_absolute",
+        "manifest_field_200000", "model_twice", "record_trailing_garbage",
         "header_nested_100000", *HEADER_EDITS, *CHECKPOINT_REFUSALS])
     def test_hostile_files_are_data_errors(self, trained, tmp_path, capsys,
                                            case):
@@ -230,8 +231,10 @@ class TestPredict:
         bytes than the file holds, a NaN sample or weight, a finite sample
         above MAX_ABS_SAMPLE (one that overflowed the network), a malformed
         checkpoint header (including one that names no preset, changes a
-        preset's sizes or nests too deeply to parse), a manifest that is not UTF-8 or a manifest path
-        leading out of the dataset directory exits 2 with a one-line data
+        preset's sizes or nests too deeply to parse), a manifest that is not UTF-8, a manifest path
+        leading out of the dataset directory, a manifest field beyond the
+        csv module's 131072-character limit, or a checkpoint or record
+        with bytes after its last field exits 2 with a one-line data
         error: no traceback, MemoryError, OverflowError or internal
         error. A version-1 checkpoint or a negative batch-norm running
         variance exits 2 from eval and density too."""
@@ -273,6 +276,16 @@ class TestPredict:
             (meta_len,) = struct.unpack_from("<I", blob, 8)
             model.write_bytes(blob[:8] + struct.pack("<I", 100000) + b"[" * 100000
                               + blob[12 + meta_len:])
+        elif case == "model_twice":
+            model.write_bytes(model.read_bytes() * 2)
+        elif case == "record_trailing_garbage":
+            record.write_bytes(record.read_bytes() + b"garbage")
+        elif case == "manifest_field_200000":
+            manifest = data / "manifest.csv"
+            text = manifest.read_text(encoding="utf-8")
+            assert "\nno0000," in text
+            manifest.write_text(text.replace("\nno0000,", "\n" + "x" * 200000 + "no0000,"),
+                                encoding="utf-8")
         elif case == "manifest_not_utf8":
             (data / "manifest.csv").write_bytes(b"\xff\xfe\x00garbage")
         elif case.startswith("manifest_path_"):
@@ -300,6 +313,10 @@ class TestPredict:
                      "--out", str(tmp_path / "x.jsonl")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1, err
+        if case == "manifest_field_200000":
+            assert "manifest.csv: field larger than field limit" in err, err
+        if case in ("model_twice", "record_trailing_garbage"):
+            assert "trailing bytes after" in err, err
         if case == "sample_3e38":
             assert f"record {record.stem!r}: sample magnitude 3e+38" in err, err
         if case in self.CHECKPOINT_REFUSALS:

@@ -108,6 +108,32 @@ class TestRecordIO:
             read_record(path, "cp", 0.0)
 
 
+    def test_file_ends_at_its_last_field(self, tmp_path):
+        """Bytes after the last changepoint, a record written twice, or a
+        changepoint list cut short is a data error naming the fault."""
+        path = tmp_path / "tri.bgs"
+        write_record(path, three_interval_record())
+        data = path.read_bytes()
+        for blob, match in ((data + b"garbage", "trailing bytes after 2 changepoints"),
+                            (data + data, "trailing bytes after 2 changepoints"),
+                            (data[:-1], "truncated while reading 2 changepoints"),
+                            (data[:100], "truncated before the changepoint count \\(400 samples")):
+            path.write_bytes(blob)
+            with pytest.raises(DataError, match=match):
+                read_record(path, "tri", 0.375)
+
+    @pytest.mark.parametrize("peak", [-2e12, 2e12, np.inf, -np.inf, np.nan])
+    def test_sample_bound_covers_both_signs(self, peak):
+        """The peak is the larger of -min and max, so a negative sample
+        counts as its magnitude, and a NaN or inf anywhere is refused."""
+        samples = np.zeros(10, dtype=np.float32)
+        samples[3] = peak
+        match = ("NaN or inf" if not np.isfinite(peak)
+                 else "sample magnitude 2e\\+12 exceeds 1e\\+12")
+        with pytest.raises(ValueError, match=match):
+            SignalRecord("r", 100.0, samples, 0.0)
+
+
 class TestDatasetIO:
     def test_dataset_round_trip(self, tmp_path):
         records = synth_generate(3, crop_budget_s=10.0, seed=8)

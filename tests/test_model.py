@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import betamix
-from betamix.betadist import BetaParams, beta_log_pdf, clip_label
+from betamix.betadist import BetaParams, beta_log_pdf, beta_nll_grad, clip_label
 from betamix.config import RunConfig
 from betamix.data import (Dataset, DatasetManifest, ManifestEntry,
                           RhythmAnnotation, SignalRecord, split_dataset,
@@ -295,10 +295,10 @@ class TestLossAndGrads:
         eps = 0.01
         loss_hard = loss_and_grads(model, crops, [1.0, 0.0], eps)
         for p in model.params():
-            p.zero_grad()
+            p.grad[...] = 0
         loss_clipped = loss_and_grads(model, crops, [1.0 - eps, eps], eps)
         for p in model.params():
-            p.zero_grad()
+            p.grad[...] = 0
         assert loss_hard == pytest.approx(loss_clipped, rel=1e-12)
 
     def test_uniform_head_gives_zero_loss(self, rng):
@@ -309,7 +309,7 @@ class TestLossAndGrads:
         for target in (0.0, 0.31, 1.0):
             loss = loss_and_grads(model, crops, [target], 0.01)
             for p in model.params():
-                p.zero_grad()
+                p.grad[...] = 0
             assert loss == pytest.approx(0.0, abs=1e-5)
 
     def test_empty_batch_rejected(self):
@@ -322,6 +322,45 @@ class TestLossAndGrads:
         crops = rng.normal(size=(2, 1, 256)).astype(np.float32)
         with pytest.raises(ValueError):
             loss_and_grads(model, crops, [0.5], 0.01)
+
+    def test_matches_public_beta_loop_bitwise(self, rng):
+        """The loss and the (alpha, beta) gradient handed to the backward
+        are the bits of a loop over the public BetaParams, clip_label,
+        beta_log_pdf and beta_nll_grad, for hard and soft targets."""
+        model = build_model("tiny", seed=3)
+        crops = rng.normal(size=(6, 1, 256)).astype(np.float32)
+        targets = [0.0, 1.0, 0.3, 0.995, 0.5, 0.0]
+        out = model.forward(crops, train=True)
+        expected_loss, expected_grad = 0.0, np.empty((6, 2))
+        for i, (alpha, beta) in enumerate(out.tolist()):
+            p = BetaParams(alpha, beta)
+            t = clip_label(targets[i], 0.02)
+            expected_loss += -beta_log_pdf(t, p)
+            expected_grad[i] = np.array(beta_nll_grad(t, p)) / 6
+        handed = []
+        model.backward = handed.append
+        loss = loss_and_grads(model, crops, targets, 0.02)
+        assert np.float64(loss).tobytes() == np.float64(expected_loss / 6).tobytes()
+        (grad,) = handed
+        assert grad.tobytes() == expected_grad.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("bad, message", [
+        ((1, 1, float("nan")), "beta must be positive and finite, got nan"),
+        ((0, 0, float("inf")), "alpha must be positive and finite, got inf"),
+        ((2, 1, 0.0), "beta must be positive and finite, got 0.0"),
+        ((1, 0, -1.5), "alpha must be positive and finite, got -1.5")])
+    def test_bad_head_output_raises(self, bad, message):
+        """A non-finite or non-positive head output raises BetaParams'
+        ValueError, naming the first bad value, before any backward."""
+        model = build_model("tiny", seed=3)
+        out = np.ones((3, 2), dtype=np.float32)
+        row, col, value = bad
+        out[row, col] = value
+        model.forward = lambda crops, train=False: out
+        model.backward = lambda grad: pytest.fail("backward ran")
+        crops = np.zeros((3, 1, 256), dtype=np.float32)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            loss_and_grads(model, crops, [0.0, 1.0, 0.5], 0.01)
 
     def test_end_to_end_gradient_check(self, rng):
         """Whole-network gradients for every parameter tensor.
@@ -447,7 +486,7 @@ class TestTrain:
             adam_step(model.params(), model.adam)
             after = loss_and_grads(model, crops, targets, 0.01)
             for p in model.params():
-                p.zero_grad()
+                p.grad[...] = 0
             wins += after < before
         assert wins >= 6
 
@@ -469,6 +508,53 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         x = rng.normal(size=(5, 1, 256)).astype(np.float32)
         np.testing.assert_array_equal(model.forward(x), loaded.forward(x))
+
+    def test_params_are_views_of_the_model_buffers(self, tmp_path, rng):
+        """A built and a loaded model each hold every Param in one flat
+        buffer per role, in params() order; loading writes through the
+        views, and the loaded model trains as the saved one does, bit for
+        bit."""
+        model = build_model("tiny", seed=9)
+        path = tmp_path / "model.bgc"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        for net in (model, loaded):
+            params = net.params()
+            flat = params[0].flat
+            assert flat.count == len(params)
+            for role in ("value", "grad", "adam_m", "adam_v"):
+                parts = [getattr(p, role) for p in params]
+                assert all(p.flat is flat for p in params)
+                assert all(np.shares_memory(a, getattr(flat, role)) for a in parts)
+                assert (np.concatenate([a.ravel() for a in parts]).tobytes()
+                        == getattr(flat, role).tobytes())
+        assert loaded.params()[0].flat.value.tobytes() == \
+            model.params()[0].flat.value.tobytes()
+        crops = rng.normal(size=(4, 1, 256)).astype(np.float32)
+        losses = []
+        for net in (model, loaded):
+            net.adam.learning_rate = 0.01
+            losses.append([])
+            for _ in range(3):
+                losses[-1].append(loss_and_grads(net, crops, [0.0, 1.0, 0.0, 1.0],
+                                                 0.01))
+                adam_step(net.params(), net.adam)
+        assert losses[1] == losses[0] and losses[1][-1] < losses[1][0]
+        for (name, a), (_, b) in zip(model.named_entries(), loaded.named_entries()):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_bytes_after_the_last_entry_are_corrupt(self, tmp_path):
+        """A checkpoint ends at its last entry: the file written twice
+        (`cat m.bgc m.bgc`), or one stray byte after it, is refused."""
+        model = build_model("tiny", seed=9)
+        path = tmp_path / "model.bgc"
+        save_checkpoint(model, path)
+        data = path.read_bytes()
+        for extra in (data, b"\n"):
+            path.write_bytes(data + extra)
+            with pytest.raises(CorruptCheckpointError,
+                               match=f"{len(extra)} trailing bytes after the last entry"):
+                load_checkpoint(path)
 
     def test_metadata_round_trip(self, tmp_path):
         """The header's step count is a record of the run: Adam's moments

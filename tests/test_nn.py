@@ -22,15 +22,18 @@ from betamix.nn import (
     ReLU,
     Softplus,
     adam_step,
+    pack_params,
     same_pad_amounts,
     sigmoid,
     softplus,
     xavier_init,
 )
 from conftest import (
+    adam_per_array_reference,
     batchnorm_train_reference,
     conv1d_backward_reference,
     maxpool_argmax_reference,
+    maxpool_first_max_reference,
     numeric_grad,
     rel_err,
 )
@@ -445,8 +448,8 @@ class TestBatchNorm1D:
                 assert g.dtype == dtype
                 np.testing.assert_array_equal(g, e)
             np.testing.assert_array_equal(x, x_before)
-            layer.scale.zero_grad()
-            layer.shift.zero_grad()
+            layer.scale.grad[...] = 0
+            layer.shift.grad[...] = 0
 
     @pytest.mark.parametrize("dtype,h,tol", [(np.float32, 1e-2, 1e-3),
                                              (np.float64, 1e-6, 1e-6)])
@@ -591,6 +594,33 @@ class TestMaxPool1D:
         np.testing.assert_array_equal(y, expected_y)
         np.testing.assert_array_equal(layer.backward(grad_out), expected_dx)
         np.testing.assert_array_equal(layer.forward(x), expected_y)
+
+    @pytest.mark.parametrize("size,length", [(2, 9), (3, 11), (2, 64)],
+                             ids=["size2-remainder", "size3-remainder", "size2"])
+    def test_matches_naive_first_max_oracle_bitwise(self, rng, size, length):
+        """Values from {-1, -0, +0, 1} make ties and signed-zero ties
+        common; the train and infer outputs and the input gradient equal
+        the loop oracle's bytes, the trailing remainder getting none."""
+        layer = MaxPool1D(size)
+        x = rng.integers(-1, 2, size=(3, 4, length)).astype(np.float32)
+        x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+        assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
+        grad_out = rng.normal(size=(3, 4, length // size)).astype(np.float32)
+        expected_y, expected_dx = maxpool_first_max_reference(x, size, grad_out)
+        assert layer.forward(x, train=True).tobytes() == expected_y.tobytes()
+        assert layer.backward(grad_out).tobytes() == expected_dx.tobytes()
+        assert layer.forward(x).tobytes() == expected_y.tobytes()
+
+    def test_largest_window_routes_to_its_last_position(self):
+        """The train argmax is kept as uint8, so the window is at most 256
+        wide; at 256 the last position's index still routes the gradient."""
+        with pytest.raises(ValueError):
+            MaxPool1D(257)
+        layer = MaxPool1D(256)
+        x = np.arange(256, dtype=np.float32).reshape(1, 1, 256)
+        layer.forward(x, train=True)
+        dx = layer.backward(np.full((1, 1, 1), 2.0, dtype=np.float32))
+        assert dx[0, 0, 255] == 2.0 and not dx[0, 0, :255].any()
 
     def test_nan_window_gives_nan(self):
         layer = MaxPool1D(3)
@@ -818,6 +848,66 @@ class TestAdam:
         p.grad[...] = 1.0
         adam_step([p], AdamState())
         assert not p.grad.any()
+
+    @pytest.mark.parametrize("preset", ["tiny", "paper"])
+    def test_packed_model_matches_per_array_loop_bitwise(self, rng, preset):
+        """Over 3 steps with random gradients (some exactly zero), one pass
+        per flat buffer gives every value and moment the bits of the update
+        run one array at a time."""
+        model = build_model(preset, seed=4)
+        model.adam.learning_rate = 0.01
+        params = model.params()
+        groups = [[p.value.copy(), p.grad.copy(), p.adam_m.copy(),
+                   p.adam_v.copy()] for p in params]
+        for t in range(1, 4):
+            for p, group in zip(params, groups):
+                g = rng.normal(size=p.value.shape).astype(np.float32)
+                g[rng.random(g.shape) < 0.2] = 0.0
+                p.grad[...] = g
+                group[1][...] = g
+            adam_step(params, model.adam)
+            adam_per_array_reference(groups, 0.01, t)
+            for p, group in zip(params, groups):
+                for array, expected in zip((p.value, p.grad, p.adam_m, p.adam_v),
+                                           group):
+                    assert array.tobytes() == expected.tobytes(), p.name
+
+    def test_standalone_param_is_its_own_buffer(self, rng):
+        p = Param(rng.normal(size=(2, 3)).astype(np.float32))
+        assert p.flat.count == 1
+        for role in ("value", "grad", "adam_m", "adam_v"):
+            assert getattr(p, role).shape == (2, 3)
+            assert np.shares_memory(getattr(p, role), getattr(p.flat, role))
+
+    def test_pack_keeps_values_and_makes_views(self, rng):
+        params = [Param(rng.normal(size=shape).astype(np.float32), name=str(i))
+                  for i, shape in enumerate([(3, 2, 5), (3,), (4, 4)])]
+        before = [p.value.copy() for p in params]
+        flat = pack_params(params)
+        assert flat.count == 3 and flat.value.shape == (30 + 3 + 16,)
+        assert not (flat.grad.any() or flat.adam_m.any() or flat.adam_v.any())
+        for p, value in zip(params, before):
+            assert p.flat is flat and p.name in "012"
+            assert p.value.tobytes() == value.tobytes()
+            for role in ("value", "grad", "adam_m", "adam_v"):
+                assert getattr(p, role).shape == value.shape
+                assert np.shares_memory(getattr(p, role), getattr(flat, role))
+        params[2].value[0, 0] = 9.0
+        params[1].grad[2] = 4.0
+        assert flat.value[33] == 9.0 and flat.grad[32] == 4.0
+
+    def test_part_of_a_buffer_is_refused(self):
+        """A list missing one of a buffer's Params, or naming one twice,
+        would move Params it does not name; nothing moves."""
+        model = build_model("tiny", seed=4)
+        params = model.params()
+        params[0].grad[...] = 1.0
+        before = params[0].value.copy()
+        for bad in (params[1:], params + params[:1]):
+            with pytest.raises(ValueError, match="every Param"):
+                adam_step(bad, model.adam)
+        assert model.adam.step_count == 0
+        assert params[0].value.tobytes() == before.tobytes()
 
 
 class TestDeterminism:
