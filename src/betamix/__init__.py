@@ -30,7 +30,6 @@ from .data import (
     SignalRecord,
     load_dataset,
     orient_signal,
-    sample_changepoint_segments,
     sample_crop_batch,
     soft_target_for_segment,
     split_dataset,

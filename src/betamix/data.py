@@ -9,7 +9,8 @@ file per recording. The record format is little-endian throughout:
 
 A changepoint's tag applies from its index onward; the leading byte tags
 the stretch before the first changepoint. The file ends at its last
-changepoint.
+changepoint. One reader, `BinaryReader`, serves both binary formats, the
+record and the checkpoint (see `model.load_checkpoint`).
 
 The synthetic generator stands in for clinical data: regular spike trains
 with a pre-spike bump for the normal class, irregular gamma-distributed
@@ -91,8 +92,9 @@ class SignalRecord:
         if peak > MAX_ABS_SAMPLE:
             raise ValueError(f"record {self.id!r}: sample magnitude {peak:.3g} "
                              f"exceeds {MAX_ABS_SAMPLE:.0e}")
-        if not (self.sampling_rate > 0):
-            raise ValueError(f"record {self.id!r}: sampling rate must be positive")
+        if not (0 < self.sampling_rate < math.inf):
+            raise ValueError(f"record {self.id!r}: sampling rate must be finite "
+                             f"and positive, got {self.sampling_rate}")
         if not (0.0 <= self.target <= 1.0):
             raise ValueError(f"record {self.id!r}: target {self.target} outside [0,1]")
         if self.rhythm is not None and self.rhythm.changepoints:
@@ -180,21 +182,26 @@ class AugmentConfig:
 
 # -- record I/O --------------------------------------------------------------
 
+# The record layout: the fixed fields before the samples (magic, version,
+# sampling rate, sample count), the two after them (initial tag,
+# changepoint count) and one changepoint (index, tag).
+_RECORD_HEAD = struct.Struct("<4sIdQ")
+_RECORD_TAIL = struct.Struct("<BI")
+_CHANGEPOINT = struct.Struct("<QB")
+
 
 def write_record(path, record: SignalRecord) -> None:
     rhythm = record.rhythm
     if rhythm is None:
         rhythm = RhythmAnnotation(hard_label(record.target), ())
     with open(path, "wb") as fh:
-        fh.write(RECORD_MAGIC)
-        fh.write(struct.pack("<I", RECORD_VERSION))
-        fh.write(struct.pack("<d", float(record.sampling_rate)))
-        fh.write(struct.pack("<Q", record.samples.size))
+        fh.write(_RECORD_HEAD.pack(RECORD_MAGIC, RECORD_VERSION,
+                                   float(record.sampling_rate),
+                                   record.samples.size))
         fh.write(np.ascontiguousarray(record.samples, dtype="<f4").tobytes())
-        fh.write(struct.pack("<B", rhythm.initial_tag))
-        fh.write(struct.pack("<I", len(rhythm.changepoints)))
-        for idx, tag in rhythm.changepoints:
-            fh.write(struct.pack("<QB", idx, tag))
+        fh.write(_RECORD_TAIL.pack(rhythm.initial_tag, len(rhythm.changepoints)))
+        for changepoint in rhythm.changepoints:
+            fh.write(_CHANGEPOINT.pack(*changepoint))
 
 
 def open_input(path, what: str, error: type[DataError] = DataError, *,
@@ -217,8 +224,9 @@ def open_input(path, what: str, error: type[DataError] = DataError, *,
 
 
 class BinaryReader:
-    """Little-endian fields from an open binary file, for the checkpoint
-    format.
+    """Little-endian fields from an open binary file, for both binary
+    formats: the record (`read_record`) and the checkpoint
+    (`model.load_checkpoint`).
 
     Every declared length is checked against the bytes left in the file
     before it is read, because fh.read(n) allocates n bytes up front: a
@@ -259,44 +267,26 @@ class BinaryReader:
                 f"{self._fh.name}: {self._left} trailing bytes after {what}")
 
 
-# The fixed fields before a record's samples (magic, version, sampling
-# rate, sample count), the two after them (initial tag, changepoint
-# count) and one changepoint (index, tag).
-_RECORD_HEAD = struct.Struct("<4sIdQ")
-_RECORD_TAIL = struct.Struct("<BI")
-_CHANGEPOINT = struct.Struct("<QB")
-
-
 def read_record(path, record_id: str, target: float) -> SignalRecord:
     """Read one record file. The file must end at its last changepoint:
     a file too short for the counts its fields declare, or with bytes
     after its last field, raises DataError, as does a bad magic, version
-    or field value. The declared sample count is checked against the file
-    size before the samples are allocated."""
+    or field value. Each declared count is checked against the bytes
+    left in the file before anything is allocated for it."""
     with open_input(path, "record file") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(_RECORD_HEAD.size)
-        if head[:4] != RECORD_MAGIC:
-            raise DataError(f"{path}: malformed header (magic {head[:4]!r})")
-        if len(head) < _RECORD_HEAD.size:
-            raise DataError(f"{path}: truncated while reading header")
-        _, version, rate, count = _RECORD_HEAD.unpack(head)
+        reader = BinaryReader(fh, DataError)
+        magic, version, rate, count = reader.unpack(_RECORD_HEAD.format, "header")
+        if magic != RECORD_MAGIC:
+            raise DataError(f"{path}: malformed header (magic {magic!r})")
         if version != RECORD_VERSION:
             raise DataError(f"{path}: unsupported record version {version}")
-        # The bytes left for the changepoints once the samples and the
-        # tail are read.
-        cp_bytes = size - _RECORD_HEAD.size - 4 * count - _RECORD_TAIL.size
-        if cp_bytes < 0:
-            raise DataError(f"{path}: truncated before the changepoint count "
-                            f"({count} samples declared)")
-        samples = np.empty(count, dtype="<f4")
-        fh.readinto(samples)
-        initial_tag, n_cp = _RECORD_TAIL.unpack(fh.read(_RECORD_TAIL.size))
-        if cp_bytes != n_cp * _CHANGEPOINT.size:
-            fault = ("truncated while reading" if cp_bytes < n_cp * _CHANGEPOINT.size
-                     else "trailing bytes after")
-            raise DataError(f"{path}: {fault} {n_cp} changepoints")
-        cps = tuple(_CHANGEPOINT.iter_unpack(fh.read(cp_bytes)))
+        samples = reader.read_f32(count, f"{count} samples")
+        initial_tag, n_cp = reader.unpack(_RECORD_TAIL.format,
+                                        "the changepoint count")
+        what = f"{n_cp} changepoints"
+        cps = tuple(_CHANGEPOINT.iter_unpack(
+            reader.read(n_cp * _CHANGEPOINT.size, what)))
+        reader.end(what)
     try:
         rhythm = RhythmAnnotation(initial_tag, cps)
         return SignalRecord(record_id, rate, samples, target, rhythm)
@@ -494,29 +484,6 @@ def _af_fraction(rhythm: RhythmAnnotation, n: int, start: int,
     return af / length
 
 
-def sample_changepoint_segments(r: SignalRecord, crop_len: int, n: int,
-                                rng: np.random.Generator
-                                ) -> list[tuple[int, float]]:
-    """Windows containing a rhythm change at a uniform offset.
-
-    Each returned (start, soft target) window covers a uniformly chosen
-    changepoint placed at a uniformly random position inside the window,
-    clamped so the window stays within the record.
-    """
-    if not has_changepoint_crops(r, crop_len):
-        raise UsageError(f"record {r.id!r} has no changepoint crops: they need "
-                         f"rhythm changepoints and at least {crop_len} "
-                         f"samples (it has {len(r)})")
-    cps = [idx for idx, _ in r.rhythm.changepoints]
-    out = []
-    for _ in range(n):
-        cp = cps[int(rng.integers(len(cps)))]
-        offset = int(rng.integers(crop_len))
-        start = min(max(cp - offset, 0), len(r) - crop_len)
-        out.append((start, soft_target_for_segment(r, start, crop_len)))
-    return out
-
-
 def has_changepoint_crops(r: SignalRecord, crop_len: int) -> bool:
     """Whether the changepoint sampler can draw crop_len windows from r:
     it has annotated changepoints and is at least one crop long."""
@@ -526,8 +493,16 @@ def has_changepoint_crops(r: SignalRecord, crop_len: int) -> bool:
 
 def sample_changepoint_batch(records: list[SignalRecord], batch_size: int,
                              crop_len: int, rng: np.random.Generator) -> CropBatch:
-    """Batch of soft-labeled segments drawn around rhythm changepoints,
-    from the records that `has_changepoint_crops` admits."""
+    """Batch of soft-labeled crop_len windows drawn around rhythm
+    changepoints, from the records that `has_changepoint_crops` admits.
+
+    Each window draws, in this order, a record uniformly from those
+    records, one of its changepoints uniformly, and the changepoint's
+    offset inside the window uniformly from [0, crop_len). The start is
+    then clamped so the window stays within the record. A crop is the
+    oriented window, and its target is the window's AF fraction
+    (`soft_target_for_segment`).
+    """
     usable = [r for r in records if has_changepoint_crops(r, crop_len)]
     if not usable:
         raise UsageError("no records with changepoint annotations and enough length")
@@ -535,9 +510,12 @@ def sample_changepoint_batch(records: list[SignalRecord], batch_size: int,
     targets = np.empty(batch_size, dtype=np.float64)
     for i in range(batch_size):
         record = usable[int(rng.integers(len(usable)))]
-        start, target = sample_changepoint_segments(record, crop_len, 1, rng)[0]
+        cps = record.rhythm.changepoints
+        cp = cps[int(rng.integers(len(cps)))][0]
+        offset = int(rng.integers(crop_len))
+        start = min(max(cp - offset, 0), len(record) - crop_len)
         crops[i, 0, :] = record.oriented(start, start + crop_len)
-        targets[i] = target
+        targets[i] = soft_target_for_segment(record, start, crop_len)
     return CropBatch(crops, targets)
 
 
@@ -650,6 +628,9 @@ def synth_generate(n_per_class: int, crop_budget_s: float = 61.0,
 
     ambiguous_fraction of each class is generated at an intermediate
     morphology blend (labels kept), producing genuinely borderline records.
+    This is a contract: the ambiguous records are the first
+    round(ambiguous_fraction * n_per_class) of each class, in id order
+    (no0000, no0001, ... and af0000, af0001, ...).
     A quarter of all records are polarity-inverted to exercise the
     orientation fix.
     """

@@ -221,14 +221,15 @@ class TestPredict:
     @pytest.mark.parametrize("case", [
         "missing_model", "dim_2**31", "count_2**34", "count_2**61",
         "model_is_directory", "record_is_directory", "nan_sample",
-        "sample_3e38", "nan_weight", "manifest_not_utf8",
+        "sample_3e38", "rate_inf", "nan_weight", "manifest_not_utf8",
         "manifest_path_parent", "manifest_path_absolute",
         "manifest_field_200000", "model_twice", "record_trailing_garbage",
         "header_nested_100000", *HEADER_EDITS, *CHECKPOINT_REFUSALS])
     def test_hostile_files_are_data_errors(self, trained, tmp_path, capsys,
                                            case):
         """A missing or directory input, a length field declaring far more
-        bytes than the file holds, a NaN sample or weight, a finite sample
+        bytes than the file holds, a NaN sample or weight, an infinite
+        sampling rate, a finite sample
         above MAX_ABS_SAMPLE (one that overflowed the network), a malformed
         checkpoint header (including one that names no preset, changes a
         preset's sizes or nests too deeply to parse), a manifest that is not UTF-8, a manifest path
@@ -306,6 +307,8 @@ class TestPredict:
                 struct.pack_into("<f", blob, 24, float("nan"))
             elif case == "sample_3e38":
                 struct.pack_into("<f", blob, 24, 3e38)
+            elif case == "rate_inf":
+                struct.pack_into("<d", blob, 8, float("inf"))
             else:
                 struct.pack_into("<Q", blob, 16, 2 ** int(case.split("**")[1]))
             record.write_bytes(bytes(blob))
@@ -319,6 +322,8 @@ class TestPredict:
             assert "trailing bytes after" in err, err
         if case == "sample_3e38":
             assert f"record {record.stem!r}: sample magnitude 3e+38" in err, err
+        if case == "rate_inf":
+            assert "sampling rate must be finite and positive, got inf" in err, err
         if case in self.CHECKPOINT_REFUSALS:
             assert ("retrain" if case == "version_1"
                     else "negative variance") in err, err

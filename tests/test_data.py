@@ -20,7 +20,6 @@ from betamix.data import (
     pad_to_length,
     read_record,
     sample_changepoint_batch,
-    sample_changepoint_segments,
     sample_crop_batch,
     soft_target_for_segment,
     split_dataset,
@@ -117,10 +116,25 @@ class TestRecordIO:
         for blob, match in ((data + b"garbage", "trailing bytes after 2 changepoints"),
                             (data + data, "trailing bytes after 2 changepoints"),
                             (data[:-1], "truncated while reading 2 changepoints"),
-                            (data[:100], "truncated before the changepoint count \\(400 samples")):
+                            (data[:100], "truncated while reading 400 samples")):
             path.write_bytes(blob)
             with pytest.raises(DataError, match=match):
                 read_record(path, "tri", 0.375)
+
+    def test_every_proper_prefix_is_truncated(self, tmp_path):
+        """A record file cut anywhere, inside the header, the samples, the
+        tail or the changepoints, is a truncated file, not a bad magic or
+        a short read."""
+        path = tmp_path / "cp.bgs"
+        samples = np.arange(10, dtype=np.float32)
+        write_record(path, SignalRecord("cp", 100.0, samples, 0.5,
+                                        RhythmAnnotation(0, ((3, 1), (7, 0)))))
+        data = path.read_bytes()
+        assert len(data) == 87
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(DataError, match="truncated while reading"):
+                read_record(path, "cp", 0.5)
 
     @pytest.mark.parametrize("peak", [-2e12, 2e12, np.inf, -np.inf, np.nan])
     def test_sample_bound_covers_both_signs(self, peak):
@@ -132,6 +146,11 @@ class TestRecordIO:
                  else "sample magnitude 2e\\+12 exceeds 1e\\+12")
         with pytest.raises(ValueError, match=match):
             SignalRecord("r", 100.0, samples, 0.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, -np.inf, np.nan])
+    def test_sampling_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="sampling rate must be finite and positive"):
+            SignalRecord("r", rate, np.zeros(10, dtype=np.float32), 0.0)
 
 
 class TestDatasetIO:
@@ -461,20 +480,45 @@ class TestSoftTargets:
             soft_target_for_segment(three_interval_record(), 300, 200)
 
 
+def window_starts(record, batch):
+    """Where each crop of a batch drawn from one record starts, found by
+    matching it against every window of the oriented record; the record's
+    samples must be distinct, so that each window occurs once."""
+    windows = sliding_window_view(orient_signal(record), batch.crops.shape[-1])
+    starts = []
+    for crop in batch.crops[:, 0]:
+        (start,) = np.flatnonzero((windows == crop).all(axis=1))
+        starts.append(int(start))
+    return starts
+
+
 class TestChangepointSegments:
+    @staticmethod
+    def distinct_three_interval_record():
+        """three_interval_record's rhythm over distinct samples."""
+        base = three_interval_record()
+        return SignalRecord("tri", 100.0, np.arange(400, dtype=np.float32),
+                            base.target, base.rhythm)
+
     def test_every_window_contains_a_changepoint(self, rng):
-        record = three_interval_record()
-        for start, _ in sample_changepoint_segments(record, 80, 200, rng):
+        record = self.distinct_three_interval_record()
+        batch = sample_changepoint_batch([record], 200, 80, rng)
+        for start in window_starts(record, batch):
             assert any(start <= cp < start + 80
                        for cp, _ in record.rhythm.changepoints)
 
     def test_interior_changepoint_gives_fractional_target(self, rng):
-        record = three_interval_record()
-        for start, target in sample_changepoint_segments(record, 80, 100, rng):
+        record = self.distinct_three_interval_record()
+        batch = sample_changepoint_batch([record], 100, 80, rng)
+        interior = 0
+        for start, target in zip(window_starts(record, batch), batch.targets,
+                                 strict=True):
             cps_inside = [cp for cp, _ in record.rhythm.changepoints
                           if start < cp < start + 80]
             if cps_inside:
+                interior += 1
                 assert 0.0 < target < 1.0
+        assert interior > 0
 
     def test_empirical_mean_target_near_half(self, rng):
         """Uniform offset of a single mid-record changepoint: mean soft
@@ -483,18 +527,17 @@ class TestChangepointSegments:
         samples[0] = 1.0
         record = SignalRecord("one", 100.0, samples, 0.5,
                               RhythmAnnotation(0, ((2000, 1),)))
-        targets = [t for _, t in
-                   sample_changepoint_segments(record, 200, 10_000, rng)]
-        assert np.mean(targets) == pytest.approx(0.5, abs=0.05)
+        batch = sample_changepoint_batch([record], 10_000, 200, rng)
+        assert np.mean(batch.targets) == pytest.approx(0.5, abs=0.05)
 
     def test_requires_changepoints(self, rng):
         with pytest.raises(UsageError):
-            sample_changepoint_segments(spike_record(), 80, 1, rng)
+            sample_changepoint_batch([spike_record()], 2, 80, rng)
 
     def test_requires_enough_length(self, rng):
         record = three_interval_record()
         with pytest.raises(UsageError):
-            sample_changepoint_segments(record, 500, 1, rng)
+            sample_changepoint_batch([record], 2, 500, rng)
 
     def test_batch_sampler(self, rng):
         records = [three_interval_record(), spike_record("plain")]

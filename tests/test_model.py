@@ -628,6 +628,18 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
 
+    def test_every_proper_prefix_is_corrupt(self, tmp_path):
+        """A checkpoint cut anywhere, inside the magic, the header or any
+        entry, is refused as corrupt."""
+        model = build_model("tiny", seed=9)
+        path = tmp_path / "model.bgc"
+        save_checkpoint(model, path)
+        data = path.read_bytes()
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(CorruptCheckpointError):
+                load_checkpoint(path)
+
     def test_bad_magic_is_corrupt(self, tmp_path):
         path = tmp_path / "model.bgc"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
