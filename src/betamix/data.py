@@ -212,7 +212,7 @@ def open_input(path, what: str, error: type[DataError] = DataError, *,
 
     Every reason the file cannot be opened raises `error`: a missing file
     as "<what> missing: <path>", anything else (a directory, no
-    permission) with the system's reason.
+    permission, a NUL byte in the path) with the system's reason.
     """
     encoding = None if "b" in mode else "utf-8-sig"
     try:
@@ -221,11 +221,13 @@ def open_input(path, what: str, error: type[DataError] = DataError, *,
         raise error(f"{what} missing: {path}") from exc
     except OSError as exc:
         raise error(f"cannot open {what} {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise error(f"cannot open {what} {str(path)!r}: {exc}") from exc
 
 
 class BinaryReader:
-    """Little-endian fields from an open binary file, for both binary
-    formats: the record (`read_record`) and the checkpoint
+    """Little-endian fields from a binary file opened at byte 0, for both
+    binary formats: the record (`read_record`) and the checkpoint
     (`model.load_checkpoint`).
 
     Every declared length is checked against the bytes left in the file
@@ -236,7 +238,7 @@ class BinaryReader:
 
     def __init__(self, fh, error: type[DataError]):
         self._fh = fh
-        self._left = os.fstat(fh.fileno()).st_size - fh.tell()
+        self._left = os.fstat(fh.fileno()).st_size
         self._error = error
 
     def _claim(self, n: int, what: str) -> None:
@@ -296,6 +298,20 @@ def read_record(path, record_id: str, target: float) -> SignalRecord:
 
 def write_dataset(records: list[SignalRecord], manifest: DatasetManifest,
                   out_dir) -> None:
+    """Write out_dir/manifest.csv and each entry's record file. An entry
+    `load_dataset` would skip (an id starting with "#" reads as a comment)
+    or refuse raises UsageError before anything is written."""
+    ids = set()
+    for entry in manifest.entries:
+        if entry.id.startswith("#"):
+            raise UsageError(f"record id {entry.id!r} starts with '#', so its "
+                             f"manifest row would read as a comment")
+        if entry.id in ids:
+            raise UsageError(f"duplicate record id {entry.id!r}")
+        if not _inside_dataset(entry.path):
+            raise UsageError(f"record path {entry.path!r} for {entry.id!r} "
+                             f"leaves the dataset directory")
+        ids.add(entry.id)
     out_dir = Path(out_dir)
     (out_dir / "records").mkdir(parents=True, exist_ok=True)
     by_id = {r.id: r for r in records}

@@ -66,6 +66,8 @@ CHECKPOINT_MAGIC = b"BGC1"
 # Version 2 files hold no bias for the convs that feed a batch norm;
 # version 1 files, which did, are refused and the model must be retrained.
 CHECKPOINT_VERSION = 2
+# The fixed start of a checkpoint: magic, format version, header length.
+_CHECKPOINT_HEAD = struct.Struct("<4sII")
 
 # Hard labels are clipped into [LABEL_EPS, 1 - LABEL_EPS] before the beta
 # log-density is evaluated at them.
@@ -221,13 +223,10 @@ class Model:
         self.head_dense = Dense(in_ch, 2, rng=rng, dtype=dtype, name="head.dense")
         self.head_softplus = Softplus(name="head.softplus")
 
-        # The walk order.
-        self.stages = [
-            [self.stem_conv, self.stem_pool, self.stem_bn, self.stem_relu],
-            *self.groups,
-            [self.global_pool],
-        ]
-        self.head = [self.head_dense, self.head_softplus]
+        # The walk order; backward walks it reversed.
+        self.nodes = [self.stem_conv, self.stem_pool, self.stem_bn,
+                      self.stem_relu, *itertools.chain(*self.groups),
+                      self.global_pool, self.head_dense, self.head_softplus]
 
         # One flat buffer per role behind every Param, so an Adam step is
         # one pass per role over the whole model.
@@ -237,7 +236,7 @@ class Model:
     # -- structure walking -------------------------------------------------
 
     def _layers_with_params(self):
-        for node in itertools.chain(*self.stages, self.head):
+        for node in self.nodes:
             if isinstance(node, ResidualBlock):
                 yield from node.sublayers()
             elif node.params():
@@ -247,8 +246,9 @@ class Model:
         return [p for layer in self._layers_with_params() for p in layer.params()]
 
     def named_entries(self) -> list[tuple[str, np.ndarray]]:
-        """Every trainable array plus BN running statistics, in a stable
-        order. The returned arrays are live references."""
+        """Every trainable array plus BN running statistics, in walk order,
+        which is the checkpoint format's entry order. The returned arrays
+        are live references."""
         entries = []
         for layer in self._layers_with_params():
             for p in layer.params():
@@ -280,12 +280,10 @@ class Model:
                 f"crop length {x.shape[2]} does not match architecture input "
                 f"length {self.spec.input_length}"
             )
-        return _walk(itertools.chain(*self.stages, self.head), x, train)
+        return _walk(self.nodes, x, train)
 
     def backward(self, grad_out: np.ndarray) -> None:
-        g = _walk_back(self.head, grad_out)
-        for stage in reversed(self.stages):
-            g = _walk_back(stage, g)
+        _walk_back(self.nodes, grad_out)
 
 
 def build_model(preset: str, seed: int, *, dtype=DEFAULT_DTYPE) -> Model:
@@ -453,9 +451,8 @@ def save_checkpoint(model: Model, path, config_echo: dict | None = None) -> None
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     entries = model.named_entries()
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(meta_bytes)))
+        fh.write(_CHECKPOINT_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                       len(meta_bytes)))
         fh.write(meta_bytes)
         fh.write(struct.pack("<I", len(entries)))
         for name, value in entries:
@@ -473,28 +470,28 @@ def load_checkpoint(path) -> Model:
 
     A file that cannot be opened, or whose header or tensors do not
     describe a complete, finite model with non-negative batch-norm running
-    variances and each entry once, raises a CheckpointError; a format
-    version other than CHECKPOINT_VERSION raises UnsupportedVersionError.
+    variances, its entries in `Model.named_entries` order, raises a
+    CheckpointError; a format version other than CHECKPOINT_VERSION
+    raises UnsupportedVersionError.
 
     Adam's moments are not saved, so the header's step count, like its
     config echo, is a record of the run: the loaded model's optimizer
     starts at step 0.
     """
     with open_input(path, "checkpoint file", CheckpointError) as fh:
-        magic = fh.read(4)
+        reader = BinaryReader(fh, CorruptCheckpointError)
+        magic, version, meta_len = reader.unpack(_CHECKPOINT_HEAD.format,
+                                                 "the file head")
         if magic != CHECKPOINT_MAGIC:
             raise CorruptCheckpointError(
                 f"not a checkpoint file (magic {magic!r})"
             )
-        reader = BinaryReader(fh, CorruptCheckpointError)
-        (version,) = reader.unpack("<I", "version")
         if version != CHECKPOINT_VERSION:
             raise UnsupportedVersionError(
                 f"checkpoint format version {version} is not supported "
                 f"(expected {CHECKPOINT_VERSION}); retrain the model to "
                 f"write a version {CHECKPOINT_VERSION} checkpoint"
             )
-        (meta_len,) = reader.unpack("<I", "header length")
         header = reader.read(meta_len, "header")
         try:
             meta = json.loads(header.decode("utf-8"))
@@ -513,27 +510,21 @@ def load_checkpoint(path) -> Model:
                 RecursionError) as exc:
             raise CorruptCheckpointError(
                 f"{path}: bad checkpoint header: {exc!r}") from exc
-        targets = dict(model.named_entries())
+        entries = model.named_entries()
         (n_entries,) = reader.unpack("<I", "entry count")
-        seen = set()
-        for _ in range(n_entries):
+        if n_entries != len(entries):
+            raise CorruptCheckpointError(
+                f"{path}: checkpoint holds {n_entries} entries, architecture "
+                f"{spec.preset_name!r} has {len(entries)}")
+        for name, dest in entries:
             (name_len,) = reader.unpack("<I", "name length")
-            try:
-                name = reader.read(name_len, "entry name").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorruptCheckpointError(
-                    f"unreadable entry name: {exc}") from exc
+            found = reader.read(name_len, "entry name")
             (rank,) = reader.unpack("<I", "rank")
             dims = reader.unpack(f"<{rank}I", "dims")
             arr = reader.read_f32(math.prod(dims), f"data for {name}").reshape(dims)
-            if name not in targets:
+            if found != name.encode():
                 raise CorruptCheckpointError(
-                    f"checkpoint entry {name!r} does not exist in architecture "
-                    f"{spec.preset_name!r}"
-                )
-            if name in seen:
-                raise CorruptCheckpointError(
-                    f"{path}: entry {name!r} is repeated")
+                    f"{path}: expected entry {name!r}, found {found!r}")
             if not np.isfinite(arr).all():
                 raise CorruptCheckpointError(
                     f"{path}: entry {name!r} holds NaN or inf")
@@ -542,20 +533,11 @@ def load_checkpoint(path) -> Model:
             if name.endswith(".running_var") and (arr < 0).any():
                 raise CorruptCheckpointError(
                     f"{path}: entry {name!r} holds a negative variance")
-            dest = targets[name]
             if dest.shape != arr.shape:
                 raise TensorShapeError(
                     f"entry {name!r} has shape {arr.shape}, architecture "
                     f"expects {dest.shape}"
                 )
             dest[...] = arr
-            seen.add(name)
         reader.end("the last entry")
-        missing = set(targets) - seen
-        if missing:
-            raise CorruptCheckpointError(
-                f"checkpoint is missing entries: {sorted(missing)[:4]}..."
-                if len(missing) > 4 else
-                f"checkpoint is missing entries: {sorted(missing)}"
-            )
     return model

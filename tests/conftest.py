@@ -158,13 +158,15 @@ def naive_crop_batch(records, batch_size: int, crop_len: int, augment, rng):
 
 
 def stage_sizes(model, x: np.ndarray) -> list[int]:
-    """The spatial length after each stage of model.stages, walking x
-    through every stage's nodes in infer mode."""
+    """The spatial length after the stem, after each residual group and
+    after the global pool, walking x through model.nodes in infer mode."""
+    ends = [model.stem_relu, *(group[-1] for group in model.groups),
+            model.global_pool]
     sizes = []
-    for stage in model.stages:
-        for node in stage:
-            x = node.forward(x, False)
-        sizes.append(x.shape[2])
+    for node in model.nodes:
+        x = node.forward(x, False)
+        if node in ends:
+            sizes.append(x.shape[2])
     return sizes
 
 

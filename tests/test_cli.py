@@ -4,8 +4,10 @@ Commands run in-process through main(argv) so exit codes and file output
 are observable without subprocess overhead.
 """
 
+import dataclasses
 import json
 import math
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 
 from betamix.betadist import BetaParams, beta_log_pdf
 from betamix.cli import DENSITY_GRID_EPS, DENSITY_MAX_CONCENTRATION, main
+from betamix.config import RunConfig
 from betamix.model import load_checkpoint, save_checkpoint
 from conftest import rewrite_checkpoint_header
 
@@ -222,7 +225,7 @@ class TestPredict:
         "missing_model", "dim_2**31", "count_2**34", "count_2**61",
         "model_is_directory", "record_is_directory", "nan_sample",
         "sample_3e38", "rate_inf", "nan_weight", "manifest_not_utf8",
-        "manifest_path_parent", "manifest_path_absolute",
+        "manifest_path_parent", "manifest_path_absolute", "manifest_path_nul",
         "manifest_field_200000", "model_twice", "record_trailing_garbage",
         "header_nested_100000", *HEADER_EDITS, *CHECKPOINT_REFUSALS])
     def test_hostile_files_are_data_errors(self, trained, tmp_path, capsys,
@@ -233,7 +236,7 @@ class TestPredict:
         above MAX_ABS_SAMPLE (one that overflowed the network), a malformed
         checkpoint header (including one that names no preset, changes a
         preset's sizes or nests too deeply to parse), a manifest that is not UTF-8, a manifest path
-        leading out of the dataset directory, a manifest field beyond the
+        leading out of the dataset directory or holding a NUL byte, a manifest field beyond the
         csv module's 131072-character limit, or a checkpoint or record
         with bytes after its last field exits 2 with a one-line data
         error: no traceback, MemoryError, OverflowError or internal
@@ -290,15 +293,18 @@ class TestPredict:
         elif case == "manifest_not_utf8":
             (data / "manifest.csv").write_bytes(b"\xff\xfe\x00garbage")
         elif case.startswith("manifest_path_"):
-            # The named file exists, so only the containment check stops it.
+            # The named file exists, so only the containment check stops it;
+            # a NUL byte makes open() raise ValueError, not OSError.
+            rel = record.relative_to(data).as_posix()
             if case == "manifest_path_parent":
                 shutil.copytree(record.parent, tmp_path / "secret")
                 path = f"../secret/{record.name}"
+            elif case == "manifest_path_nul":
+                path = rel.replace(".bgs", "\x00.bgs")
             else:
                 path = str(record)
             manifest = data / "manifest.csv"
             text = manifest.read_text(encoding="utf-8")
-            rel = record.relative_to(data).as_posix()
             assert rel in text
             manifest.write_text(text.replace(rel, path), encoding="utf-8")
         else:
@@ -598,3 +604,16 @@ class TestArgumentHandling:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+def test_readme_configuration_table_matches_run_config():
+    """The README's configuration table lists every RunConfig key and no
+    other, so a key added to or dropped from the code but not from the
+    README fails."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `([a-z_0-9]+)` \|", table, re.M))
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    assert documented == keys, (
+        f"README lists {sorted(documented)}, RunConfig has {sorted(keys)}")

@@ -1,5 +1,6 @@
 """Dataset I/O, signal operations, sampling, and the synthetic generator."""
 
+import re
 import struct
 from dataclasses import replace
 
@@ -215,6 +216,25 @@ class TestDatasetIO:
         for a, b in zip(plain.records, marked.records, strict=True):
             assert a.id == b.id
             np.testing.assert_array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("second_id, message", [
+        ("#b", "record id '#b' starts with '#'"),
+        ("a", "duplicate record id 'a'"),
+        ("../b", "record path 'records/../b.bgs' for '../b' leaves the "
+                 "dataset directory"),
+    ], ids=["comment", "repeated", "outside"])
+    def test_write_refuses_what_the_loader_skips_or_refuses(
+            self, tmp_path, second_id, message):
+        """An id starting with "#", whose row reloads as a comment, a
+        repeated id, and an id whose record path leaves the dataset
+        directory are each refused before anything is written; each was
+        written, and the reload dropped the record or failed."""
+        records = [spike_record("a"), spike_record(second_id, target=1.0)]
+        manifest = DatasetManifest([
+            ManifestEntry(r.id, f"records/{r.id}.bgs", "train") for r in records])
+        with pytest.raises(UsageError, match=re.escape(message)):
+            write_dataset(records, manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest missing"):

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,30 @@ from conftest import (numeric_grad, rel_err, residual_block_infer_reference,
 # Softplus inverse of 1: forcing the head bias here makes every output
 # (alpha, beta) = (1, 1).
 SOFTPLUS_INV_ONE = math.log(math.e - 1.0)
+
+# An untrained tiny model (seed 0), saved by save_checkpoint at format
+# version 2 when the file was committed.
+TINY_SEED0_CHECKPOINT = Path(__file__).parent / "data" / "tiny_seed0.bgc"
+
+
+def split_checkpoint(data: bytes):
+    """A checkpoint's bytes as (everything through the entry count,
+    [(entry name, entry bytes), ...] in file order)."""
+    (meta_len,) = struct.unpack_from("<I", data, 8)
+    at = 12 + meta_len + 4
+    (count,) = struct.unpack_from("<I", data, at - 4)
+    entries = []
+    for _ in range(count):
+        start = at
+        (name_len,) = struct.unpack_from("<I", data, at)
+        name = data[at + 4:at + 4 + name_len].decode()
+        at += 4 + name_len
+        (rank,) = struct.unpack_from("<I", data, at)
+        dims = struct.unpack_from(f"<{rank}I", data, at + 4)
+        at += 4 + 4 * rank + 4 * math.prod(dims)
+        entries.append((name, data[start:at]))
+    assert at == len(data)
+    return data[:12 + meta_len + 4], entries
 
 
 def tiny_dataset(seed=5, n_per_class=12, ambiguous=0.0):
@@ -599,8 +624,8 @@ class TestCheckpoint:
 
     def test_repeated_entry_is_corrupt(self, tmp_path):
         """A checkpoint holding its first entry twice (with the entry count
-        raised to match) is refused naming the entry; the later copy once
-        silently won."""
+        raised to match) is refused for its entry count; the later copy
+        once silently won."""
         model = build_model("tiny", seed=9)
         path = tmp_path / "model.bgc"
         save_checkpoint(model, path)
@@ -616,8 +641,64 @@ class TestCheckpoint:
         struct.pack_into("<I", data, count_at, count + 1)
         path.write_bytes(bytes(data + data[first:end]))
         with pytest.raises(CorruptCheckpointError,
-                           match="'stem.conv.weight' is repeated"):
+                           match="holds 32 entries, architecture 'tiny' has 31"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("count", [30, 32])
+    def test_entry_count_must_match_the_architecture(self, tmp_path, count):
+        model = build_model("tiny", seed=9)
+        path = tmp_path / "model.bgc"
+        save_checkpoint(model, path)
+        head, entries = split_checkpoint(path.read_bytes())
+        head = head[:-4] + struct.pack("<I", count)
+        path.write_bytes(head + b"".join(e for _, e in entries))
+        with pytest.raises(CorruptCheckpointError,
+                           match=f"holds {count} entries, architecture 'tiny' has 31"):
+            load_checkpoint(path)
+
+    def test_entries_out_of_order_are_corrupt(self, tmp_path):
+        """Entries are read in named_entries order: two entries of one
+        shape swapped are refused naming the entry expected first; read
+        by name they once loaded."""
+        model = build_model("tiny", seed=9)
+        path = tmp_path / "model.bgc"
+        save_checkpoint(model, path)
+        head, entries = split_checkpoint(path.read_bytes())
+        assert [name for name, _ in entries[1:3]] == ["stem.bn.scale",
+                                                      "stem.bn.shift"]
+        entries[1:3] = entries[2:0:-1]
+        path.write_bytes(head + b"".join(e for _, e in entries))
+        with pytest.raises(CorruptCheckpointError,
+                           match="expected entry 'stem.bn.scale', "
+                                 "found b'stem.bn.shift'"):
+            load_checkpoint(path)
+
+    def test_unknown_entry_name_is_corrupt(self, tmp_path):
+        """An entry renamed to a name the preset lacks (the stem conv's
+        bias, which version 1 files held) is refused naming the entry
+        expected in its place."""
+        model = build_model("tiny", seed=9)
+        path = tmp_path / "model.bgc"
+        save_checkpoint(model, path)
+        head, entries = split_checkpoint(path.read_bytes())
+        name, entry = entries[0]
+        assert name == "stem.conv.weight"
+        renamed = b"stem.conv.bias"
+        entries[0] = (name, struct.pack("<I", len(renamed)) + renamed
+                      + entry[4 + len(name):])
+        path.write_bytes(head + b"".join(e for _, e in entries))
+        with pytest.raises(CorruptCheckpointError,
+                           match="expected entry 'stem.conv.weight', "
+                                 "found b'stem.conv.bias'"):
+            load_checkpoint(path)
+
+    def test_committed_checkpoint_loads_and_saves_to_its_bytes(self, tmp_path):
+        """A committed version 2 checkpoint loads, and saving the loaded
+        model writes the file's bytes again: the entry order is part of
+        the format."""
+        path = tmp_path / "again.bgc"
+        save_checkpoint(load_checkpoint(TINY_SEED0_CHECKPOINT), path)
+        assert path.read_bytes() == TINY_SEED0_CHECKPOINT.read_bytes()
 
     def test_truncated_file_is_corrupt(self, tmp_path):
         model = build_model("tiny", seed=9)

@@ -1,6 +1,5 @@
 """Crop decomposition, full-signal prediction, and rejection rules."""
 
-import itertools
 import json
 import math
 from dataclasses import replace
@@ -124,7 +123,7 @@ class TestPredict:
         model.forward(rng.normal(size=(2, 1, 256)).astype(np.float32), train=True)
         predict(model, record_of_length(900), 256)
         layers = []
-        for node in itertools.chain(*model.stages, model.head):
+        for node in model.nodes:
             if isinstance(node, ResidualBlock):
                 layers += node.main + node.shortcut + [node.join]
             else:
