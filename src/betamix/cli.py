@@ -227,10 +227,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:
-        # Every input file opens through data.open_input and the config
-        # file through parse_config, both of which raise their own errors,
-        # so an OSError here is an output that could not be written; its
-        # text names the path.
+        # Every input file, the config file too, opens through
+        # data.open_input, which raises its own errors, so an OSError here
+        # is an output that could not be written; its text names the path.
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (InternalError, ValueError, FloatingPointError, AssertionError) as exc:

@@ -1,9 +1,10 @@
 """Flat key=value run configuration.
 
 A UTF-8 file with one option per line, `#` comments and blank lines
-allowed. Unknown keys are rejected and every value is validated against
-its domain at parse time (floats must be finite), so a typo fails the run
-before any compute happens.
+allowed, opened through `data.open_input` as every input file is (so a
+leading byte-order mark is skipped). Unknown keys are rejected and floats
+must be finite; a `RunConfig` checks every value against its domain when
+it is built, so a typo fails the run before any compute happens.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .data import open_input
 from .errors import UsageError
 from .model import PRESETS
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Every setting of a training run; only what runs vary is a setting.
 
@@ -25,7 +27,8 @@ class RunConfig:
     label clip (`model.LABEL_EPS`) and the resample range
     (`data.AugmentConfig`) are constants. `augment` has no effect when
     `soft_targets` is set, because the changepoint sampler never
-    resamples."""
+    resamples. A config checks its values when built (UsageError) and
+    cannot change after."""
 
     arch_preset: str = "paper"
     batch_size: int = 256
@@ -35,7 +38,7 @@ class RunConfig:
     augment: bool = True
     soft_targets: bool = False
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         if self.arch_preset not in PRESETS:
             raise UsageError(
                 f"arch_preset must be one of {sorted(PRESETS)}, "
@@ -50,7 +53,6 @@ class RunConfig:
                  f"learning_rate must be in [0, 1], got {self.learning_rate}")
         _require(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
         _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        return self
 
 
 def _require(cond: bool, message: str) -> None:
@@ -68,17 +70,15 @@ def _parse_bool(raw: str, key: str) -> bool:
 
 
 def parse_config(path) -> RunConfig:
-    """Read, type-check, and domain-validate a config file."""
+    """Read and type-check a config file; `RunConfig` checks domains."""
     defaults = RunConfig()
     known = {f.name for f in fields(RunConfig)}
     values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with open_input(path, "config file", UsageError, mode="r") as fh:
+        try:
             lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"config file {path} is not UTF-8: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"config file {path} is not UTF-8: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,4 +106,4 @@ def parse_config(path) -> RunConfig:
             raise UsageError(
                 f"{path}:{lineno}: bad value {value!r} for key {key!r}"
             ) from exc
-    return RunConfig(**values).validate()
+    return RunConfig(**values)

@@ -12,6 +12,11 @@ the stretch before the first changepoint. The file ends at its last
 changepoint. One reader, `BinaryReader`, serves both binary formats, the
 record and the checkpoint (see `model.load_checkpoint`).
 
+Records, rhythm annotations and manifest entries check themselves when
+built (ValueError) and cannot change after; the readers report a broken
+rule as DataError naming the file, so the writer and the reader share
+every rule.
+
 The synthetic generator stands in for clinical data: regular spike trains
 with a pre-spike bump for the normal class, irregular gamma-distributed
 beat intervals with a low-amplitude oscillation for the AF class, plus an
@@ -25,7 +30,8 @@ import csv
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -63,13 +69,12 @@ class RhythmAnnotation:
             prev = idx
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignalRecord:
     """One recording: samples, rate, target, optional rhythm annotation.
 
-    The orientation (see `orientation`) is computed on first use and kept
-    for as long as `samples` is the same array, so rebinding `samples`
-    gets a fresh one; the array must not be written in place.
+    `samples` is a read-only float32 view, without a copy of an array
+    that already is one, so the array's owner must not write into it.
     """
 
     id: str
@@ -77,16 +82,15 @@ class SignalRecord:
     samples: np.ndarray
     target: float
     rhythm: RhythmAnnotation | None = None
-    # (samples array it was computed from, median, flipped)
-    _orientation: tuple | None = field(default=None, init=False,
-                                       compare=False, repr=False)
 
     def __post_init__(self):
-        self.samples = np.ascontiguousarray(self.samples, dtype=np.float32)
-        if self.samples.size == 0:
+        samples = np.ascontiguousarray(self.samples, dtype=np.float32).view()
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
+        if samples.size == 0:
             raise ValueError(f"record {self.id!r}: samples are empty")
         # A NaN makes both extremes NaN, so the peak is NaN too.
-        peak = max(-self.samples.min(), self.samples.max())
+        peak = max(-samples.min(), samples.max())
         if not np.isfinite(peak):
             raise ValueError(f"record {self.id!r}: samples hold NaN or inf")
         if peak > MAX_ABS_SAMPLE:
@@ -100,31 +104,28 @@ class SignalRecord:
         if self.rhythm is not None and self.rhythm.changepoints:
             last = self.rhythm.changepoints[-1][0]
             first = self.rhythm.changepoints[0][0]
-            if first < 0 or last >= self.samples.size:
+            if first < 0 or last >= samples.size:
                 raise ValueError(
-                    f"record {self.id!r}: changepoint outside [0, {self.samples.size})"
+                    f"record {self.id!r}: changepoint outside [0, {samples.size})"
                 )
 
     def __len__(self) -> int:
         return int(self.samples.size)
 
+    @cached_property
     def orientation(self) -> tuple[np.float32, bool]:
         """(median, flipped): the float32 sample median, and whether the
         median-removed samples are negated so the dominant peak points up
         (|min| > |max| after removing the median; ties stay unflipped)."""
-        cached = self._orientation
-        if cached is None or cached[0] is not self.samples:
-            samples = self.samples
-            med = np.float32(np.median(samples))
-            # Subtracting a constant rounds monotonically, so the extremes
-            # of the centered samples are the centered extremes.
-            flipped = bool(abs(samples.min() - med) > abs(samples.max() - med))
-            cached = self._orientation = (samples, med, flipped)
-        return cached[1], cached[2]
+        samples = self.samples
+        med = np.float32(np.median(samples))
+        # Subtracting a constant rounds monotonically, so the extremes
+        # of the centered samples are the centered extremes.
+        return med, bool(abs(samples.min() - med) > abs(samples.max() - med))
 
     def oriented(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """The oriented samples[lo:hi]: median removed, negated if flipped."""
-        med, flipped = self.orientation()
+        med, flipped = self.orientation
         window = self.samples[lo:hi] - med
         if flipped:
             np.negative(window, out=window)
@@ -133,21 +134,47 @@ class SignalRecord:
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    """A record's place in a dataset; its target lives on the record."""
+    """A record's place in a dataset; its target lives on the record.
+    It checks the rules its manifest row needs to load back as itself."""
 
     id: str
     path: str
     split: str
 
+    def __post_init__(self):
+        if self.id.startswith("#"):
+            raise ValueError(f"record id {self.id!r} starts with '#', so its "
+                             f"manifest row would read as a comment")
+        if "\n" in self.id or "\r" in self.id:
+            raise ValueError(f"record id {self.id!r} holds a line break")
+        if "\n" in self.path or "\r" in self.path:
+            raise ValueError(f"record path {self.path!r} for {self.id!r} "
+                             f"holds a line break")
+        # A string check, so no filesystem call per record.
+        if (os.path.isabs(self.path)
+                or ".." in self.path.replace("\\", "/").split("/")):
+            raise ValueError(f"record path {self.path!r} for {self.id!r} "
+                             f"leaves the dataset directory")
+        if self.split not in ("train", "val"):
+            raise ValueError(f"unknown split {self.split!r} for {self.id!r}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class DatasetManifest:
-    """A dataset's entries and the seed that split them. `write_dataset`
-    writes the seed as a comment, a note for people that `load_dataset`
-    does not read, so a loaded manifest's seed is None."""
+    """A dataset's entries, each id once, and the seed that split them.
+    `write_dataset` writes the seed as a comment, a note for people that
+    `load_dataset` does not read, so a loaded manifest's seed is None."""
 
-    entries: list[ManifestEntry]
+    entries: tuple[ManifestEntry, ...]
     seed: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
+        ids = set()
+        for entry in self.entries:
+            if entry.id in ids:
+                raise ValueError(f"duplicate record id {entry.id!r}")
+            ids.add(entry.id)
 
 
 @dataclass
@@ -204,11 +231,12 @@ def write_record(path, record: SignalRecord) -> None:
             fh.write(_CHANGEPOINT.pack(*changepoint))
 
 
-def open_input(path, what: str, error: type[DataError] = DataError, *,
+def open_input(path, what: str,
+               error: type[DataError | UsageError] = DataError, *,
                mode: str = "rb", newline: str | None = None):
-    """Open a file the user named (a record, a manifest, a checkpoint);
-    a text-mode file is decoded as UTF-8, skipping a leading byte-order
-    mark.
+    """Open a file the user named (a record, a manifest, a checkpoint, a
+    config file); a text-mode file is decoded as UTF-8, skipping a leading
+    byte-order mark.
 
     Every reason the file cannot be opened raises `error`: a missing file
     as "<what> missing: <path>", anything else (a directory, no
@@ -298,33 +326,27 @@ def read_record(path, record_id: str, target: float) -> SignalRecord:
 
 def write_dataset(records: list[SignalRecord], manifest: DatasetManifest,
                   out_dir) -> None:
-    """Write out_dir/manifest.csv and each entry's record file. An entry
-    `load_dataset` would skip (an id starting with "#" reads as a comment)
-    or refuse raises UsageError before anything is written."""
-    ids = set()
-    for entry in manifest.entries:
-        if entry.id.startswith("#"):
-            raise UsageError(f"record id {entry.id!r} starts with '#', so its "
-                             f"manifest row would read as a comment")
-        if entry.id in ids:
-            raise UsageError(f"duplicate record id {entry.id!r}")
-        if not _inside_dataset(entry.path):
-            raise UsageError(f"record path {entry.path!r} for {entry.id!r} "
-                             f"leaves the dataset directory")
-        ids.add(entry.id)
-    out_dir = Path(out_dir)
-    (out_dir / "records").mkdir(parents=True, exist_ok=True)
+    """Write each entry's record file, then out_dir/manifest.csv, so a
+    failed write leaves no manifest naming missing files. An entry with
+    no record raises UsageError before anything is written."""
     by_id = {r.id: r for r in records}
+    for entry in manifest.entries:
+        if entry.id not in by_id:
+            raise UsageError(f"manifest entry {entry.id!r} has no record")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for parent in {(out_dir / entry.path).parent for entry in manifest.entries}:
+        parent.mkdir(parents=True, exist_ok=True)
+    for entry in manifest.entries:
+        write_record(out_dir / entry.path, by_id[entry.id])
     with open(out_dir / "manifest.csv", "w", encoding="utf-8", newline="") as fh:
         if manifest.seed is not None:
             fh.write(f"# split_seed={manifest.seed}\n")
         writer = csv.writer(fh)
         writer.writerow(["id", "path", "target", "split"])
         for entry in manifest.entries:
-            record = by_id[entry.id]
             writer.writerow([entry.id, entry.path,
-                             _format_target(record.target), entry.split])
-            write_record(out_dir / entry.path, record)
+                             _format_target(by_id[entry.id].target), entry.split])
 
 
 def _format_target(t: float) -> str:
@@ -335,17 +357,10 @@ def _format_target(t: float) -> str:
     return repr(float(t))
 
 
-def _inside_dataset(rel_path: str) -> bool:
-    """Whether a manifest path names a file under the dataset directory:
-    relative, with no ".." component. A string check, so no filesystem
-    call per record."""
-    return (not os.path.isabs(rel_path)
-            and ".." not in rel_path.replace("\\", "/").split("/"))
-
-
 def load_dataset(manifest_path) -> Dataset:
-    """Parse a UTF-8 manifest and every record it references, validating
-    both. Lines starting with "#" and blank lines are skipped unread."""
+    """Parse a UTF-8 manifest into its entries, then read every record
+    they reference. Lines starting with "#" and blank lines are skipped
+    unread."""
     manifest_path = Path(manifest_path)
     with open_input(manifest_path, "manifest", mode="r", newline="") as fh:
         try:
@@ -365,32 +380,28 @@ def load_dataset(manifest_path) -> Dataset:
     if len(rows) == 1:
         raise UsageError(f"{manifest_path}: no records in manifest")
     entries = []
-    records = []
-    seen = set()
-    for row in rows[1:]:
-        if len(row) != 4:
-            raise DataError(f"{manifest_path}: malformed row {row!r}")
-        rec_id, rel_path, target_s, split = row
-        if rec_id in seen:
-            raise DataError(f"{manifest_path}: duplicate record id {rec_id!r}")
-        seen.add(rec_id)
-        try:
-            target = float(target_s)
-        except ValueError as exc:
-            raise DataError(
-                f"{manifest_path}: bad target {target_s!r} for {rec_id!r}") from exc
-        if not (0.0 <= target <= 1.0):
-            raise DataError(
-                f"{manifest_path}: target {target} for {rec_id!r} outside [0,1]")
-        if split not in ("train", "val"):
-            raise DataError(
-                f"{manifest_path}: unknown split {split!r} for {rec_id!r}")
-        if not _inside_dataset(rel_path):
-            raise DataError(f"{manifest_path}: record path {rel_path!r} for "
-                            f"{rec_id!r} leaves the dataset directory")
-        entries.append(ManifestEntry(rec_id, rel_path, split))
-        records.append(read_record(manifest_path.parent / rel_path, rec_id, target))
-    return Dataset(records, DatasetManifest(entries))
+    targets = []
+    try:
+        for row in rows[1:]:
+            if len(row) != 4:
+                raise DataError(f"{manifest_path}: malformed row {row!r}")
+            rec_id, rel_path, target_s, split = row
+            try:
+                target = float(target_s)
+            except ValueError as exc:
+                raise DataError(f"{manifest_path}: bad target {target_s!r} "
+                                f"for {rec_id!r}") from exc
+            if not (0.0 <= target <= 1.0):
+                raise DataError(f"{manifest_path}: target {target} for "
+                                f"{rec_id!r} outside [0,1]")
+            entries.append(ManifestEntry(rec_id, rel_path, split))
+            targets.append(target)
+        manifest = DatasetManifest(entries)
+    except ValueError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from exc
+    records = [read_record(manifest_path.parent / entry.path, entry.id, target)
+               for entry, target in zip(manifest.entries, targets)]
+    return Dataset(records, manifest)
 
 
 # -- signal operations -------------------------------------------------------

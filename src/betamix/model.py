@@ -384,9 +384,8 @@ def train(model: Model, dataset, config) -> TrainingLog:
     crop generator, seeded from config.seed, serves the whole run, so each
     epoch draws fresh crops and augmentation factors (even a zero learning
     rate gives a different loss every epoch), and two runs with the same
-    seed match exactly. The config is validated first.
+    seed match exactly. The config checked its values when it was built.
     """
-    config.validate()
     if config.arch_preset != model.spec.preset_name:
         raise UsageError(
             f"config arch_preset {config.arch_preset!r} does not match the "

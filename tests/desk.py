@@ -52,7 +52,7 @@ def desk_run(seed: int) -> dict:
     run."""
     start = time.monotonic()
     dataset = desk_dataset(seed)
-    config = RunConfig(seed=seed, **DESK_CONFIG).validate()
+    config = RunConfig(seed=seed, **DESK_CONFIG)
     model = build_model(config.arch_preset, config.seed)
     log = train(model, dataset, config)
     preds = [predict(model, r, model.spec.input_length)

@@ -223,7 +223,7 @@ class TestAcceptance:
         for seed in range(N_SEEDS):
             records = synth_generate_changepoints(60, seed=seed)
             dataset = Dataset(records, split_dataset(records, 0.8, seed=seed))
-            config = RunConfig(seed=seed, **SOFT_CONFIG).validate()
+            config = RunConfig(seed=seed, **SOFT_CONFIG)
             model = build_model("tiny", config.seed)
             train(model, dataset, config)
 

@@ -7,9 +7,12 @@ are observable without subprocess overhead.
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ import pytest
 
 from betamix.betadist import BetaParams, beta_log_pdf
 from betamix.cli import DENSITY_GRID_EPS, DENSITY_MAX_CONCENTRATION, main
-from betamix.config import RunConfig
+from betamix.config import RunConfig, parse_config
 from betamix.model import load_checkpoint, save_checkpoint
 from conftest import rewrite_checkpoint_header
 
@@ -112,6 +115,16 @@ class TestTrain:
         config = write_config(tmp_path, "arch_preset = tiny\nbogus_key = 1\n")
         assert main(["train", "--config", str(config), "--data", str(data),
                      "--out", str(tmp_path / "m.bgc")]) == 1
+
+    def test_config_byte_order_mark_accepted(self, tmp_path):
+        """A config saved with a leading UTF-8 byte-order mark, as some
+        editors save it, parses equal to the plain file, as a manifest
+        with one loads; it exited 1 with unknown config key
+        '\\ufeffarch_preset'."""
+        plain = write_config(tmp_path, TRAIN_CONFIG.lstrip())
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_config(marked) == parse_config(plain)
 
     def test_missing_data_is_data_error(self, tmp_path):
         config = write_config(tmp_path)
@@ -617,3 +630,20 @@ def test_readme_configuration_table_matches_run_config():
     keys = {f.name for f in dataclasses.fields(RunConfig)}
     assert documented == keys, (
         f"README lists {sorted(documented)}, RunConfig has {sorted(keys)}")
+
+
+def test_readme_library_use_runs(tmp_path):
+    """The README's library example, the fenced python block under
+    "Library use", runs as written in a fresh process with `src` on the
+    path, so a public name the README still shows but the code dropped
+    fails."""
+    root = Path(__file__).resolve().parent.parent
+    lines = (root / "README.md").read_text(encoding="utf-8").splitlines()
+    section = lines[lines.index("## Library use") + 1:]
+    section = section[:next((i for i, line in enumerate(section)
+                             if line.startswith("## ")), len(section))]
+    body = section[section.index("```python") + 1:]
+    block = "\n".join(body[:body.index("```")]) + "\n"
+    subprocess.run([sys.executable, "-c", block], cwd=tmp_path, check=True,
+                   env={**os.environ, "PYTHONPATH": str(root / "src")},
+                   stdout=subprocess.DEVNULL)

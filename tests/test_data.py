@@ -2,7 +2,7 @@
 
 import re
 import struct
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -224,17 +224,87 @@ class TestDatasetIO:
                  "dataset directory"),
     ], ids=["comment", "repeated", "outside"])
     def test_write_refuses_what_the_loader_skips_or_refuses(
-            self, tmp_path, second_id, message):
-        """An id starting with "#", whose row reloads as a comment, a
+            self, second_id, message):
+        """An id starting with "#", whose row would reload as a comment, a
         repeated id, and an id whose record path leaves the dataset
-        directory are each refused before anything is written; each was
-        written, and the reload dropped the record or failed."""
-        records = [spike_record("a"), spike_record(second_id, target=1.0)]
-        manifest = DatasetManifest([
-            ManifestEntry(r.id, f"records/{r.id}.bgs", "train") for r in records])
-        with pytest.raises(UsageError, match=re.escape(message)):
-            write_dataset(records, manifest, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+        directory are refused when the entry or the manifest is built, so
+        `write_dataset` is never handed them; each was once written, and
+        the reload dropped the record or failed."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DatasetManifest([ManifestEntry(i, f"records/{i}.bgs", "train")
+                             for i in ("a", second_id)])
+
+    @pytest.mark.parametrize("entries, drop, refusal", [
+        ([("a", "records/a.bgs", "train"), ("x/y", "records/x/y.bgs", "val")],
+         None, None),
+        ([("b", "b.bgs", "val"), ("c", "records/c.bgs", "train")], None, None),
+        ([("a", "records/a.bgs", "train"), ("b\n#c", "records/b.bgs", "train")],
+         None, (ValueError, "record id 'b\\n#c' holds a line break")),
+        ([("a\rb", "records/a.bgs", "train")],
+         None, (ValueError, "record id 'a\\rb' holds a line break")),
+        ([("a", "records/a\n.bgs", "train")],
+         None, (ValueError, "record path 'records/a\\n.bgs' for 'a' holds a "
+                            "line break")),
+        ([("a", "records/a.bgs", "train"), ("#b", "records/b.bgs", "train")],
+         None, (ValueError, "record id '#b' starts with '#'")),
+        ([("a", "records/a.bgs", "test")],
+         None, (ValueError, "unknown split 'test' for 'a'")),
+        ([("../a", "records/../a.bgs", "train")],
+         None, (ValueError, "leaves the dataset directory")),
+        ([("a", "records/a.bgs", "train"), ("a", "records/b.bgs", "val")],
+         None, (ValueError, "duplicate record id 'a'")),
+        ([("a", "records/a.bgs", "train"), ("b", "records/b.bgs", "val")],
+         "b", (UsageError, "manifest entry 'b' has no record")),
+    ], ids=["nested", "top_level", "newline_comment", "carriage_return",
+            "newline_path", "comment", "split_test", "outside", "repeated",
+            "no_record"])
+    def test_write_round_trips_or_refuses(self, tmp_path, entries, drop,
+                                          refusal):
+        """Either the entry, the manifest or the write is refused before
+        anything is written, or `load_dataset` gives back the same ids,
+        splits, targets and sample bytes. A nested record path once
+        wrote the manifest and then died writing the record; an id whose
+        line break puts "#" at the start of a line, and a split other than
+        train or val, were written and the reload failed. No line break is
+        allowed, so the rule needs no look at what follows one."""
+        records = [spike_record(rec_id, n=300 + 7 * k, target=float(k % 2))
+                   for k, (rec_id, _, _) in enumerate(entries)]
+        out = tmp_path / "out"
+
+        def write():
+            manifest = DatasetManifest([ManifestEntry(*e) for e in entries])
+            write_dataset([r for r in records if r.id != drop], manifest, out)
+
+        if refusal is not None:
+            with pytest.raises(refusal[0], match=re.escape(refusal[1])):
+                write()
+            assert not out.exists()
+            return
+        write()
+        loaded = load_dataset(out / "manifest.csv")
+        assert [(e.id, e.split) for e in loaded.manifest.entries] == \
+            [(rec_id, split) for rec_id, _, split in entries]
+        for written, reread in zip(records, loaded.records, strict=True):
+            assert (reread.id, reread.target) == (written.id, written.target)
+            assert reread.samples.tobytes() == written.samples.tobytes()
+
+    @pytest.mark.parametrize("quoted_id, message", [
+        ('"#x"', "record id '#x' starts with '#'"),
+        ('"x\ny"', "record id 'x\\ny' holds a line break"),
+    ], ids=["comment", "line_break"])
+    def test_quoted_id_the_writer_refuses_is_refused_on_load(
+            self, tmp_path, quoted_id, message):
+        """A hand-written manifest may quote an id the writer refuses: one
+        starting with "#", or one spanning two lines. Both loaded, and
+        neither could be written back; each is now refused, naming the
+        manifest, before any record file is read."""
+        path = tmp_path / "manifest.csv"
+        path.write_text("id,path,target,split\n"
+                        "a,records/a.bgs,0,train\n"
+                        f"{quoted_id},records/x.bgs,1,train\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_dataset(path)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest missing"):
@@ -286,15 +356,26 @@ class TestOrientSignal:
         oriented = orient_signal(record)
         np.testing.assert_array_equal(oriented, samples)
 
-    def test_rebound_samples_get_fresh_orientation(self):
-        record = spike_record(positive=True)
-        assert record.orientation()[1] is False
-        record.samples = -record.samples
-        assert record.orientation()[1] is True
-        expected, _ = naive_orient(record.samples)
-        np.testing.assert_array_equal(record.oriented(), expected)
-        upright = replace(record, samples=spike_record(positive=True).samples)
-        assert upright.orientation()[1] is False
+    def test_record_cannot_change_after_it_is_built(self):
+        """A record checks itself once, when built: its fields cannot be
+        rebound and its samples cannot be written, so its orientation,
+        computed on first use, stays its own. A changed copy is a new
+        record and checks itself again. The array it was built from stays
+        writable to its owner."""
+        samples = spike_record(positive=True).samples.copy()
+        record = SignalRecord("r", 100.0, samples, 0.0)
+        assert record.orientation[1] is False
+        with pytest.raises(FrozenInstanceError):
+            record.samples = -record.samples
+        with pytest.raises(ValueError, match="read-only"):
+            record.samples[0] = np.nan
+        assert samples.flags.writeable
+        with pytest.raises(ValueError, match="samples hold NaN or inf"):
+            replace(record, samples=np.full(10, np.nan, dtype=np.float32))
+        flipped = replace(record, samples=-record.samples)
+        assert flipped.orientation[1] is True
+        expected, _ = naive_orient(flipped.samples)
+        np.testing.assert_array_equal(flipped.oriented(), expected)
 
     def test_idempotent(self, rng):
         samples = rng.normal(size=501).astype(np.float32) + 2.0

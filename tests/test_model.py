@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +72,7 @@ def tiny_config(**overrides):
     defaults = dict(arch_preset="tiny", batch_size=8,
                     learning_rate=3e-3, epochs=2, seed=5, augment=False)
     defaults.update(overrides)
-    return RunConfig(**defaults).validate()
+    return RunConfig(**defaults)
 
 
 class TestBuildModel:
@@ -439,12 +440,13 @@ class TestTrain:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", 5.0), ("epochs", -2), ("seed", -1)])
     def test_invalid_config_is_usage_error(self, field, value):
-        """train validates the config it is given, so a value no config
-        file may hold fails as a usage error before any step."""
-        config = tiny_config()
-        setattr(config, field, value)
-        with pytest.raises(UsageError):
-            train(build_model("tiny", 0), tiny_dataset(), config)
+        """A config checks its values when built and cannot change after,
+        so a value no config file may hold fails as a usage error before
+        any model is built, and no config handed to train can hold one."""
+        with pytest.raises(UsageError, match=field):
+            tiny_config(**{field: value})
+        with pytest.raises(FrozenInstanceError):
+            setattr(tiny_config(), field, value)
 
     def test_fixed_seed_reproduces_loss_trace(self):
         ds = tiny_dataset()
