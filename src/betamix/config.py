@@ -39,6 +39,15 @@ class RunConfig:
     soft_targets: bool = False
 
     def __post_init__(self):
+        # Types first, so a library caller's 8.0 or "no" is a usage error
+        # rather than a TypeError mid-run or a string read as true; bool is
+        # an int subclass, so it is refused where a number is wanted.
+        for name, kinds in _TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, kinds) or (
+                    bool not in kinds and isinstance(value, bool)):
+                names = " or ".join(kind.__name__ for kind in kinds)
+                raise UsageError(f"{name} must be {names}, got {value!r}")
         if self.arch_preset not in PRESETS:
             raise UsageError(
                 f"arch_preset must be one of {sorted(PRESETS)}, "
@@ -53,6 +62,18 @@ class RunConfig:
                  f"learning_rate must be in [0, 1], got {self.learning_rate}")
         _require(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
         _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+
+
+# The types each setting accepts.
+_TYPES = {
+    "arch_preset": (str,),
+    "batch_size": (int,),
+    "learning_rate": (int, float),
+    "epochs": (int,),
+    "seed": (int,),
+    "augment": (bool,),
+    "soft_targets": (bool,),
+}
 
 
 def _require(cond: bool, message: str) -> None:

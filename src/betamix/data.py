@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import posixpath
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -161,7 +162,8 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """A dataset's entries, each id once, and the seed that split them.
+    """A dataset's entries, each id and each record file once, and the
+    seed that split them.
     `write_dataset` writes the seed as a comment, a note for people that
     `load_dataset` does not read, so a loaded manifest's seed is None."""
 
@@ -171,10 +173,19 @@ class DatasetManifest:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         ids = set()
+        owners = {}
         for entry in self.entries:
             if entry.id in ids:
                 raise ValueError(f"duplicate record id {entry.id!r}")
             ids.add(entry.id)
+            # Two spellings of one file ("r.bgs", "./r.bgs", "x//r.bgs")
+            # would have the later record written over the earlier one. A
+            # string check, so no filesystem call per record.
+            key = posixpath.normpath(entry.path.replace("\\", "/"))
+            if key in owners:
+                raise ValueError(f"records {owners[key]!r} and {entry.id!r} "
+                                 f"share the record file {key!r}")
+            owners[key] = entry.id
 
 
 @dataclass

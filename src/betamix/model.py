@@ -201,8 +201,11 @@ class Model:
         rng = np.random.default_rng(int(seed))
 
         stem_kernel, stem_ch, stem_pool = spec.stem
+        # The stem conv reads the network input, whose gradient nothing
+        # reads, so its backward computes only the kernel gradient.
         self.stem_conv = Conv1D(1, stem_ch, stem_kernel, 1, rng=rng,
-                                bias=False, dtype=dtype, name="stem.conv")
+                                bias=False, input_grad=False, dtype=dtype,
+                                name="stem.conv")
         self.stem_pool = MaxPool1D(stem_pool, name="stem.pool")
         self.stem_bn = BatchNorm1D(stem_ch, dtype=dtype, name="stem.bn")
         self.stem_relu = ReLU(name="stem.relu")

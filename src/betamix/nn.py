@@ -24,7 +24,8 @@ Conventions:
   - Every layer derives from Layer. forward(x, train) keeps what backward
     needs only when train is true; an infer-mode forward keeps nothing, and
     a backward after it raises ValueError. backward(grad) returns the input
-    gradient and accumulates parameter gradients.
+    gradient (None from a conv built with input_grad=False) and
+    accumulates parameter gradients.
   - Convolution is cross-correlation (no kernel flip) with "same"
     padding only: the output length is ceil(length / stride), the zeros
     are split as evenly as possible with the extra element on the right.
@@ -32,17 +33,25 @@ Conventions:
     are a strided view over it.
   - Training is chaotic, so the bits of the train-mode passes decide
     where a run ends up, and they are pinned. The train-mode conv forward
-    is lane-major: it copies the windows once into columns of shape
-    (in_ch, kernel, batch * out_len), adds one column at a time into an
-    (out_ch, batch * out_len) accumulator started at the bias (at zero for
-    a conv without one), input channel by input channel and tap by tap
-    within each, and transposes the result once to (batch, out_ch,
-    out_len). The conv backward is two GEMMs. The input gradient is one
-    matmul for every tap followed by a col2im that adds the taps in order;
-    its adds are pinned. The kernel gradient is one GEMM over the windows
+    is lane-major and runs over chunks of whole crops, each chunk's
+    (out_ch, crops * out_len) accumulator at most CONV_CHUNK_ELEMS
+    elements. Per chunk it copies the chunk's windows once into columns
+    of shape (in_ch, kernel, crops * out_len), starts the accumulator at
+    the bias (at zero for a conv without one), adds one column times its
+    kernel value at a time through one reused product buffer, input
+    channel by input channel and tap by tap within each, and writes the
+    chunk into its crops of the (batch, out_ch, out_len) output. Every
+    output element gets the same float operations in the same order
+    whatever the chunk size, so the chunks keep the bits of one pass over
+    the whole batch. The conv backward is two GEMMs. The input gradient
+    is one matmul per crop for every tap followed by a col2im that adds
+    the taps in order, run in the same crop chunks; its adds are pinned.
+    The kernel gradient is one GEMM over the whole batch's windows
     copied to (batch * out_len, in_ch * kernel) rows, the operand layout
-    np.tensordot builds, so its bits equal tensordot's and follow the BLAS
-    build.
+    np.tensordot builds, so its bits equal tensordot's and follow the
+    BLAS build. A conv built with input_grad=False (the network's stem,
+    which reads the network input) computes no input gradient, and its
+    backward returns None.
   - The infer-mode forward is accurate to float32 rounding rather than
     pinned: the conv is one GEMM per crop and batch norm one affine pass,
     so its bits follow the BLAS build. On one build it is deterministic,
@@ -211,7 +220,8 @@ class Layer:
     _forward may skip building the cache when train is false. forward keeps
     the cache only in train mode, so an infer-mode forward leaves nothing
     behind and a backward after it raises. With DEBUG_FINITE_CHECKS set,
-    every forward and backward output is checked for NaN/inf.
+    every forward and backward output is checked for NaN/inf (a backward
+    that returns None has none).
     """
 
     _cache = None
@@ -238,9 +248,19 @@ class Layer:
             raise ValueError(
                 f"{self.name}: backward requires a preceding train-mode forward")
         dx = self._backward(grad_out, self._cache)
-        if DEBUG_FINITE_CHECKS and not np.isfinite(dx).all():
+        if DEBUG_FINITE_CHECKS and dx is not None and not np.isfinite(dx).all():
             raise FloatingPointError(f"non-finite gradient leaving {self.name}")
         return dx
+
+
+# The train-mode conv runs over chunks of whole crops whose (out_ch,
+# crops * out_len) accumulator holds at most this many elements (512 KiB
+# of float32), so that a chunk's columns, accumulator and product stay in
+# a 2 MB L2 at the paper stem's 4 MB output. Measured on a paper train
+# step at batch 64, 2**16 and 2**17 were within noise of each other and
+# 2**18 was slower; chunks below a crop cost more in per-call overhead
+# than they save.
+CONV_CHUNK_ELEMS = 2 ** 17
 
 
 class Conv1D(Layer):
@@ -252,13 +272,22 @@ class Conv1D(Layer):
     columns and multiplied by the (out_ch, in_ch * kernel) kernel matrix.
     It is accurate to float32 rounding, and its bits follow the BLAS
     build. The train-mode forward lays the same windows out as (in_ch,
-    kernel, batch * out_len) columns and sums them into the output in a
+    kernel, crops * out_len) columns and sums them into the output in a
     fixed (input channel, tap) order, so its output is pinned bit for
-    bit. The backward is two BLAS matrix products. The input gradient's
-    col2im adds the taps in a fixed order, straight into the unpadded
-    gradient. The kernel gradient is np.tensordot's GEMM on the same
-    (batch * out_len, in_ch * kernel) operand, filled one tap at a time,
-    so its bits are tensordot's and follow the BLAS build.
+    bit. It runs over chunks of whole crops whose accumulator holds at
+    most CONV_CHUNK_ELEMS elements, so that the columns, the accumulator
+    and the one product buffer stay in L2 at the paper stem's (64, 8,
+    2048) output; each output element still takes the same operations in
+    the same order. The backward is two BLAS matrix products. The input
+    gradient is one matmul per crop, run in the same crop chunks, and
+    its col2im adds the taps in a fixed order, straight into the
+    unpadded gradient. The kernel gradient is np.tensordot's GEMM on the
+    same (batch * out_len, in_ch * kernel) operand, filled one tap at a
+    time, so its bits are tensordot's and follow the BLAS build.
+
+    With input_grad=False the backward computes only the parameter
+    gradients and returns None: a conv that reads the network input, as
+    the stem does, has no caller for its input gradient.
 
     With bias=False the layer has no bias: self.bias is None, params()
     holds only the weight, and the backward computes no bias gradient. Its
@@ -271,9 +300,11 @@ class Conv1D(Layer):
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1, *,
                  rng: np.random.Generator, bias: bool = True,
-                 dtype=DEFAULT_DTYPE, name: str = "conv"):
+                 input_grad: bool = True, dtype=DEFAULT_DTYPE,
+                 name: str = "conv"):
         if stride < 1:
             raise ValueError("stride must be >= 1")
+        self.input_grad = input_grad
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.kernel_size = kernel
@@ -289,6 +320,12 @@ class Conv1D(Layer):
 
     def params(self) -> list[Param]:
         return [self.weight] if self.bias is None else [self.weight, self.bias]
+
+    def _chunk_crops(self, out_len: int) -> int:
+        """Crops per chunk of the train passes: as many whole crops as keep
+        the (out_ch, crops * out_len) accumulator within CONV_CHUNK_ELEMS,
+        and at least one."""
+        return max(1, CONV_CHUNK_ELEMS // (self.out_ch * out_len))
 
     def _windows(self, x):
         """(windows, length, left): the (batch, in_ch, out_len, kernel)
@@ -334,20 +371,36 @@ class Conv1D(Layer):
             return self.infer_gemm(x, self.weight.value, bias), None
         windows, length, left = self._windows(x)
         b, c, out_len, kernel = windows.shape
-        # Lane-major columns: one contiguous run of batch * out_len samples
-        # per (input channel, tap), copied once from the strided windows.
-        cols = windows.transpose(1, 3, 0, 2).reshape(c, kernel, b * out_len)
         k = self.weight.value
-        acc = np.zeros((self.out_ch, b * out_len), dtype=x.dtype)
-        if self.bias is not None:
-            acc[...] = self.bias.value[:, None]
-        # Accumulate channel-major then tap-major so the summation order per
-        # output element is fixed (bitwise-reproducible, oracle-matchable).
-        for ci in range(self.in_ch):
-            for j in range(kernel):
-                acc += k[:, ci, j, None] * cols[ci, j]
-        y = np.ascontiguousarray(
-            acc.reshape(self.out_ch, b, out_len).transpose(1, 0, 2))
+        out_ch = self.out_ch
+        start = 0 if self.bias is None else self.bias.value[:, None]
+        y = np.empty((b, out_ch, out_len), dtype=x.dtype)
+        step = self._chunk_crops(out_len)
+        # One chunk's lane-major columns (a contiguous run of crops *
+        # out_len samples per (input channel, tap)), accumulator and
+        # product, reused by every chunk.
+        n_max = min(b, step) * out_len
+        cols_buf = np.empty(c * kernel * n_max, dtype=x.dtype)
+        acc_buf = np.empty(out_ch * n_max, dtype=x.dtype)
+        prod_buf = np.empty(out_ch * n_max, dtype=x.dtype)
+        for b0 in range(0, b, step):
+            chunk = windows[b0 : b0 + step]
+            crops = chunk.shape[0]
+            n = crops * out_len
+            cols = cols_buf[: c * kernel * n].reshape(c, kernel, crops, out_len)
+            cols[...] = chunk.transpose(1, 3, 0, 2)
+            cols = cols.reshape(c, kernel, n)
+            acc = acc_buf[: out_ch * n].reshape(out_ch, n)
+            prod = prod_buf[: out_ch * n].reshape(out_ch, n)
+            acc[...] = start
+            # Accumulate channel-major then tap-major so the summation
+            # order per output element is fixed (bitwise-reproducible,
+            # oracle-matchable).
+            for ci in range(c):
+                for j in range(kernel):
+                    np.multiply(k[:, ci, j, None], cols[ci, j], out=prod)
+                    acc += prod
+            y[b0 : b0 + crops] = acc.reshape(out_ch, crops, out_len).transpose(1, 0, 2)
         return y, (windows, length, left)
 
     def _backward(self, grad_out, cache):
@@ -369,21 +422,28 @@ class Conv1D(Layer):
         g = grad_out.transpose(1, 0, 2).reshape(self.out_ch, b * out_len)
         dw = np.dot(g, rows.reshape(b * out_len, in_ch * kernel))
         self.weight.grad += dw.reshape(self.out_ch, in_ch, kernel)
-        # dX: one matmul gives every tap's contribution, then col2im adds
-        # each tap's columns, tap by tap, into the input positions it read
-        # (padding positions are skipped).
+        if not self.input_grad:
+            return None
+        # dX, chunk by chunk of whole crops: one matmul per crop gives every
+        # tap's contribution, then col2im adds each tap's columns, tap by
+        # tap, into the input positions it read (padding positions are
+        # skipped).
         k = self.weight.value.reshape(self.out_ch, in_ch * kernel)
-        cols = (k.T @ grad_out).reshape(b, in_ch, kernel, out_len)
         dx = np.zeros((b, in_ch, length), dtype=grad_out.dtype)
-        for j in range(kernel):
-            # Window i's tap j read input position i*stride + j - left; the
-            # windows lo .. hi - 1 read positions inside the input.
-            lo = max(0, -(-(left - j) // stride))
-            hi = min(out_len, -(-(length + left - j) // stride))
-            if lo < hi:
-                start = lo * stride + j - left
-                dx[:, :, start : start + (hi - lo) * stride : stride] += \
-                    cols[:, :, j, lo:hi]
+        step = self._chunk_crops(out_len)
+        for b0 in range(0, b, step):
+            cols = k.T @ grad_out[b0 : b0 + step]
+            cols = cols.reshape(-1, in_ch, kernel, out_len)
+            dx_chunk = dx[b0 : b0 + step]
+            for j in range(kernel):
+                # Window i's tap j read input position i*stride + j - left;
+                # the windows lo .. hi - 1 read positions inside the input.
+                lo = max(0, -(-(left - j) // stride))
+                hi = min(out_len, -(-(length + left - j) // stride))
+                if lo < hi:
+                    first = lo * stride + j - left
+                    dx_chunk[:, :, first : first + (hi - lo) * stride : stride] += \
+                        cols[:, :, j, lo:hi]
         return dx
 
 

@@ -239,7 +239,7 @@ class TestPredict:
         "model_is_directory", "record_is_directory", "nan_sample",
         "sample_3e38", "rate_inf", "nan_weight", "manifest_not_utf8",
         "manifest_path_parent", "manifest_path_absolute", "manifest_path_nul",
-        "manifest_field_200000", "model_twice", "record_trailing_garbage",
+        "manifest_path_shared", "manifest_field_200000", "model_twice", "record_trailing_garbage",
         "header_nested_100000", *HEADER_EDITS, *CHECKPOINT_REFUSALS])
     def test_hostile_files_are_data_errors(self, trained, tmp_path, capsys,
                                            case):
@@ -249,7 +249,8 @@ class TestPredict:
         above MAX_ABS_SAMPLE (one that overflowed the network), a malformed
         checkpoint header (including one that names no preset, changes a
         preset's sizes or nests too deeply to parse), a manifest that is not UTF-8, a manifest path
-        leading out of the dataset directory or holding a NUL byte, a manifest field beyond the
+        leading out of the dataset directory or holding a NUL byte, two manifest rows naming
+        one record file, a manifest field beyond the
         csv module's 131072-character limit, or a checkpoint or record
         with bytes after its last field exits 2 with a one-line data
         error: no traceback, MemoryError, OverflowError or internal
@@ -314,6 +315,10 @@ class TestPredict:
                 path = f"../secret/{record.name}"
             elif case == "manifest_path_nul":
                 path = rel.replace(".bgs", "\x00.bgs")
+            elif case == "manifest_path_shared":
+                # The next record's row names this record's file.
+                other = sorted((data / "records").iterdir())[1]
+                rel, path = other.relative_to(data).as_posix(), f"./{rel}"
             else:
                 path = str(record)
             manifest = data / "manifest.csv"
@@ -337,6 +342,8 @@ class TestPredict:
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         if case == "manifest_field_200000":
             assert "manifest.csv: field larger than field limit" in err, err
+        if case == "manifest_path_shared":
+            assert "share the record file" in err, err
         if case in ("model_twice", "record_trailing_garbage"):
             assert "trailing bytes after" in err, err
         if case == "sample_3e38":

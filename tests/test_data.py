@@ -255,9 +255,18 @@ class TestDatasetIO:
          None, (ValueError, "duplicate record id 'a'")),
         ([("a", "records/a.bgs", "train"), ("b", "records/b.bgs", "val")],
          "b", (UsageError, "manifest entry 'b' has no record")),
+        ([("a", "r.bgs", "train"), ("b", "./r.bgs", "val")],
+         None, (ValueError, "records 'a' and 'b' share the record file "
+                            "'r.bgs'")),
+        ([("a", "records/a.bgs", "train"), ("b", "records\\.\\a.bgs", "val")],
+         None, (ValueError, "records 'a' and 'b' share the record file "
+                            "'records/a.bgs'")),
+        ([("a", "records//a.bgs", "train"), ("b", "records/a.bgs/", "val")],
+         None, (ValueError, "records 'a' and 'b' share the record file "
+                            "'records/a.bgs'")),
     ], ids=["nested", "top_level", "newline_comment", "carriage_return",
             "newline_path", "comment", "split_test", "outside", "repeated",
-            "no_record"])
+            "no_record", "shared_dot", "shared_backslash", "shared_slashes"])
     def test_write_round_trips_or_refuses(self, tmp_path, entries, drop,
                                           refusal):
         """Either the entry, the manifest or the write is refused before
@@ -266,7 +275,9 @@ class TestDatasetIO:
         wrote the manifest and then died writing the record; an id whose
         line break puts "#" at the start of a line, and a split other than
         train or val, were written and the reload failed. No line break is
-        allowed, so the rule needs no look at what follows one."""
+        allowed, so the rule needs no look at what follows one. Two
+        spellings of one record path had the later record written over
+        the earlier one."""
         records = [spike_record(rec_id, n=300 + 7 * k, target=float(k % 2))
                    for k, (rec_id, _, _) in enumerate(entries)]
         out = tmp_path / "out"
@@ -304,6 +315,19 @@ class TestDatasetIO:
                         f"{quoted_id},records/x.bgs,1,train\n",
                         encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_dataset(path)
+
+    def test_two_rows_naming_one_record_file_are_refused(self, tmp_path):
+        """Two ids whose paths name the same file once loaded as two
+        records with one file's samples; the manifest is now refused,
+        naming it, before any record file is read."""
+        path = tmp_path / "manifest.csv"
+        path.write_text("id,path,target,split\n"
+                        "a,records/r.bgs,0,train\n"
+                        "b,records/./r.bgs,1,val\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: records 'a' and 'b' share the record file "
+                f"'records/r.bgs'")):
             load_dataset(path)
 
     def test_missing_manifest(self, tmp_path):

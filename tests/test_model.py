@@ -1,6 +1,7 @@
 """Architecture assembly, loss wiring, training contracts, checkpoints."""
 
 import math
+import re
 import struct
 from dataclasses import FrozenInstanceError
 from pathlib import Path
@@ -422,6 +423,51 @@ class TestLossAndGrads:
             assert err32 < 1e-2, f"{p32.name}: float32 rel err {err32}"
 
 
+class TestStemBackward:
+    """The stem conv reads the network input, whose gradient nothing
+    reads, so its backward computes only the kernel gradient."""
+
+    def test_stem_conv_returns_no_input_gradient(self, rng):
+        model = build_model("tiny", seed=1)
+        x = rng.normal(size=(3, 1, 256)).astype(np.float32)
+        y = model.stem_conv.forward(x, train=True)
+        assert model.stem_conv.backward(np.ones_like(y)) is None
+
+    @pytest.mark.parametrize("preset, batch", [("tiny", 6), ("paper", 10)])
+    def test_parameter_grads_equal_a_full_backward(self, rng, preset, batch):
+        """Every parameter gradient and the loss equal, byte for byte,
+        those of the same model whose stem conv computes its input
+        gradient. At batch 10 the paper stem's train passes run as two
+        crop chunks, 8 and 2."""
+        model = build_model(preset, seed=2)
+        full = build_model(preset, seed=2)
+        full.stem_conv.input_grad = True
+        length = model.spec.input_length
+        crops = rng.normal(size=(batch, 1, length)).astype(np.float32)
+        targets = rng.integers(0, 2, size=batch).astype(float)
+        loss = loss_and_grads(model, crops, targets, 0.01)
+        assert loss == loss_and_grads(full, crops, targets, 0.01)
+        for p, q in zip(model.params(), full.params(), strict=True):
+            assert p.name == q.name
+            assert p.grad.tobytes() == q.grad.tobytes(), p.name
+
+    def test_finite_checks_accept_the_missing_input_gradient(self, rng,
+                                                             monkeypatch):
+        """With DEBUG_FINITE_CHECKS set, a training step runs through the
+        stem conv's backward, which returns None, and gives the same
+        gradients as without the checks."""
+        import betamix.nn as nn_mod
+        crops = rng.normal(size=(4, 1, 256)).astype(np.float32)
+        targets = [0.0, 1.0, 1.0, 0.0]
+        plain = build_model("tiny", seed=3)
+        loss_and_grads(plain, crops, targets, 0.01)
+        monkeypatch.setattr(nn_mod, "DEBUG_FINITE_CHECKS", True)
+        checked = build_model("tiny", seed=3)
+        loss_and_grads(checked, crops, targets, 0.01)
+        for p, q in zip(plain.params(), checked.params(), strict=True):
+            assert p.grad.tobytes() == q.grad.tobytes(), p.name
+
+
 class TestTrain:
     def test_lr_zero_keeps_params_and_draws_fresh_crops(self):
         """At learning rate 0 no parameter moves, yet each epoch's loss
@@ -447,6 +493,25 @@ class TestTrain:
             tiny_config(**{field: value})
         with pytest.raises(FrozenInstanceError):
             setattr(tiny_config(), field, value)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("batch_size", 8.0, "batch_size must be int, got 8.0"),
+        ("augment", "no", "augment must be bool, got 'no'"),
+        ("epochs", True, "epochs must be int, got True"),
+        ("seed", "0", "seed must be int, got '0'"),
+        ("learning_rate", False, "learning_rate must be int or float, got False"),
+        ("soft_targets", 0, "soft_targets must be bool, got 0"),
+        ("arch_preset", None, "arch_preset must be str, got None")])
+    def test_wrong_type_is_usage_error(self, field, value, message):
+        """A library caller's batch_size=8.0 once died in train with a raw
+        TypeError, and augment="no" was read as on; a setting of the wrong
+        type is a usage error when the config is built. bool is an int,
+        but not a count or a rate."""
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            tiny_config(**{field: value})
+
+    def test_int_learning_rate_accepted(self):
+        assert tiny_config(learning_rate=1).learning_rate == 1
 
     def test_fixed_seed_reproduces_loss_trace(self):
         ds = tiny_dataset()

@@ -272,6 +272,39 @@ class TestConv1D:
         else:
             assert layer.bias is None and layer.params() == [layer.weight]
 
+    @pytest.mark.parametrize(FORWARD_CASE_ARGS, FORWARD_CASES,
+                             ids=FORWARD_CASE_IDS)
+    def test_crop_chunks_keep_the_bits(self, rng, monkeypatch, batch, in_ch,
+                                       out_ch, kernel, stride, length, dtype,
+                                       bias):
+        """The train passes run over chunks of whole crops. With a chunk
+        constant of three and a half crops' accumulators, seven crops run
+        as chunks of 3, 3 and 1, and the forward still equals the naive
+        oracle, and dX, dW and the bias gradient the one-pass reference,
+        byte for byte."""
+        import betamix.nn as nn_mod
+        batch = 7
+        out_len = -(-length // stride)
+        monkeypatch.setattr(nn_mod, "CONV_CHUNK_ELEMS",
+                            7 * out_ch * out_len // 2)
+        layer, b = conv_with_bias(in_ch, out_ch, kernel, stride, dtype, bias,
+                                  rng)
+        assert layer._chunk_crops(out_len) == 3
+        x = rng.normal(size=(batch, in_ch, length)).astype(dtype)
+        y = layer.forward(x, train=True)
+        assert y.dtype == dtype and y.flags.c_contiguous
+        assert y.tobytes() == naive_conv1d(x, layer.weight.value, b,
+                                           stride).tobytes()
+        grad_out = rng.normal(size=y.shape).astype(dtype)
+        dx = layer.backward(grad_out)
+        expected_dx, expected_dw, expected_db = conv1d_backward_reference(
+            x, layer.weight.value, grad_out, stride)
+        assert dx.dtype == dtype and dx.flags.c_contiguous
+        assert dx.tobytes() == expected_dx.tobytes()
+        assert layer.weight.grad.tobytes() == expected_dw.tobytes()
+        if bias:
+            assert layer.bias.grad.tobytes() == expected_db.tobytes()
+
     def test_same_pad_preserves_length(self, rng):
         for k in (1, 3, 5):
             for length in range(1, 65):
