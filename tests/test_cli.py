@@ -239,8 +239,8 @@ class TestPredict:
         "model_is_directory", "record_is_directory", "nan_sample",
         "sample_3e38", "rate_inf", "nan_weight", "manifest_not_utf8",
         "manifest_path_parent", "manifest_path_absolute", "manifest_path_nul",
-        "manifest_path_shared", "manifest_field_200000", "model_twice", "record_trailing_garbage",
-        "header_nested_100000", *HEADER_EDITS, *CHECKPOINT_REFUSALS])
+        "manifest_path_shared", "manifest_field_200000", "model_twice",
+        "record_trailing_garbage", "header_nested_100000", *HEADER_EDITS, *CHECKPOINT_REFUSALS])
     def test_hostile_files_are_data_errors(self, trained, tmp_path, capsys,
                                            case):
         """A missing or directory input, a length field declaring far more
