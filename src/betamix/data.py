@@ -70,12 +70,23 @@ class RhythmAnnotation:
             prev = idx
 
 
+def _read_only(samples: np.ndarray) -> np.ndarray:
+    """samples, marked read-only: a fresh array handed to SignalRecord,
+    which keeps such an array without a copy."""
+    samples.setflags(write=False)
+    return samples
+
+
 @dataclass(frozen=True)
 class SignalRecord:
     """One recording: samples, rate, target, optional rhythm annotation.
 
-    `samples` is a read-only float32 view, without a copy of an array
-    that already is one, so the array's owner must not write into it.
+    `samples` is a read-only C-contiguous float32 array that the record
+    owns. A writable array is copied, so its owner may go on writing into
+    it; an array already marked read-only is kept without a copy when it
+    is float32 and contiguous (read_record and the generators hand over
+    such fresh arrays), marking it read-only being its owner's promise
+    not to write into it.
     """
 
     id: str
@@ -85,7 +96,10 @@ class SignalRecord:
     rhythm: RhythmAnnotation | None = None
 
     def __post_init__(self):
-        samples = np.ascontiguousarray(self.samples, dtype=np.float32).view()
+        given = self.samples
+        owned = isinstance(given, np.ndarray) and not given.flags.writeable
+        samples = np.array(given, dtype=np.float32, order="C",
+                           copy=None if owned else True)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         if samples.size == 0:
@@ -321,7 +335,7 @@ def read_record(path, record_id: str, target: float) -> SignalRecord:
             raise DataError(f"{path}: malformed header (magic {magic!r})")
         if version != RECORD_VERSION:
             raise DataError(f"{path}: unsupported record version {version}")
-        samples = reader.read_f32(count, f"{count} samples")
+        samples = _read_only(reader.read_f32(count, f"{count} samples"))
         initial_tag, n_cp = reader.unpack(_RECORD_TAIL.format,
                                         "the changepoint count")
         what = f"{n_cp} changepoints"
@@ -699,7 +713,7 @@ def synth_generate(n_per_class: int, crop_budget_s: float = 61.0,
             records.append(SignalRecord(
                 id=f"{prefix}{i:04d}",
                 sampling_rate=fs,
-                samples=x.astype(np.float32),
+                samples=_read_only(x.astype(np.float32)),
                 target=float(cls),
                 rhythm=RhythmAnnotation(cls, ()),
             ))
@@ -750,7 +764,7 @@ def synth_generate_changepoints(n_records: int, seed: int = 0
         records.append(SignalRecord(
             id=f"cp{i:04d}",
             sampling_rate=fs,
-            samples=x.astype(np.float32),
+            samples=_read_only(x.astype(np.float32)),
             target=_af_fraction(rhythm, n, 0, n),
             rhythm=rhythm,
         ))

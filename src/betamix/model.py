@@ -15,7 +15,14 @@ norm inside a block is folded into the conv before it, so the pair is one
 GEMM. The stem's batch norm stays a layer of its own, because the stem's
 max pool sits between its conv and its batch norm, and max pooling
 commutes with the batch norm's affine map only where its scale is
-positive.
+positive. The folds are computed once per state of the parameters, not
+on every call: the first infer forward builds an InferPlan (every block's
+folded kernel matrices and biases, and each projection conv's matrix and
+bias) with a bitwise snapshot of the model's flat parameter buffer and
+its running-statistics buffer, and each later infer forward reuses the
+plan only while both buffers still hold the snapshot's bits. Any write,
+by Adam, a train pass, a checkpoint load or an in-place edit, makes the
+next infer forward fold again.
 
 Two presets exist: "paper" is the full architecture (input 2048, seven
 residual groups, channel ramp 8..20), "tiny" is a desk-scale sibling
@@ -30,6 +37,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +67,7 @@ from .nn import (
     Softplus,
     adam_step,
     pack_params,
+    pack_running_stats,
     DEFAULT_DTYPE,
 )
 
@@ -125,13 +134,39 @@ def _walk_back(nodes, g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _conv_bn_infer(conv: Conv1D, bn: BatchNorm1D, x: np.ndarray) -> np.ndarray:
-    """conv then bn in infer mode as one GEMM: bn's map y * a + c folded
-    into conv's kernel W * a and bias c (Jacob et al. 2018); the conv has
-    no bias of its own. The fold is recomputed from the live parameters on
-    every call. The output is bn's, so bn emits it."""
+class BlockFold(NamedTuple):
+    """A residual block's infer-mode kernels, as fresh arrays: conv1 and
+    conv2 as (out_ch, in_ch * kernel) matrices with bn1 and bn2 folded in
+    and their folded biases, then the projection conv's matrix and bias
+    (None for a block without one)."""
+
+    conv1: np.ndarray
+    bias1: np.ndarray
+    conv2: np.ndarray
+    bias2: np.ndarray
+    proj: np.ndarray | None
+    proj_bias: np.ndarray | None
+
+
+def _fold_conv_bn(conv: Conv1D, bn: BatchNorm1D):
+    """(matrix, bias) of conv then bn in infer mode as one GEMM: bn's map
+    y * a + c folded into conv's kernel W * a and bias c (Jacob et al.
+    2018); the conv has no bias of its own."""
     a, c = bn.infer_affine()
-    return bn.emit(conv.infer_gemm(x, conv.weight.value * a[:, None, None], c))
+    return (conv.weight.value * a[:, None, None]).reshape(conv.out_ch, -1), c
+
+
+def fold_block(block: ResidualBlock) -> BlockFold:
+    """The block's infer-mode kernels from its current parameters and
+    running statistics."""
+    proj = block.proj
+    if proj is None:
+        shortcut = (None, None)
+    else:
+        shortcut = (proj.weight.value.reshape(proj.out_ch, -1).copy(),
+                    proj.bias.value.copy())
+    return BlockFold(*_fold_conv_bn(block.conv1, block.bn1),
+                     *_fold_conv_bn(block.conv2, block.bn2), *shortcut)
 
 
 class ResidualBlock:
@@ -143,7 +178,11 @@ class ResidualBlock:
     In infer mode each batch norm is a fixed per-channel affine map, so
     conv1-bn1 and conv2-bn2 each run as one GEMM with the batch norm folded
     into the conv's kernel and a bias, and both ReLUs run in place on arrays
-    the block owns. The fused output is accurate to float32 rounding, as
+    the block owns. The folded kernels come as a BlockFold: a model passes
+    the one its infer plan holds, and a block run on its own folds its
+    current parameters on the spot with fold_block. Either way every
+    sublayer emits its output and drops its train cache as its own infer
+    forward would. The fused output is accurate to float32 rounding, as
     the unfused infer forward is. The train forward walks the layers one
     by one, its bits unchanged.
     """
@@ -171,14 +210,21 @@ class ResidualBlock:
         """The layers holding parameters: conv1, bn1, conv2, bn2[, proj]."""
         return [layer for layer in self.main + self.shortcut if layer.params()]
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False,
+                fold: BlockFold | None = None) -> np.ndarray:
         # The main path's output is a fresh array, so the join adds into it;
         # x itself (the identity shortcut) is never written.
         if not train:
-            z = _conv_bn_infer(self.conv1, self.bn1, x)
+            if fold is None:
+                fold = fold_block(self)
+            z = self.bn1.emit(self.conv1.infer_gemm(x, fold.conv1, fold.bias1))
             self.relu_inner.emit(np.maximum(z, 0, out=z))
-            z = _conv_bn_infer(self.conv2, self.bn2, z)
-            z += _walk(self.shortcut, x, False)
+            z = self.bn2.emit(self.conv2.infer_gemm(z, fold.conv2, fold.bias2))
+            if self.proj is None:
+                z += x
+            else:
+                z += self.proj.emit(self.proj.infer_gemm(x, fold.proj,
+                                                         fold.proj_bias))
             return self.join.emit(np.maximum(z, 0, out=z))
         z = _walk(self.main, x, True)
         z += _walk(self.shortcut, x, True)
@@ -189,6 +235,30 @@ class ResidualBlock:
         g = _walk_back(self.main, gz)
         g += _walk_back(self.shortcut, gz)
         return g
+
+
+class InferPlan:
+    """What the infer forward reuses between calls: every residual block's
+    BlockFold, aligned with Model.nodes (None for the other nodes), and a
+    bitwise snapshot, as uint32 words, of the model's flat parameter
+    values and running statistics that the folds were computed from. The
+    snapshot is taken before folding, so a write racing the build can only
+    make the plan stale, never wrong."""
+
+    __slots__ = ("values", "stats", "folds")
+
+    def __init__(self, model: Model):
+        self.values = model.flat_params.value.view(np.uint32).copy()
+        self.stats = model.running_stats.view(np.uint32).copy()
+        self.folds = [fold_block(node) if isinstance(node, ResidualBlock)
+                      else None for node in model.nodes]
+
+    def matches(self, model: Model) -> bool:
+        """Whether model's parameters and running statistics still hold
+        the snapshot's bits. Comparing bits, not values, sees a -0.0 / +0.0
+        flip and a NaN written over a NaN."""
+        return (np.array_equal(self.values, model.flat_params.value.view(np.uint32))
+                and np.array_equal(self.stats, model.running_stats.view(np.uint32)))
 
 
 class Model:
@@ -232,9 +302,17 @@ class Model:
                       self.global_pool, self.head_dense, self.head_softplus]
 
         # One flat buffer per role behind every Param, so an Adam step is
-        # one pass per role over the whole model.
-        pack_params(self.params())
+        # one pass per role over the whole model, and one buffer behind
+        # every batch norm's running statistics, so the infer plan's check
+        # reads two buffers.
+        self.flat_params = pack_params(self.params())
+        self.running_stats = pack_running_stats(
+            [layer for layer in self._layers_with_params()
+             if isinstance(layer, BatchNorm1D)])
         self.adam = AdamState()
+        # Built by the first infer forward, rebuilt by the first one after
+        # any write to the parameters or running statistics.
+        self._infer_plan: InferPlan | None = None
 
     # -- structure walking -------------------------------------------------
 
@@ -269,11 +347,19 @@ class Model:
         Returns an array of shape (batch, 2): one strictly positive
         (alpha, beta) pair per crop.
 
-        An infer-mode forward keeps no layer cache (it only resets each
-        layer's cache to None) and leaves the parameters and batch-norm
-        statistics alone, so concurrent infer-mode forwards are safe.
-        Training, a train-mode forward plus its backward, needs exclusive
-        ownership of the model.
+        An infer-mode forward runs from the model's infer plan: every
+        residual block's convs with their batch norms folded in. It reuses
+        the last plan while the flat parameter buffer and the running
+        statistics buffer hold the plan's snapshot bit for bit, and
+        otherwise builds a new one first, so no write to the parameters
+        (Adam, a checkpoint load, a train pass, an in-place edit) leaves a
+        stale fold. It keeps no layer cache (it only resets each layer's
+        cache to None) and leaves the parameters and batch-norm statistics
+        alone. A plan is never changed once built; a forward reads the
+        model's plan attribute once and publishes a new plan by one
+        assignment, so concurrent infer-mode forwards are safe (two may
+        each build an equal plan). Training, a train-mode forward plus its
+        backward, needs exclusive ownership of the model.
         """
         x = np.ascontiguousarray(np.asarray(x, dtype=self.dtype))
         if x.ndim != 3 or x.shape[1] != 1:
@@ -283,7 +369,14 @@ class Model:
                 f"crop length {x.shape[2]} does not match architecture input "
                 f"length {self.spec.input_length}"
             )
-        return _walk(self.nodes, x, train)
+        if train:
+            return _walk(self.nodes, x, True)
+        plan = self._infer_plan
+        if plan is None or not plan.matches(self):
+            plan = self._infer_plan = InferPlan(self)
+        for node, fold in zip(self.nodes, plan.folds):
+            x = node.forward(x) if fold is None else node.forward(x, False, fold)
+        return x
 
     def backward(self, grad_out: np.ndarray) -> None:
         _walk_back(self.nodes, grad_out)
@@ -518,15 +611,25 @@ def load_checkpoint(path) -> Model:
             raise CorruptCheckpointError(
                 f"{path}: checkpoint holds {n_entries} entries, architecture "
                 f"{spec.preset_name!r} has {len(entries)}")
+        # Each entry's name, rank and dims are checked against the entry
+        # expected before anything after them is read.
         for name, dest in entries:
             (name_len,) = reader.unpack("<I", "name length")
             found = reader.read(name_len, "entry name")
-            (rank,) = reader.unpack("<I", "rank")
-            dims = reader.unpack(f"<{rank}I", "dims")
-            arr = reader.read_f32(math.prod(dims), f"data for {name}").reshape(dims)
             if found != name.encode():
                 raise CorruptCheckpointError(
                     f"{path}: expected entry {name!r}, found {found!r}")
+            (rank,) = reader.unpack("<I", "rank")
+            if rank != dest.ndim:
+                raise TensorShapeError(
+                    f"{path}: entry {name!r} has rank {rank}, architecture "
+                    f"expects shape {dest.shape}")
+            dims = reader.unpack(f"<{rank}I", "dims")
+            if dims != dest.shape:
+                raise TensorShapeError(
+                    f"{path}: entry {name!r} has shape {dims}, architecture "
+                    f"expects {dest.shape}")
+            arr = reader.read_f32(dest.size, f"data for {name}")
             if not np.isfinite(arr).all():
                 raise CorruptCheckpointError(
                     f"{path}: entry {name!r} holds NaN or inf")
@@ -535,11 +638,6 @@ def load_checkpoint(path) -> Model:
             if name.endswith(".running_var") and (arr < 0).any():
                 raise CorruptCheckpointError(
                     f"{path}: entry {name!r} holds a negative variance")
-            if dest.shape != arr.shape:
-                raise TensorShapeError(
-                    f"entry {name!r} has shape {arr.shape}, architecture "
-                    f"expects {dest.shape}"
-                )
-            dest[...] = arr
+            dest[...] = arr.reshape(dims)
         reader.end("the last entry")
     return model

@@ -11,6 +11,8 @@ Parameters live in one flat buffer per role: a model packs every Param's
 value, gradient and two Adam moments into four contiguous arrays
 (pack_params), and each Param's arrays are views into them, so an Adam
 step is one pass per role over the whole model instead of one per array.
+A model packs its batch norms' running statistics into one more buffer
+the same way (pack_running_stats).
 
 The network uses one value of each layer constant, so the constants are
 fixed here beside their layers rather than passed in: Adam's moment
@@ -58,9 +60,13 @@ Conventions:
     and each crop's output does not depend on the other crops in its
     batch. Batch norm's infer map (BatchNorm1D.infer_affine) is per
     channel, so a conv directly followed by one can fold it into its
-    kernel and a bias and run Conv1D.infer_gemm once: the residual blocks
-    of model.py do that, and emit the folded output as the batch norm's,
-    so the layer contract and the finite checks hold on the fused path.
+    kernel matrix and a bias and run Conv1D.infer_gemm once: the residual
+    blocks of model.py do that, and emit the folded output as the batch
+    norm's, so the layer contract and the finite checks hold on the fused
+    path. A model folds once per state of its parameters, not per call:
+    it keeps the folded matrices in an infer plan with a bitwise snapshot
+    of its parameter and running-statistics buffers, and folds again when
+    either buffer's bits differ from the snapshot.
 """
 
 from __future__ import annotations
@@ -344,20 +350,20 @@ class Conv1D(Layer):
         windows.flags.writeable = False
         return windows, length, left
 
-    def infer_gemm(self, x, weight, bias):
-        """The infer-mode forward with the given (out_ch, in_ch, kernel)
-        kernel and (out_ch,) bias, or None for no bias: one GEMM per crop
-        over (in_ch * kernel, out_len) columns, the output already in
+    def infer_gemm(self, x, matrix, bias):
+        """The infer-mode forward with the given (out_ch, in_ch * kernel)
+        kernel matrix and (out_ch,) bias, or None for no bias: one GEMM per
+        crop over (in_ch * kernel, out_len) columns, the output already in
         (batch, out_ch, out_len) layout. Its sums run in the BLAS kernel's
         order. The layer's own infer forward passes its parameters; a
-        residual block passes its kernel and the bias that fold the
-        following batch norm in. Running it is an infer forward of this
-        layer, so it drops any train cache."""
+        residual block passes the matrix and bias of its infer plan, which
+        fold the following batch norm in. Running it is an infer forward
+        of this layer, so it drops any train cache."""
         self._cache = None
         windows, _, _ = self._windows(x)
         b, c, out_len, kernel = windows.shape
         cols = windows.transpose(0, 1, 3, 2).reshape(b, c * kernel, out_len)
-        y = np.matmul(weight.reshape(self.out_ch, c * kernel), cols)
+        y = np.matmul(matrix, cols)
         if bias is not None:
             y += bias[:, None]
         return y
@@ -368,7 +374,8 @@ class Conv1D(Layer):
             # loss replay is chaotic, and the GEMM in the train forward
             # moved its step-5 loss by 7.2e-2 against rtol 1e-3.
             bias = None if self.bias is None else self.bias.value
-            return self.infer_gemm(x, self.weight.value, bias), None
+            return self.infer_gemm(x, self.weight.value.reshape(self.out_ch, -1),
+                                   bias), None
         windows, length, left = self._windows(x)
         b, c, out_len, kernel = windows.shape
         k = self.weight.value
@@ -479,8 +486,12 @@ class BatchNorm1D(Layer):
     def infer_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """(a, c) of the infer-mode map y = x * a + c, per channel:
         a = scale / sqrt(running_var + BN_EPS), c = shift - running_mean * a.
-        Computed from the current parameters on every call and never kept,
-        so an Adam step or a checkpoint load cannot leave a stale map."""
+        Computed from the current parameters on every call. This layer's
+        own infer forward keeps nothing; a model keeps the maps of its
+        residual blocks, folded into their convs, in an infer plan that it
+        checks bit for bit against the live parameters and statistics
+        before every use, so an Adam step, a train pass or a checkpoint
+        load cannot leave a stale map."""
         a = self.scale.value / np.sqrt(self.running_var + BN_EPS)
         return a, self.shift.value - self.running_mean * a
 
@@ -524,6 +535,22 @@ class BatchNorm1D(Layer):
         dxhat -= np.multiply(xhat, sum_dxhat_xhat, out=scratch)
         dxhat *= inv_std[None, :, None] / n
         return dxhat
+
+
+def pack_running_stats(bns: list[BatchNorm1D]) -> np.ndarray:
+    """Move the batch norms' running statistics into one contiguous
+    buffer, the way pack_params moves Params: each norm's running mean
+    then running variance, in list order, copied in, and each norm's two
+    arrays become views into the buffer (values unchanged). Every norm
+    must have the same dtype. Returns the buffer."""
+    flat = np.concatenate([s for bn in bns for s in (bn.running_mean, bn.running_var)])
+    offset = 0
+    for bn in bns:
+        c = bn.channels
+        bn.running_mean = flat[offset:offset + c]
+        bn.running_var = flat[offset + c:offset + 2 * c]
+        offset += 2 * c
+    return flat
 
 
 class ReLU(Layer):

@@ -63,12 +63,21 @@ def predict(model, r: SignalRecord, crop_len: int) -> Prediction:
     crop_len must be the model's input length (model.spec.input_length).
     The oriented samples are cut as a plain array: centring can take a
     record inside the MAX_ABS_SAMPLE bound past it, and the record is
-    validated already. A non-finite network output raises
+    validated already. The forward runs with numpy's overflow and invalid
+    operations raising: finite weights large enough to overflow a layer
+    would otherwise turn into the softplus floor, finite and wrong. Such
+    an overflow, like a non-finite network output, raises
     NonFiniteOutputError naming the record.
     """
     windows = decompose_crops(orient_signal(r), crop_len)
     batch = np.stack(windows)[:, None, :]
-    out = model.forward(batch, train=False)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = model.forward(batch, train=False)
+    except FloatingPointError as exc:
+        raise NonFiniteOutputError(
+            f"record {r.id!r}: the network overflowed, so its output "
+            f"(alpha, beta) is not finite ({exc})") from exc
     if not np.isfinite(out).all():
         raise NonFiniteOutputError(
             f"record {r.id!r}: the network output (alpha, beta) is not finite")

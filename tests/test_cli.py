@@ -358,6 +358,28 @@ class TestPredict:
                 assert main([*argv, "--model", str(model), "--data", str(data),
                              "--out", str(tmp_path / "y.out")]) == 2
 
+    @pytest.mark.parametrize("byte, value, message", [
+        (213, 131, "'stem.conv.weight' has rank 131"),
+        (236, 0xFF, "the network overflowed")], ids=["rank_131", "weight_byte_236"])
+    def test_rewritten_committed_checkpoint_is_a_data_error(
+            self, trained, tmp_path, capsys, byte, value, message):
+        """The committed tiny checkpoint with the stem weight's rank raised
+        to 131 (refused before its dims are read; once a bare ValueError,
+        exit 3) or with one stem weight made -3.07e38 (which overflows the
+        network; once exit 0 with alpha at the softplus floor for every
+        record) exits 2 with a one-line data error."""
+        _, data, _ = trained
+        blob = bytearray((Path(__file__).parent / "data" / "tiny_seed0.bgc")
+                         .read_bytes())
+        blob[byte] = value
+        model = tmp_path / "model.bgc"
+        model.write_bytes(bytes(blob))
+        assert main(["predict", "--model", str(model), "--data", str(data),
+                     "--out", str(tmp_path / "x.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert message in err, err
+
     @pytest.mark.parametrize("peak, code", [(1e12, 0), (1.1e12, 2)])
     def test_sample_bound_applies_before_centring(self, trained, tmp_path,
                                                    capsys, peak, code):

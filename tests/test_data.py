@@ -11,6 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from betamix.data import (
     _resample_window,
     AugmentConfig,
+    BinaryReader,
     Dataset,
     DatasetManifest,
     ManifestEntry,
@@ -379,6 +380,40 @@ class TestOrientSignal:
         record = SignalRecord("sym", 10.0, samples, 0.0)
         oriented = orient_signal(record)
         np.testing.assert_array_equal(oriented, samples)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_record_owns_a_writable_input(self, dtype):
+        """A writable input array is copied, so writing into it after the
+        record checked itself leaves the record as it was."""
+        given = np.zeros(10, dtype=dtype)
+        record = SignalRecord("r", 100.0, given, 0.0)
+        given[0] = np.nan
+        given[1] = 1e30
+        assert record.samples.tobytes() == np.zeros(10, np.float32).tobytes()
+        assert not np.shares_memory(record.samples, given)
+
+    def test_read_only_input_is_kept_without_a_copy(self, tmp_path,
+                                                    monkeypatch):
+        """A read-only float32 array, as read_record and the generators hand
+        over, is the record's samples itself: loading a dataset copies no
+        record."""
+        given = np.arange(10, dtype=np.float32)
+        given.setflags(write=False)
+        assert SignalRecord("r", 100.0, given, 0.0).samples is given
+        assert not synth_generate(1, crop_budget_s=9.0)[0].samples.flags.writeable
+        read = []
+        real_read_f32 = BinaryReader.read_f32
+
+        def spy(self, count, what):
+            read.append(real_read_f32(self, count, what))
+            return read[-1]
+
+        path = tmp_path / "r.bgs"
+        write_record(path, spike_record())
+        monkeypatch.setattr(BinaryReader, "read_f32", spy)
+        record = read_record(path, "r", 0.0)
+        assert record.samples is read[0]
+        assert not record.samples.flags.writeable
 
     def test_record_cannot_change_after_it_is_built(self):
         """A record checks itself once, when built: its fields cannot be

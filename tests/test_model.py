@@ -18,6 +18,7 @@ from betamix.data import (Dataset, DatasetManifest, ManifestEntry,
 from betamix.errors import (
     CheckpointError,
     CorruptCheckpointError,
+    NonFiniteOutputError,
     TensorShapeError,
     UnsupportedVersionError,
     UsageError,
@@ -25,12 +26,14 @@ from betamix.errors import (
 from betamix.model import (
     ResidualBlock,
     build_model,
+    fold_block,
     load_checkpoint,
     loss_and_grads,
     save_checkpoint,
     train,
 )
 from betamix.nn import BN_EPS, adam_step
+from betamix.predict import predict
 from conftest import (numeric_grad, rel_err, residual_block_infer_reference,
                       rewrite_checkpoint_header, stage_sizes)
 
@@ -313,6 +316,147 @@ class TestFusedInferBlock:
         after = model.forward(x)
         assert loaded.forward(x).tobytes() == after.tobytes()
         assert not np.array_equal(after, before)
+
+
+def copy_of(model):
+    """A model built from another seed and given model's entries."""
+    fresh = build_model(model.spec.preset_name, seed=99)
+    for (name, value), (fresh_name, dest) in zip(model.named_entries(),
+                                                 fresh.named_entries()):
+        assert name == fresh_name
+        dest[...] = value
+    return fresh
+
+
+def write_conv_weight(model, path):
+    model.groups[1][0].conv1.weight.value[2, 1, 0] *= -1.5
+
+
+def write_bn_scale(model, path):
+    model.groups[1][0].bn2.scale.value[1] = 0.25
+
+
+def write_running_var(model, path):
+    (var,) = [v for name, v in model.named_entries()
+              if name == "g1.b0.bn1.running_var"]
+    var[0] *= 3.0
+
+
+def load_other_entries(model, path):
+    other = build_model("tiny", seed=13)
+    other.forward(np.random.default_rng(2).normal(size=(4, 1, 256))
+                  .astype(np.float32), train=True)
+    save_checkpoint(other, path)
+    for (_, dest), (_, value) in zip(model.named_entries(),
+                                     load_checkpoint(path).named_entries()):
+        dest[...] = value
+
+
+class TestInferPlan:
+    """The infer forward reuses each block's folded kernels while the
+    parameters and running statistics keep their bits."""
+
+    def test_built_by_the_first_infer_forward_and_reused(self, tmp_path, rng):
+        """Neither building nor loading a model folds anything, and
+        neither does a train forward; the first infer forward publishes a
+        plan and the next one, with nothing written, reuses it."""
+        model = build_model("tiny", seed=3)
+        save_checkpoint(model, tmp_path / "m.bgc")
+        loaded = load_checkpoint(tmp_path / "m.bgc")
+        x = rng.normal(size=(2, 1, 256)).astype(np.float32)
+        model.forward(x, train=True)
+        assert model._infer_plan is None and loaded._infer_plan is None
+        first = loaded.forward(x)
+        plan = loaded._infer_plan
+        assert plan is not None
+        assert loaded.forward(x).tobytes() == first.tobytes()
+        assert loaded._infer_plan is plan
+
+    @pytest.mark.parametrize("write", [
+        write_conv_weight, write_bn_scale, write_running_var,
+        load_other_entries])
+    def test_next_forward_follows_a_write(self, tmp_path, rng, write):
+        """After an in-place write to a block conv weight or a BN scale, a
+        running variance written through named_entries, or another
+        checkpoint's entries copied into a model that has already
+        predicted, the next infer forward equals, byte for byte, the
+        forward of a new model given the same entries."""
+        model = build_model("tiny", seed=3)
+        model.forward(rng.normal(size=(4, 1, 256)).astype(np.float32),
+                      train=True)
+        x = rng.normal(size=(3, 1, 256)).astype(np.float32)
+        before = model.forward(x)
+        write(model, tmp_path / "other.bgc")
+        after = model.forward(x)
+        assert after.tobytes() == copy_of(model).forward(x).tobytes()
+        assert not np.array_equal(after, before)
+
+    def test_sign_of_zero_weight_rebuilds_the_plan(self, rng):
+        """A weight flipped between +0.0 and -0.0 compares equal as a
+        float, but the plan compares bits: the next forward folds again,
+        its kernel holds the new sign, and the output equals a new
+        model's."""
+        model = build_model("tiny", seed=3)
+        block = model.groups[0][0]
+        x = rng.normal(size=(3, 1, 256)).astype(np.float32)
+        for zero in (0.0, -0.0, 0.0):
+            block.conv1.weight.value[1, 2, 0] = zero
+            out = model.forward(x)
+            (i,) = [i for i, node in enumerate(model.nodes) if node is block]
+            folded = model._infer_plan.folds[i].conv1.reshape(
+                block.conv1.weight.value.shape)
+            assert np.signbit(folded[1, 2, 0]) == np.signbit(zero)
+            assert out.tobytes() == copy_of(model).forward(x).tobytes()
+
+    def test_block_folds_on_the_spot_alike(self, rng):
+        """A block run without a fold computes it with fold_block, as the
+        plan does."""
+        block = ResidualBlock(6, 8, 3, 2, rng=rng, dtype=np.float32, name="b")
+        give_block_statistics(block, rng)
+        x = rng.normal(size=(3, 6, 32)).astype(np.float32)
+        assert (block.forward(x).tobytes()
+                == block.forward(x, False, fold_block(block)).tobytes())
+
+    def test_running_statistics_are_views_of_one_buffer(self, rng):
+        """Every batch norm's running mean and variance are views into the
+        model's running_stats buffer, in named_entries order, and a train
+        pass updates them through the views."""
+        model = build_model("tiny", seed=3)
+        stats = [v for name, v in model.named_entries()
+                 if name.endswith((".running_mean", ".running_var"))]
+        assert all(np.shares_memory(v, model.running_stats) for v in stats)
+        model.forward(rng.normal(size=(4, 1, 256)).astype(np.float32),
+                      train=True)
+        assert (np.concatenate(stats).tobytes()
+                == model.running_stats.tobytes())
+        assert not (model.running_stats == build_model("tiny", seed=3)
+                    .running_stats).all()
+
+    def test_concurrent_predicts_match_serial(self):
+        """Four threads predicting every record on one freshly loaded
+        model, whose plan they race to build, give the serial bytes."""
+        import sys
+        import threading
+        model = load_checkpoint(TINY_SEED0_CHECKPOINT)
+        records = synth_generate(3, crop_budget_s=12.0, seed=4)
+        serial = [predict(copy_of(model), r, 256).components for r in records]
+        results = [None] * 4
+
+        def work(k):
+            results[k] = [predict(model, r, 256).components for r in records]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [serial] * 4
 
 
 class TestLossAndGrads:
@@ -851,8 +995,10 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "absent.bgc")
 
     def test_huge_dim_is_corrupt(self, tmp_path):
-        """A dim of 2**31 declares 40 GiB of data; the loader must flag the
-        file as corrupt before allocating anything."""
+        """A dim of 2**31 declares 40 GiB of data; the loader must refuse
+        the file before allocating anything. The architecture fixes every
+        entry's dims, so the file is refused for its shape as soon as the
+        dims are read."""
         model = build_model("tiny", seed=9)
         path = tmp_path / "model.bgc"
         save_checkpoint(model, path)
@@ -862,7 +1008,9 @@ class TestCheckpoint:
         (name_len,) = struct.unpack_from("<I", data, offset)
         struct.pack_into("<I", data, offset + 4 + name_len + 4, 2**31)
         path.write_bytes(bytes(data))
-        with pytest.raises(CorruptCheckpointError, match="truncated"):
+        with pytest.raises(TensorShapeError,
+                           match=r"has shape \(2147483648, 1, 5\), architecture "
+                                 r"expects \(4, 1, 5\)"):
             load_checkpoint(path)
 
     def test_header_keys_of_older_files_are_ignored(self, tmp_path, rng):
@@ -906,6 +1054,21 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError):
                 load_checkpoint(stub)
 
+    def test_rank_is_checked_before_the_dims_are_read(self, tmp_path):
+        """The committed checkpoint with the stem weight's rank (byte 213)
+        raised from 3 to 131 is refused for its shape before any dim is
+        read; reading 131 dims once reached numpy's 64-dimension limit, a
+        bare ValueError."""
+        data = bytearray(TINY_SEED0_CHECKPOINT.read_bytes())
+        assert data[213] == 3
+        data[213] = 131
+        path = tmp_path / "rank.bgc"
+        path.write_bytes(bytes(data))
+        with pytest.raises(TensorShapeError,
+                           match="'stem.conv.weight' has rank 131, architecture "
+                                 r"expects shape \(4, 1, 5\)"):
+            load_checkpoint(path)
+
     def test_garbled_entry_name_is_corrupt(self, tmp_path):
         model = build_model("tiny", seed=9)
         path = tmp_path / "model.bgc"
@@ -917,3 +1080,56 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
+
+
+def structural_offsets(data: bytes) -> list[int]:
+    """The byte offsets of a checkpoint's layout fields: the head (magic,
+    version, header length), the entry count, and each entry's name
+    length, name, rank and dims."""
+    (meta_len,) = struct.unpack_from("<I", data, 8)
+    at = 12 + meta_len
+    offsets = list(range(12)) + list(range(at, at + 4))
+    (count,) = struct.unpack_from("<I", data, at)
+    at += 4
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", data, at)
+        (rank,) = struct.unpack_from("<I", data, at + 4 + name_len)
+        dims = struct.unpack_from(f"<{rank}I", data, at + 8 + name_len)
+        end = at + 8 + name_len + 4 * rank
+        offsets += range(at, end)
+        at = end + 4 * math.prod(dims)
+    assert at == len(data)
+    return offsets
+
+
+class TestHostileCheckpointSweep:
+    def test_every_layout_byte_rewritten(self, tmp_path):
+        """Each layout byte of the committed checkpoint, rewritten four
+        ways (xor 0x01, xor 0x80, 0x00, 0xff), either loads and predicts
+        or is refused: a CheckpointError from the loader, or a
+        NonFiniteOutputError from predict. Nothing else is raised and
+        nothing warns."""
+        import warnings
+        data = TINY_SEED0_CHECKPOINT.read_bytes()
+        offsets = structural_offsets(data)
+        assert len(offsets) > 900
+        record = synth_generate(1, crop_budget_s=9.0, seed=0)[0]
+        path = tmp_path / "mutant.bgc"
+        outcomes = {}
+        unexpected = []
+        for at in offsets:
+            for new in {data[at] ^ 0x01, data[at] ^ 0x80, 0x00, 0xFF} - {data[at]}:
+                path.write_bytes(data[:at] + bytes([new]) + data[at + 1:])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        predict(load_checkpoint(path), record, 256)
+                        outcome = "ok"
+                    except (CheckpointError, NonFiniteOutputError) as exc:
+                        outcome = type(exc).__name__
+                    except Exception as exc:  # collected and reported below
+                        unexpected.append(f"byte {at} = {new:#04x}: {exc!r}")
+                        continue
+                outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        assert unexpected == [], unexpected[:5]
+        assert outcomes["TensorShapeError"] > 0

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import pytest
 import betamix
 from betamix.betadist import BetaMixture, BetaParams, PredictiveSummary
 from betamix.data import SignalRecord
-from betamix.errors import UsageError
-from betamix.model import ResidualBlock, build_model
+from betamix.errors import NonFiniteOutputError, UsageError
+from betamix.model import ResidualBlock, build_model, load_checkpoint
 from betamix.predict import (
     Prediction,
     decompose_crops,
@@ -22,6 +23,7 @@ from betamix.predict import (
 )
 
 SOFTPLUS_INV_ONE = math.log(math.e - 1.0)
+TINY_SEED0_CHECKPOINT = Path(__file__).parent / "data" / "tiny_seed0.bgc"
 
 
 def record_of_length(n, record_id="r", target=0.0):
@@ -115,6 +117,24 @@ class TestPredict:
         assert pred.summary.uncertainty == pytest.approx(
             4.0 * pred.summary.variance, rel=1e-12)
         assert 0.0 <= pred.summary.uncertainty <= 1.0
+
+    def test_overflow_is_a_non_finite_output_naming_the_record(self, tmp_path):
+        """The committed checkpoint with byte 236 set to 0xff holds a
+        finite stem weight of -3.07e38, which overflows the stem GEMM. The
+        forward raises instead of warning and going on to the softplus
+        floor, and predict names the record; numpy's error state is left as
+        it was."""
+        data = bytearray(TINY_SEED0_CHECKPOINT.read_bytes())
+        data[236] = 0xFF
+        path = tmp_path / "overflow.bgc"
+        path.write_bytes(bytes(data))
+        model = load_checkpoint(path)
+        assert -3.1e38 < model.stem_conv.weight.value.min() < -3e38
+        state = np.geterr()
+        with pytest.raises(NonFiniteOutputError,
+                           match="record 'big': the network overflowed"):
+            predict(model, record_of_length(1000, record_id="big"), 256)
+        assert np.geterr() == state
 
     def test_leaves_no_layer_cache(self, rng):
         """predict runs infer-mode forwards only, so afterwards no layer
