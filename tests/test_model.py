@@ -3,6 +3,9 @@
 import math
 import re
 import struct
+import sys
+import threading
+import warnings
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -435,8 +438,6 @@ class TestInferPlan:
     def test_concurrent_predicts_match_serial(self):
         """Four threads predicting every record on one freshly loaded
         model, whose plan they race to build, give the serial bytes."""
-        import sys
-        import threading
         model = load_checkpoint(TINY_SEED0_CHECKPOINT)
         records = synth_generate(3, crop_budget_s=12.0, seed=4)
         serial = [predict(copy_of(model), r, 256).components for r in records]
@@ -1109,7 +1110,6 @@ class TestHostileCheckpointSweep:
         or is refused: a CheckpointError from the loader, or a
         NonFiniteOutputError from predict. Nothing else is raised and
         nothing warns."""
-        import warnings
         data = TINY_SEED0_CHECKPOINT.read_bytes()
         offsets = structural_offsets(data)
         assert len(offsets) > 900

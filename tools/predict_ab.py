@@ -9,7 +9,7 @@ and the comparison does not move with the checkouts' paths. It builds one
 paper-preset checkpoint (seed 1, running statistics from one train-mode
 forward), loads it into each tree, and generates the same synthetic
 records in each (`synth_generate(20, seed=1)`, 40 records). Then it runs
-one untimed warm-up pass per tree and 12 timed pass pairs, each pass a
+one untimed warm-up pass per tree and 30 timed pass pairs, each pass a
 per-record `predict` over every record, alternating which tree goes
 first. It prints each tree's median per-record time, the median and
 quartiles of the per-pair time ratio change / parent (below 1 means the
@@ -19,7 +19,6 @@ bytes: the (alpha, beta) of every crop.
 
 from __future__ import annotations
 
-import importlib
 import importlib.util
 import statistics
 import sys
@@ -32,7 +31,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PRESET = "paper"
 N_PER_CLASS = 20
-PASSES = 12
+PASSES = 30
 SEED = 1
 
 
