@@ -55,10 +55,13 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = parse_config(args.config)
+    out = Path(args.out)
+    # Checked before the run, which can take minutes, rather than at the save.
+    if not out.parent.is_dir():
+        raise DataError(f"--out: directory {out.parent} does not exist")
     dataset = load_dataset(Path(args.data) / "manifest.csv")
     model = build_model(config.arch_preset, config.seed)
     log = train(model, dataset, config)
-    out = Path(args.out)
     save_checkpoint(model, out, config_echo=asdict(config))
     with open(out.with_suffix(out.suffix + ".train_log.json"), "w") as fh:
         json.dump(asdict(log), fh, indent=2, sort_keys=True)

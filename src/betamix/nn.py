@@ -7,12 +7,12 @@ Adam update. Each layer supports only the shapes the network builds.
 Storage is float32 throughout; every layer accepts a dtype override so
 tests can run a float64 shadow copy for tight gradient checks.
 
-Parameters live in one flat buffer per role: a model packs every Param's
-value, gradient and two Adam moments into four contiguous arrays
-(pack_params), and each Param's arrays are views into them, so an Adam
-step is one pass per role over the whole model instead of one per array.
-A model packs its batch norms' running statistics into one more buffer
-the same way (pack_running_stats).
+Parameters live in one flat buffer per role: a model packs its Params
+(pack_params) into one FlatParams, whose value and gradient buffers every
+Param's value and grad are views into, and which alone holds Adam's two
+moment buffers, so an Adam step is one pass per role over the whole
+model. A model packs its batch norms' running statistics into one more
+buffer the same way (pack_running_stats).
 
 The network uses one value of each layer constant, so the constants are
 fixed here beside their layers rather than passed in: Adam's moment
@@ -83,48 +83,43 @@ DEBUG_FINITE_CHECKS = False
 
 
 class FlatParams:
-    """The storage behind one or more Params: one contiguous 1-D buffer
-    per role (value, grad, adam_m, adam_v), the Params' arrays being
-    consecutive views into them, and the number of Params it holds."""
+    """The storage behind a model's packed Params: one contiguous 1-D
+    buffer per role, value and grad (the Params' arrays being consecutive
+    views into them) and Adam's moments adam_m and adam_v (no Param has a
+    view of these), plus the number of Params it holds."""
 
     __slots__ = ("value", "grad", "adam_m", "adam_v", "count")
 
-    def __init__(self, value, grad, adam_m, adam_v, count: int):
-        self.value, self.grad, self.adam_m, self.adam_v = value, grad, adam_m, adam_v
-        self.count = count
+    def __init__(self, value: np.ndarray, count: int):
+        self.value, self.count = value, count
+        self.grad, self.adam_m, self.adam_v = (np.zeros_like(value) for _ in range(3))
 
 
 class Param:
-    """A trainable tensor with its gradient and Adam moment buffers.
+    """A trainable tensor and its gradient.
 
-    Parameters live in flat buffers: the four arrays are views into the
-    FlatParams in self.flat, one contiguous buffer per role. A new Param
-    is its own one-array FlatParams; pack_params moves a model's Params
-    into one shared FlatParams, so that adam_step updates them all with
-    one pass per role. Other code writes the arrays in place and never
-    rebinds them."""
+    A new Param owns its value and a zero gradient, and flat is None: it
+    cannot take an Adam step. pack_params moves a model's Params into one
+    FlatParams, which self.flat then names, so that adam_step updates them
+    all with one pass per role. Other code writes value and grad in place
+    and never rebinds them."""
 
-    __slots__ = ("name", "flat", "value", "grad", "adam_m", "adam_v")
+    __slots__ = ("name", "value", "grad", "flat")
 
     def __init__(self, value: np.ndarray, name: str = ""):
         self.name = name
         self.value = np.ascontiguousarray(value)
-        shape, dtype = self.value.shape, self.value.dtype
-        self.grad = np.zeros(shape, dtype)
-        self.adam_m = np.zeros(shape, dtype)
-        self.adam_v = np.zeros(shape, dtype)
-        self.flat = FlatParams(self.value.reshape(-1), self.grad.reshape(-1),
-                               self.adam_m.reshape(-1), self.adam_v.reshape(-1), 1)
+        self.grad = np.zeros(self.value.shape, self.value.dtype)
+        self.flat = None
 
 
 def pack_params(params: list[Param]) -> FlatParams:
     """Move freshly built params into one FlatParams: their values are
     copied, in list order, into one contiguous buffer, the gradients and
-    Adam moments start at zero, and each Param's arrays become views into
-    the four buffers (names, shapes and values unchanged). Every Param
-    must have the same dtype."""
-    value = np.concatenate([p.value.reshape(-1) for p in params])
-    flat = FlatParams(value, *(np.zeros(value.shape, value.dtype) for _ in range(3)),
+    Adam moments start at zero, and each Param's value and grad become
+    views into the value and grad buffers (names, shapes and values
+    unchanged). Every Param must have the same dtype."""
+    flat = FlatParams(np.concatenate([p.value.reshape(-1) for p in params]),
                       len(params))
     offset = 0
     for p in params:
@@ -133,8 +128,6 @@ def pack_params(params: list[Param]) -> FlatParams:
         p.flat = flat
         p.value = flat.value[offset:end].reshape(shape)
         p.grad = flat.grad[offset:end].reshape(shape)
-        p.adam_m = flat.adam_m[offset:end].reshape(shape)
-        p.adam_v = flat.adam_v[offset:end].reshape(shape)
         offset = end
     return flat
 
@@ -165,31 +158,33 @@ def xavier_init(shape, fan_in: int, fan_out: int, rng: np.random.Generator,
 def adam_step(params: list[Param], state: AdamState) -> None:
     """One Adam update with bias correction over all params, then zero grads.
 
-    The update runs once per flat buffer, not once per array: over each
-    FlatParams behind params, its moments, values and gradients are
-    updated by the same elementwise expressions, so every element takes
-    the bits it would take alone. params must hold every Param of each
-    FlatParams it reaches, once (a model's params() does); otherwise
-    ValueError, before anything moves. The step counter advances exactly
-    once per call regardless of how many parameters the model has.
+    The update is one pass per role over the one FlatParams that params
+    share: its moments, values and gradients are updated by the same
+    elementwise expressions as one array at a time, so every element
+    takes the bits it would take alone. params must be every Param of one
+    packed buffer, each once, in any order (a model's params() is);
+    otherwise ValueError, before the step counter or any array moves. The
+    step counter advances exactly once per call regardless of how many
+    parameters the model has.
     """
-    flats = list({id(p.flat): p.flat for p in params}.values())
-    if sum(flat.count for flat in flats) != len(params):
-        raise ValueError("adam_step needs every Param of each flat buffer "
-                         "it updates, each once")
+    flat = params[0].flat if params else None
+    if (flat is None or len(params) != flat.count
+            or any(p.flat is not flat for p in params)
+            or len({id(p) for p in params}) != flat.count):
+        raise ValueError("adam_step needs every Param of one packed buffer, "
+                         "each once")
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1.0 - b1 ** t
     correction2 = 1.0 - b2 ** t
-    for flat in flats:
-        g = flat.grad
-        flat.adam_m[...] = b1 * flat.adam_m + (1.0 - b1) * g
-        flat.adam_v[...] = b2 * flat.adam_v + (1.0 - b2) * (g * g)
-        m_hat = flat.adam_m / correction1
-        v_hat = flat.adam_v / correction2
-        flat.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        g[...] = 0
+    g = flat.grad
+    flat.adam_m[...] = b1 * flat.adam_m + (1.0 - b1) * g
+    flat.adam_v[...] = b2 * flat.adam_v + (1.0 - b2) * (g * g)
+    m_hat = flat.adam_m / correction1
+    v_hat = flat.adam_v / correction2
+    flat.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    g[...] = 0
 
 
 def softplus(x: np.ndarray) -> np.ndarray:

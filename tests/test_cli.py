@@ -132,6 +132,22 @@ class TestTrain:
                      "--data", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "m.bgc")]) == 2
 
+    def test_missing_out_directory_fails_before_training(self, tmp_path, capsys,
+                                                         monkeypatch):
+        """An --out in a directory that does not exist exits 2 naming the
+        directory, before the dataset is read or a step is trained; it
+        once exited 2 only at the save, after the whole run."""
+        def no_train(*args, **kwargs):
+            raise AssertionError("train ran")
+        monkeypatch.setattr("betamix.cli.train", no_train)
+        data = synth_dataset(tmp_path)
+        config = write_config(tmp_path)
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "nodir" / "m.bgc")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert str(tmp_path / "nodir") in err
+
     HOSTILE_CONFIGS = {
         "not_utf8": TRAIN_CONFIG.encode() + b"# \xff\n",
         "learning_rate_nan": TRAIN_CONFIG.replace(

@@ -747,10 +747,10 @@ class TestCheckpoint:
         np.testing.assert_array_equal(model.forward(x), loaded.forward(x))
 
     def test_params_are_views_of_the_model_buffers(self, tmp_path, rng):
-        """A built and a loaded model each hold every Param in one flat
-        buffer per role, in params() order; loading writes through the
-        views, and the loaded model trains as the saved one does, bit for
-        bit."""
+        """A built and a loaded model each hold every Param's value and
+        gradient in one flat buffer per role, in params() order, beside
+        moment buffers of the same size; loading writes through the views,
+        and the loaded model trains as the saved one does, bit for bit."""
         model = build_model("tiny", seed=9)
         path = tmp_path / "model.bgc"
         save_checkpoint(model, path)
@@ -758,8 +758,9 @@ class TestCheckpoint:
         for net in (model, loaded):
             params = net.params()
             flat = params[0].flat
-            assert flat.count == len(params)
-            for role in ("value", "grad", "adam_m", "adam_v"):
+            assert flat is net.flat_params and flat.count == len(params)
+            assert flat.adam_m.shape == flat.adam_v.shape == flat.value.shape
+            for role in ("value", "grad"):
                 parts = [getattr(p, role) for p in params]
                 assert all(p.flat is flat for p in params)
                 assert all(np.shares_memory(a, getattr(flat, role)) for a in parts)

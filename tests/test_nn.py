@@ -823,6 +823,7 @@ class TestXavierInit:
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
         p = Param(np.array([1.0, -2.0], dtype=np.float32))
+        pack_params([p])
         p.grad[...] = np.array([0.3, -0.7], dtype=np.float32)
         state = AdamState(learning_rate=0.05)
         adam_step([p], state)
@@ -830,6 +831,7 @@ class TestAdam:
 
     def test_zero_gradient_keeps_value_and_counts(self):
         p = Param(np.array([1.5], dtype=np.float32))
+        pack_params([p])
         state = AdamState()
         before = p.value.copy()
         adam_step([p], state)
@@ -838,6 +840,7 @@ class TestAdam:
 
     def test_step_counter_advances_once_per_step(self):
         params = [Param(np.zeros(2, dtype=np.float32)) for _ in range(5)]
+        pack_params(params)
         state = AdamState()
         adam_step(params, state)
         adam_step(params, state)
@@ -847,6 +850,7 @@ class TestAdam:
         """10 steps minimizing theta^2 from theta=1, lr=0.1, against a
         hand-rolled scalar implementation of the published update."""
         p = Param(np.array([1.0], dtype=np.float64))
+        pack_params([p])
         state = AdamState(learning_rate=0.1)
 
         theta, m, v = 1.0, 0.0, 0.0
@@ -871,6 +875,7 @@ class TestAdam:
 
     def test_lr_zero_leaves_params_bitwise(self, rng):
         p = Param(rng.normal(size=(4, 3)).astype(np.float32))
+        pack_params([p])
         before = p.value.copy()
         p.grad[...] = rng.normal(size=(4, 3)).astype(np.float32)
         adam_step([p], AdamState(learning_rate=0.0))
@@ -878,6 +883,7 @@ class TestAdam:
 
     def test_grads_zeroed_after_step(self, rng):
         p = Param(rng.normal(size=(3,)).astype(np.float32))
+        pack_params([p])
         p.grad[...] = 1.0
         adam_step([p], AdamState())
         assert not p.grad.any()
@@ -890,8 +896,14 @@ class TestAdam:
         model = build_model(preset, seed=4)
         model.adam.learning_rate = 0.01
         params = model.params()
-        groups = [[p.value.copy(), p.grad.copy(), p.adam_m.copy(),
-                   p.adam_v.copy()] for p in params]
+        flat = model.flat_params
+        ends = np.cumsum([p.value.size for p in params])
+        # Each Param's slices of the model's moment buffers, in params() order.
+        moments = [[m[end - p.value.size:end].reshape(p.value.shape)
+                    for m in (flat.adam_m, flat.adam_v)]
+                   for p, end in zip(params, ends)]
+        groups = [[p.value.copy(), p.grad.copy(), *(m.copy() for m in pm)]
+                  for p, pm in zip(params, moments)]
         for t in range(1, 4):
             for p, group in zip(params, groups):
                 g = rng.normal(size=p.value.shape).astype(np.float32)
@@ -900,17 +912,24 @@ class TestAdam:
                 group[1][...] = g
             adam_step(params, model.adam)
             adam_per_array_reference(groups, 0.01, t)
-            for p, group in zip(params, groups):
-                for array, expected in zip((p.value, p.grad, p.adam_m, p.adam_v),
-                                           group):
+            for p, pm, group in zip(params, moments, groups):
+                for array, expected in zip((p.value, p.grad, *pm), group):
                     assert array.tobytes() == expected.tobytes(), p.name
+        assert ends[-1] == flat.adam_m.size
 
-    def test_standalone_param_is_its_own_buffer(self, rng):
-        p = Param(rng.normal(size=(2, 3)).astype(np.float32))
-        assert p.flat.count == 1
-        for role in ("value", "grad", "adam_m", "adam_v"):
-            assert getattr(p, role).shape == (2, 3)
-            assert np.shares_memory(getattr(p, role), getattr(p.flat, role))
+    def test_unpacked_param_cannot_step(self, rng):
+        """A fresh Param is its value and a zero gradient, in no flat
+        buffer; Adam refuses it and counts no step."""
+        value = rng.normal(size=(2, 3)).astype(np.float32)
+        p = Param(value)
+        assert p.flat is None
+        assert p.value.tobytes() == value.tobytes()
+        assert p.grad.shape == (2, 3) and p.grad.dtype == np.float32
+        assert not p.grad.any()
+        state = AdamState()
+        with pytest.raises(ValueError, match="every Param"):
+            adam_step([p], state)
+        assert state.step_count == 0
 
     def test_pack_keeps_values_and_makes_views(self, rng):
         params = [Param(rng.normal(size=shape).astype(np.float32), name=str(i))
@@ -922,7 +941,7 @@ class TestAdam:
         for p, value in zip(params, before):
             assert p.flat is flat and p.name in "012"
             assert p.value.tobytes() == value.tobytes()
-            for role in ("value", "grad", "adam_m", "adam_v"):
+            for role in ("value", "grad"):
                 assert getattr(p, role).shape == value.shape
                 assert np.shares_memory(getattr(p, role), getattr(flat, role))
         params[2].value[0, 0] = 9.0
@@ -930,17 +949,21 @@ class TestAdam:
         assert flat.value[33] == 9.0 and flat.grad[32] == 4.0
 
     def test_part_of_a_buffer_is_refused(self):
-        """A list missing one of a buffer's Params, or naming one twice,
-        would move Params it does not name; nothing moves."""
+        """A list missing one of a buffer's Params, naming one twice, or
+        naming one twice in place of another would move Params it does not
+        name; nothing moves. The last once passed the count check and took
+        a step."""
         model = build_model("tiny", seed=4)
         params = model.params()
-        params[0].grad[...] = 1.0
-        before = params[0].value.copy()
-        for bad in (params[1:], params + params[:1]):
+        for p in params:
+            p.grad[...] = 1.0
+        before = model.flat_params.value.copy()
+        for bad in (params[1:], params + params[:1],
+                    params[:1] + params[:1] + params[2:]):
             with pytest.raises(ValueError, match="every Param"):
                 adam_step(bad, model.adam)
         assert model.adam.step_count == 0
-        assert params[0].value.tobytes() == before.tobytes()
+        assert model.flat_params.value.tobytes() == before.tobytes()
 
 
 class TestDeterminism:

@@ -10,11 +10,15 @@ paper-preset checkpoint (seed 1, running statistics from one train-mode
 forward), loads it into each tree, and generates the same synthetic
 records in each (`synth_generate(20, seed=1)`, 40 records). Then it runs
 one untimed warm-up pass per tree and 30 timed pass pairs, each pass a
-per-record `predict` over every record, alternating which tree goes
-first. It prints each tree's median per-record time, the median and
-quartiles of the per-pair time ratio change / parent (below 1 means the
-change is faster), and whether both trees gave every record the same
-bytes: the (alpha, beta) of every crop.
+`predict` over every record with each record timed on its own,
+alternating which tree goes first. It prints each tree's median
+per-record time over all its timed passes, the median and quartiles over
+the pass pairs of the ratio of the two passes' median per-record times,
+change / parent (below 1 means the change is faster), and whether both
+trees gave every record the same bytes: the (alpha, beta) of every crop.
+The ratio is of medians, not of pass totals, because perfbench's
+predict_paper op_cost_p50 is a per-record median: a pass total weights
+the records with many crops, whose forward dominates it.
 """
 
 from __future__ import annotations
@@ -56,14 +60,14 @@ def _checkpoint(bm, preset: str, path: Path) -> None:
     bm.save_checkpoint(model, path)
 
 
-def _pass(bm, model, records) -> tuple[float, list[bytes]]:
-    """Seconds per record of one predict pass, and each record's bytes."""
+def _pass(bm, model, records) -> tuple[list[float], list[bytes]]:
+    """Each record's seconds in one predict pass, and its bytes."""
     length = model.spec.input_length
-    outs = []
-    t0 = time.perf_counter()
+    outs, seconds = [], []
     for r in records:
+        t0 = time.perf_counter()
         outs.append(bm.predict(model, r, length))
-    seconds = (time.perf_counter() - t0) / len(records)
+        seconds.append(time.perf_counter() - t0)
     return seconds, [np.array([[c.alpha, c.beta] for c in p.components.components])
                      .tobytes() for p in outs]
 
@@ -86,12 +90,14 @@ def main(argv=None, *, preset: str = PRESET, n_per_class: int = N_PER_CLASS,
         return _pass(sides[side], models[side], records[side])
 
     outputs = {side: run(side)[1] for side in sides}
-    times = {side: [] for side in sides}
+    times = {side: [] for side in sides}  # each pass's median per record
+    pooled = {side: [] for side in sides}
     for i in range(passes):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             seconds, out = run(side)
-            times[side].append(seconds)
+            times[side].append(statistics.median(seconds))
+            pooled[side].extend(seconds)
             if out != outputs[side]:
                 print(f"{side}: a pass gave other bytes than its first pass")
                 return 1
@@ -100,7 +106,7 @@ def main(argv=None, *, preset: str = PRESET, n_per_class: int = N_PER_CLASS,
     same = outputs["parent"] == outputs["change"]
     print(f"{preset}, {len(records['change'])} records, {passes} pass pairs")
     for side in sides:
-        print(f"{side}: {1e3 * statistics.median(times[side]):.4f} ms per record (median)")
+        print(f"{side}: {1e3 * statistics.median(pooled[side]):.4f} ms per record (median)")
     print(f"identical predictions: {'yes' if same else 'no'}")
     print(f"ratio change/parent: {statistics.median(ratios):.4f} "
           f"(quartiles {q1:.4f}-{q3:.4f})")
