@@ -59,6 +59,8 @@ def cmd_train(args) -> int:
     # Checked before the run, which can take minutes, rather than at the save.
     if not out.parent.is_dir():
         raise DataError(f"--out: directory {out.parent} does not exist")
+    if out.is_dir():
+        raise DataError(f"--out: {out} is a directory")
     dataset = load_dataset(Path(args.data) / "manifest.csv")
     model = build_model(config.arch_preset, config.seed)
     log = train(model, dataset, config)

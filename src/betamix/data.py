@@ -77,9 +77,11 @@ def _read_only(samples: np.ndarray) -> np.ndarray:
     return samples
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalRecord:
     """One recording: samples, rate, target, optional rhythm annotation.
+    A record compares and hashes by identity, as its array field cannot
+    be compared as a truth value.
 
     `samples` is a read-only C-contiguous float32 array that the record
     owns. A writable array is copied, so its owner may go on writing into
@@ -218,7 +220,7 @@ class Dataset:
         return self._by_split("val")
 
 
-@dataclass
+@dataclass(eq=False)
 class CropBatch:
     crops: np.ndarray          # (batch, 1, crop_len) float32
     targets: np.ndarray        # (batch,) float64

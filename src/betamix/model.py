@@ -15,14 +15,15 @@ norm inside a block is folded into the conv before it, so the pair is one
 GEMM. The stem's batch norm stays a layer of its own, because the stem's
 max pool sits between its conv and its batch norm, and max pooling
 commutes with the batch norm's affine map only where its scale is
-positive. The folds are computed once per state of the parameters, not
-on every call: the first infer forward builds an InferPlan (every block's
-folded kernel matrices and biases, and each projection conv's matrix and
-bias) with a bitwise snapshot of the model's flat parameter buffer and
-its running-statistics buffer, and each later infer forward reuses the
-plan only while both buffers still hold the snapshot's bits. Any write,
-by Adam, a train pass, a checkpoint load or an in-place edit, makes the
-next infer forward fold again.
+positive. A projection conv has no batch norm to fold, so it runs its
+own infer forward. The folds are computed once per state of the
+parameters, not on every call: the first infer forward builds an
+InferPlan (every block's folded kernel matrices and biases) with a
+bitwise snapshot of the model's flat parameter buffer and its
+running-statistics buffer, and each later infer forward reuses the plan
+only while both buffers still hold the snapshot's bits. Any write, by
+Adam, a train pass, a checkpoint load or an in-place edit, makes the next
+infer forward fold again.
 
 Two presets exist: "paper" is the full architecture (input 2048, seven
 residual groups, channel ramp 8..20), "tiny" is a desk-scale sibling
@@ -37,7 +38,6 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -134,20 +134,6 @@ def _walk_back(nodes, g: np.ndarray) -> np.ndarray:
     return g
 
 
-class BlockFold(NamedTuple):
-    """A residual block's infer-mode kernels, as fresh arrays: conv1 and
-    conv2 as (out_ch, in_ch * kernel) matrices with bn1 and bn2 folded in
-    and their folded biases, then the projection conv's matrix and bias
-    (None for a block without one)."""
-
-    conv1: np.ndarray
-    bias1: np.ndarray
-    conv2: np.ndarray
-    bias2: np.ndarray
-    proj: np.ndarray | None
-    proj_bias: np.ndarray | None
-
-
 def _fold_conv_bn(conv: Conv1D, bn: BatchNorm1D):
     """(matrix, bias) of conv then bn in infer mode as one GEMM: bn's map
     y * a + c folded into conv's kernel W * a and bias c (Jacob et al.
@@ -156,17 +142,12 @@ def _fold_conv_bn(conv: Conv1D, bn: BatchNorm1D):
     return (conv.weight.value * a[:, None, None]).reshape(conv.out_ch, -1), c
 
 
-def fold_block(block: ResidualBlock) -> BlockFold:
+def fold_block(block: ResidualBlock):
     """The block's infer-mode kernels from its current parameters and
-    running statistics."""
-    proj = block.proj
-    if proj is None:
-        shortcut = (None, None)
-    else:
-        shortcut = (proj.weight.value.reshape(proj.out_ch, -1).copy(),
-                    proj.bias.value.copy())
-    return BlockFold(*_fold_conv_bn(block.conv1, block.bn1),
-                     *_fold_conv_bn(block.conv2, block.bn2), *shortcut)
+    running statistics, as fresh arrays: the (matrix, bias) pairs of
+    conv1-bn1 and conv2-bn2, each matrix (out_ch, in_ch * kernel)."""
+    return (_fold_conv_bn(block.conv1, block.bn1),
+            _fold_conv_bn(block.conv2, block.bn2))
 
 
 class ResidualBlock:
@@ -178,13 +159,14 @@ class ResidualBlock:
     In infer mode each batch norm is a fixed per-channel affine map, so
     conv1-bn1 and conv2-bn2 each run as one GEMM with the batch norm folded
     into the conv's kernel and a bias, and both ReLUs run in place on arrays
-    the block owns. The folded kernels come as a BlockFold: a model passes
-    the one its infer plan holds, and a block run on its own folds its
-    current parameters on the spot with fold_block. Either way every
-    sublayer emits its output and drops its train cache as its own infer
-    forward would. The fused output is accurate to float32 rounding, as
-    the unfused infer forward is. The train forward walks the layers one
-    by one, its bits unchanged.
+    the block owns. The folded kernels come as fold_block's two (matrix,
+    bias) pairs: a model passes the pairs its infer plan holds, and a block
+    run on its own folds its current parameters on the spot. The
+    projection, with no batch norm to fold, runs its own infer forward.
+    Either way every sublayer emits its output and drops its train cache as
+    its own infer forward would. The fused output is accurate to float32
+    rounding, as the unfused infer forward is. The train forward walks the
+    layers one by one, its bits unchanged.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int, *,
@@ -211,20 +193,15 @@ class ResidualBlock:
         return [layer for layer in self.main + self.shortcut if layer.params()]
 
     def forward(self, x: np.ndarray, train: bool = False,
-                fold: BlockFold | None = None) -> np.ndarray:
+                fold: tuple | None = None) -> np.ndarray:
         # The main path's output is a fresh array, so the join adds into it;
         # x itself (the identity shortcut) is never written.
         if not train:
-            if fold is None:
-                fold = fold_block(self)
-            z = self.bn1.emit(self.conv1.infer_gemm(x, fold.conv1, fold.bias1))
+            (k1, b1), (k2, b2) = fold_block(self) if fold is None else fold
+            z = self.bn1.emit(self.conv1.infer_gemm(x, k1, b1))
             self.relu_inner.emit(np.maximum(z, 0, out=z))
-            z = self.bn2.emit(self.conv2.infer_gemm(z, fold.conv2, fold.bias2))
-            if self.proj is None:
-                z += x
-            else:
-                z += self.proj.emit(self.proj.infer_gemm(x, fold.proj,
-                                                         fold.proj_bias))
+            z = self.bn2.emit(self.conv2.infer_gemm(z, k2, b2))
+            z += x if self.proj is None else self.proj.forward(x)
             return self.join.emit(np.maximum(z, 0, out=z))
         z = _walk(self.main, x, True)
         z += _walk(self.shortcut, x, True)
@@ -239,8 +216,8 @@ class ResidualBlock:
 
 class InferPlan:
     """What the infer forward reuses between calls: every residual block's
-    BlockFold, aligned with Model.nodes (None for the other nodes), and a
-    bitwise snapshot, as uint32 words, of the model's flat parameter
+    fold_block pairs, aligned with Model.nodes (None for the other nodes),
+    and a bitwise snapshot, as uint32 words, of the model's flat parameter
     values and running statistics that the folds were computed from. The
     snapshot is taken before folding, so a write racing the build can only
     make the plan stale, never wrong."""

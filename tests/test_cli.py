@@ -134,19 +134,23 @@ class TestTrain:
 
     def test_missing_out_directory_fails_before_training(self, tmp_path, capsys,
                                                          monkeypatch):
-        """An --out in a directory that does not exist exits 2 naming the
-        directory, before the dataset is read or a step is trained; it
-        once exited 2 only at the save, after the whole run."""
+        """An --out in a directory that does not exist, or naming an
+        existing directory, exits 2 naming that directory, before the
+        dataset is read or a step is trained; both once exited 2 only at
+        the save, after the whole run."""
         def no_train(*args, **kwargs):
             raise AssertionError("train ran")
         monkeypatch.setattr("betamix.cli.train", no_train)
         data = synth_dataset(tmp_path)
         config = write_config(tmp_path)
-        assert main(["train", "--config", str(config), "--data", str(data),
-                     "--out", str(tmp_path / "nodir" / "m.bgc")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error: ") and err.count("\n") == 1, err
-        assert str(tmp_path / "nodir") in err
+        (tmp_path / "taken").mkdir()
+        for out, named in ((tmp_path / "nodir" / "m.bgc", tmp_path / "nodir"),
+                           (tmp_path / "taken", tmp_path / "taken")):
+            assert main(["train", "--config", str(config), "--data", str(data),
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and err.count("\n") == 1, err
+            assert str(named) in err
 
     HOSTILE_CONFIGS = {
         "not_utf8": TRAIN_CONFIG.encode() + b"# \xff\n",

@@ -12,6 +12,7 @@ from betamix.data import (
     _resample_window,
     AugmentConfig,
     BinaryReader,
+    CropBatch,
     Dataset,
     DatasetManifest,
     ManifestEntry,
@@ -435,6 +436,20 @@ class TestOrientSignal:
         assert flipped.orientation[1] is True
         expected, _ = naive_orient(flipped.samples)
         np.testing.assert_array_equal(flipped.oriented(), expected)
+
+    def test_records_and_batches_compare_by_identity(self):
+        """A record equals itself and not a copy with equal content, so
+        `in` and sets work on records; comparing their array fields once
+        raised. A crop batch compares the same way."""
+        record = spike_record()
+        twin = replace(record)
+        assert record == record and record != twin
+        assert record in [twin, record] and twin not in [record]
+        assert len({record, twin, record}) == 2
+        batch = CropBatch(np.zeros((2, 1, 4), np.float32), np.zeros(2))
+        same = CropBatch(batch.crops, batch.targets)
+        assert batch == batch and batch != same
+        assert len({batch, same}) == 2
 
     def test_idempotent(self, rng):
         samples = rng.normal(size=501).astype(np.float32) + 2.0

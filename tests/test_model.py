@@ -339,6 +339,12 @@ def write_bn_scale(model, path):
     model.groups[1][0].bn2.scale.value[1] = 0.25
 
 
+def write_projection(model, path):
+    proj = model.groups[1][0].proj
+    proj.weight.value[1, 0, 0] *= -1.5
+    proj.bias.value += 0.25
+
+
 def write_running_var(model, path):
     (var,) = [v for name, v in model.named_entries()
               if name == "g1.b0.bn1.running_var"]
@@ -376,10 +382,11 @@ class TestInferPlan:
         assert loaded._infer_plan is plan
 
     @pytest.mark.parametrize("write", [
-        write_conv_weight, write_bn_scale, write_running_var,
-        load_other_entries])
+        write_conv_weight, write_bn_scale, write_projection,
+        write_running_var, load_other_entries])
     def test_next_forward_follows_a_write(self, tmp_path, rng, write):
-        """After an in-place write to a block conv weight or a BN scale, a
+        """After an in-place write to a block conv weight, a BN scale or a
+        projection conv's weight and bias (which the plan does not hold), a
         running variance written through named_entries, or another
         checkpoint's entries copied into a model that has already
         predicted, the next infer forward equals, byte for byte, the
@@ -406,10 +413,30 @@ class TestInferPlan:
             block.conv1.weight.value[1, 2, 0] = zero
             out = model.forward(x)
             (i,) = [i for i, node in enumerate(model.nodes) if node is block]
-            folded = model._infer_plan.folds[i].conv1.reshape(
-                block.conv1.weight.value.shape)
+            (kernel1, _), _ = model._infer_plan.folds[i]
+            folded = kernel1.reshape(block.conv1.weight.value.shape)
             assert np.signbit(folded[1, 2, 0]) == np.signbit(zero)
             assert out.tobytes() == copy_of(model).forward(x).tobytes()
+
+    def test_infer_forward_leaves_no_train_cache(self, rng):
+        """After a train forward, an infer forward drops the train cache of
+        every layer, the fused blocks' sublayers, projections and ReLUs
+        included, so a backward after it raises."""
+        model = build_model("tiny", seed=3)
+        layers = []
+        for node in model.nodes:
+            if isinstance(node, ResidualBlock):
+                layers += node.main + node.shortcut + [node.join]
+            else:
+                layers.append(node)
+        assert any(layer.name.endswith(".proj") for layer in layers)
+        x = rng.normal(size=(2, 1, 256)).astype(np.float32)
+        model.forward(x, train=True)
+        assert all(layer._cache is not None for layer in layers)
+        model.forward(x)
+        assert [layer.name for layer in layers if layer._cache is not None] == []
+        with pytest.raises(ValueError, match="preceding train-mode forward"):
+            model.backward(np.ones((2, 2), dtype=np.float32))
 
     def test_block_folds_on_the_spot_alike(self, rng):
         """A block run without a fold computes it with fold_block, as the
