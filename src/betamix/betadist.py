@@ -1,10 +1,12 @@
 """Beta-distribution and beta-mixture math.
 
 Everything the training loss, the crop aggregation, and the uncertainty
-measure need: log-density, analytic loss gradients, closed-form moments,
-equal-weight mixture summarization, and the two special functions (ln B
-and digamma) implemented locally so their accuracy is test-enforced
-rather than inherited from whatever libm the platform ships.
+measure need: log-density, analytic loss gradients, the loss of a whole
+batch, closed-form moments, equal-weight mixture summarization, and the
+two special functions (ln B and digamma) implemented locally so their
+accuracy is test-enforced rather than inherited from whatever libm the
+platform ships. The log-density and its gradient are each written once,
+as unvalidated kernels that every caller here runs.
 
 All functions here are pure and operate on Python floats; they are safe
 for unrestricted concurrent use.
@@ -25,6 +27,7 @@ __all__ = [
     "digamma",
     "beta_log_pdf",
     "beta_nll_grad",
+    "beta_nll_batch",
     "beta_moments",
     "mixture_summary",
     "mixture_density_grid",
@@ -189,31 +192,63 @@ class PredictiveSummary:
         return min(4.0 * self.variance, 1.0)
 
 
+def _label_logs(t: float) -> tuple[float, float]:
+    """(ln t, ln(1 - t)) for a label strictly inside (0, 1)."""
+    t = float(t)
+    if not (0.0 < t < 1.0):
+        raise ValueError(f"t must lie strictly inside (0,1), got {t!r}")
+    return math.log(t), math.log1p(-t)
+
+
+def _log_pdf(alpha: float, beta: float, log_t: float, log_1mt: float) -> float:
+    """ln Beta(t; alpha, beta) from ln t and ln(1 - t), for (alpha, beta)
+    already known to be positive and finite."""
+    return (alpha - 1.0) * log_t + (beta - 1.0) * log_1mt - _ln_beta(alpha, beta)
+
+
+def _nll_grad(alpha: float, beta: float, log_t: float,
+              log_1mt: float) -> tuple[float, float]:
+    """The (alpha, beta) gradient of -_log_pdf, unvalidated like it."""
+    psi_sum = _digamma(alpha + beta)
+    return _digamma(alpha) - psi_sum - log_t, _digamma(beta) - psi_sum - log_1mt
+
+
 def beta_log_pdf(t: float, p: BetaParams) -> float:
     """Log density of Beta(alpha, beta) at t, for t strictly inside (0,1).
 
     Hard labels must be passed through clip_label first; the density is
     unbounded (or zero) at the interval ends.
     """
-    t = float(t)
-    if not (0.0 < t < 1.0):
-        raise ValueError(f"t must lie strictly inside (0,1), got {t!r}")
-    return (
-        (p.alpha - 1.0) * math.log(t)
-        + (p.beta - 1.0) * math.log1p(-t)
-        - ln_beta_fn(p.alpha, p.beta)
-    )
+    return _log_pdf(float(p.alpha), float(p.beta), *_label_logs(t))
 
 
 def beta_nll_grad(t: float, p: BetaParams) -> tuple[float, float]:
     """Gradient of -beta_log_pdf(t, .) with respect to (alpha, beta)."""
-    t = float(t)
-    if not (0.0 < t < 1.0):
-        raise ValueError(f"t must lie strictly inside (0,1), got {t!r}")
-    psi_sum = digamma(p.alpha + p.beta)
-    d_alpha = digamma(p.alpha) - psi_sum - math.log(t)
-    d_beta = digamma(p.beta) - psi_sum - math.log1p(-t)
-    return d_alpha, d_beta
+    return _nll_grad(float(p.alpha), float(p.beta), *_label_logs(t))
+
+
+def beta_nll_batch(rows, targets, label_eps: float) -> tuple[float, list]:
+    """Mean beta negative log-likelihood of a batch, and its gradient.
+
+    rows holds one (alpha, beta) head output per crop and targets one
+    [0,1] label per crop, both as Python floats; each label is clipped
+    into [label_eps, 1-label_eps] first. Returns the mean NLL and, per
+    crop, the (alpha, beta) gradient of that mean. The head outputs are
+    checked once for the whole batch; a bad value raises the ValueError
+    BetaParams gives for the first one.
+    """
+    for alpha, beta in rows:
+        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+            BetaParams(alpha, beta)
+    batch = len(rows)
+    nll_sum = 0.0
+    grad = []
+    for (alpha, beta), t in zip(rows, targets):
+        log_t, log_1mt = _label_logs(clip_label(t, label_eps))
+        nll_sum -= _log_pdf(alpha, beta, log_t, log_1mt)
+        d_alpha, d_beta = _nll_grad(alpha, beta, log_t, log_1mt)
+        grad.append((d_alpha / batch, d_beta / batch))
+    return nll_sum / batch, grad
 
 
 def beta_moments(p: BetaParams) -> tuple[float, float, float]:
@@ -264,13 +299,15 @@ def mixture_density_grid(
         raise ValueError(f"n_points must be at least 2, got {n_points}")
     if not (0.0 < eps < 0.5):
         raise ValueError(f"eps must lie in (0, 0.5), got {eps!r}")
-    n = len(m.components)
+    comps = [(float(c.alpha), float(c.beta)) for c in m.components]
+    n = len(comps)
     step = (1.0 - 2.0 * eps) / (n_points - 1)
     out = []
     for i in range(n_points):
         # Hit the right endpoint exactly rather than accumulating steps.
         t = 1.0 - eps if i == n_points - 1 else eps + i * step
-        pdf = sum(math.exp(beta_log_pdf(t, c)) for c in m.components) / n
+        log_t, log_1mt = _label_logs(t)
+        pdf = sum(math.exp(_log_pdf(a, b, log_t, log_1mt)) for a, b in comps) / n
         out.append((t, pdf))
     return out
 

@@ -61,11 +61,14 @@ def cmd_train(args) -> int:
         raise DataError(f"--out: directory {out.parent} does not exist")
     if out.is_dir():
         raise DataError(f"--out: {out} is a directory")
+    log_path = out.with_suffix(out.suffix + ".train_log.json")
+    if log_path.is_dir():
+        raise DataError(f"--out: training log {log_path} is a directory")
     dataset = load_dataset(Path(args.data) / "manifest.csv")
     model = build_model(config.arch_preset, config.seed)
     log = train(model, dataset, config)
     save_checkpoint(model, out, config_echo=asdict(config))
-    with open(out.with_suffix(out.suffix + ".train_log.json"), "w") as fh:
+    with open(log_path, "w") as fh:
         json.dump(asdict(log), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if log.epochs:

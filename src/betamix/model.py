@@ -43,7 +43,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import predict as predict_mod
-from .betadist import BetaParams, _digamma, _ln_beta, clip_label, hard_label
+from .betadist import beta_nll_batch, hard_label
 from .data import (AugmentConfig, BinaryReader, has_changepoint_crops,
                    open_input, sample_changepoint_batch, sample_crop_batch)
 from .errors import (
@@ -372,9 +372,10 @@ def build_model(preset: str, seed: int, *, dtype=DEFAULT_DTYPE) -> Model:
 def loss_and_grads(model: Model, crops: np.ndarray, targets, label_eps: float) -> float:
     """Mean beta negative log-likelihood over the batch, with backprop.
 
-    Targets are clipped into [label_eps, 1-label_eps] before evaluating the
-    log-density; the analytic (alpha, beta) gradient feeds the network
-    backward pass. Parameter gradients accumulate into each Param.
+    betadist.beta_nll_batch clips the targets into [label_eps,
+    1-label_eps], checks the head's outputs and evaluates the loss and its
+    analytic (alpha, beta) gradient, which feeds the network backward
+    pass. Parameter gradients accumulate into each Param.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 1 or targets.size == 0:
@@ -384,29 +385,9 @@ def loss_and_grads(model: Model, crops: np.ndarray, targets, label_eps: float) -
             f"{targets.size} targets for {crops.shape[0]} crops"
         )
     out = model.forward(crops, train=True)
-    batch = out.shape[0]
-    rows = out.tolist()
-    # The head's output is checked once for the whole batch; a bad value
-    # raises the ValueError BetaParams gives for the first one.
-    if not (np.isfinite(out).all() and (out > 0).all()):
-        for alpha, beta in rows:
-            BetaParams(alpha, beta)
-    # Per crop, the scalar float64 operations of beta_log_pdf and
-    # beta_nll_grad, unvalidated: each (alpha, beta) is positive and
-    # finite, and clip_label puts each target strictly inside (0, 1).
-    nll_sum = 0.0
-    grad = []
-    for (alpha, beta), t in zip(rows, targets.tolist()):
-        t = clip_label(t, label_eps)
-        log_t = math.log(t)
-        log_1mt = math.log1p(-t)
-        nll_sum += -((alpha - 1.0) * log_t + (beta - 1.0) * log_1mt
-                     - _ln_beta(alpha, beta))
-        psi_sum = _digamma(alpha + beta)
-        grad.append(((_digamma(alpha) - psi_sum - log_t) / batch,
-                     (_digamma(beta) - psi_sum - log_1mt) / batch))
+    loss, grad = beta_nll_batch(out.tolist(), targets.tolist(), label_eps)
     model.backward(np.array(grad, dtype=model.dtype))
-    return nll_sum / batch
+    return loss
 
 
 @dataclass

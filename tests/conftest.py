@@ -1,4 +1,5 @@
-"""Shared test oracles: quadrature, finite differences, peak detection,
+"""Shared test oracles: quadrature, finite differences, the beta
+log-density and its gradient written out term by term, peak detection,
 the per-crop training sampler, the batch-norm and max-pool layers in their
 textbook forms, Adam one array at a time, a residual block's infer
 forward layer by layer, AUROC by counting pairs, plus a checkpoint header
@@ -7,7 +8,9 @@ size after each stage.
 
 Every oracle here is deliberately independent of the library's own code
 paths (naive loops and textbook formulas only), so a test failure points
-at the implementation, not at a shared bug.
+at the implementation, not at a shared bug. The one exception is the beta
+oracle, which calls betadist's ln B and digamma: their accuracy has tests
+of its own, and the oracle pins the bits of the formulas around them.
 """
 
 import functools
@@ -19,6 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+
+from betamix.betadist import _digamma, _ln_beta
 
 
 @functools.lru_cache(maxsize=8)
@@ -51,8 +56,18 @@ def mixture_moments_by_quadrature(components, n_nodes: int = 4000):
     return mean, second - mean * mean
 
 
-def central_difference(f, x: float, h: float) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+def beta_nll_reference(alpha: float, beta: float, t: float):
+    """(ln Beta(t; alpha, beta), d/dalpha, d/dbeta of its negative) for t
+    strictly inside (0, 1), as scalar float64 operations in a fixed order:
+    ln t by math.log, ln(1 - t) by math.log1p, then the log-density over
+    ln B and the gradient over digamma. The library's loss and its public
+    beta functions must return these bits exactly."""
+    log_t = math.log(t)
+    log_1mt = math.log1p(-t)
+    log_pdf = (alpha - 1.0) * log_t + (beta - 1.0) * log_1mt - _ln_beta(alpha, beta)
+    psi_sum = _digamma(alpha + beta)
+    return (log_pdf, _digamma(alpha) - psi_sum - log_t,
+            _digamma(beta) - psi_sum - log_1mt)
 
 
 def numeric_grad(loss_fn, arr: np.ndarray, h: float) -> np.ndarray:

@@ -17,6 +17,7 @@ from betamix.betadist import (
     PredictiveSummary,
     beta_log_pdf,
     beta_moments,
+    beta_nll_batch,
     beta_nll_grad,
     clip_label,
     digamma,
@@ -25,7 +26,8 @@ from betamix.betadist import (
     mixture_density_grid,
     mixture_summary,
 )
-from conftest import beta_pdf_reference, mixture_moments_by_quadrature
+from conftest import (beta_nll_reference, beta_pdf_reference,
+                      mixture_moments_by_quadrature)
 
 mp.mp.dps = 40
 
@@ -161,6 +163,50 @@ class TestBetaNllGrad:
                      - beta_log_pdf(t, BetaParams(a, b - h))) / (2 * h)
             assert abs(d_alpha - fd_a) <= 1e-4 * max(abs(fd_a), 1e-3)
             assert abs(d_beta - fd_b) <= 1e-4 * max(abs(fd_b), 1e-3)
+
+
+def _bits(*values):
+    return [float(v).hex() for v in values]
+
+
+class TestOracleBits:
+    """Every caller of the shared log-density and gradient returns the
+    bits of conftest's scalar beta oracle."""
+
+    @staticmethod
+    def _sweep(rng, n=300):
+        alphas = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
+        betas = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
+        ts = np.concatenate([rng.uniform(1e-6, 1.0 - 1e-6, n - 4),
+                             [1e-6, 0.5, 0.995, 1.0 - 1e-6]])
+        return list(zip(alphas.tolist(), betas.tolist(), ts.tolist()))
+
+    def test_public_log_pdf_and_gradient(self, rng):
+        for a, b, t in self._sweep(rng):
+            log_pdf, d_alpha, d_beta = beta_nll_reference(a, b, t)
+            p = BetaParams(a, b)
+            assert _bits(beta_log_pdf(t, p)) == _bits(log_pdf), (a, b, t)
+            assert _bits(*beta_nll_grad(t, p)) == _bits(d_alpha, d_beta), (a, b, t)
+
+    def test_batch_loss_and_gradient(self, rng):
+        """Labels at 0 and 1 are clipped before the oracle sees them."""
+        sweep = self._sweep(rng, 64)
+        targets = [0.0, 1.0] + [t for _, _, t in sweep[2:]]
+        loss, grad = beta_nll_batch([(a, b) for a, b, _ in sweep], targets, 0.02)
+        expected_loss = 0.0
+        for (a, b, _), t, (g_alpha, g_beta) in zip(sweep, targets, grad):
+            log_pdf, d_alpha, d_beta = beta_nll_reference(a, b, clip_label(t, 0.02))
+            expected_loss += -log_pdf
+            assert _bits(g_alpha, g_beta) == _bits(d_alpha / 64, d_beta / 64)
+        assert _bits(loss) == _bits(expected_loss / 64)
+
+    def test_density_grid(self):
+        comps = ((0.7, 3.0), (2.5, 2.5), (40.0, 1.3))
+        mixture = BetaMixture(tuple(BetaParams(a, b) for a, b in comps))
+        for t, pdf in mixture_density_grid(mixture, 201, 1e-4):
+            expected = sum(math.exp(beta_nll_reference(a, b, t)[0])
+                           for a, b in comps) / 3
+            assert _bits(pdf) == _bits(expected), t
 
 
 class TestBetaMoments:

@@ -134,18 +134,21 @@ class TestTrain:
 
     def test_missing_out_directory_fails_before_training(self, tmp_path, capsys,
                                                          monkeypatch):
-        """An --out in a directory that does not exist, or naming an
-        existing directory, exits 2 naming that directory, before the
-        dataset is read or a step is trained; both once exited 2 only at
-        the save, after the whole run."""
+        """An --out in a directory that does not exist, naming an existing
+        directory, or whose training log path is an existing directory,
+        exits 2 naming that directory, before the dataset is read or a
+        step is trained; each once exited 2 only at the save or the log
+        write, after the whole run."""
         def no_train(*args, **kwargs):
             raise AssertionError("train ran")
         monkeypatch.setattr("betamix.cli.train", no_train)
         data = synth_dataset(tmp_path)
         config = write_config(tmp_path)
         (tmp_path / "taken").mkdir()
+        (tmp_path / "m.bgc.train_log.json").mkdir()
         for out, named in ((tmp_path / "nodir" / "m.bgc", tmp_path / "nodir"),
-                           (tmp_path / "taken", tmp_path / "taken")):
+                           (tmp_path / "taken", tmp_path / "taken"),
+                           (tmp_path / "m.bgc", tmp_path / "m.bgc.train_log.json")):
             assert main(["train", "--config", str(config), "--data", str(data),
                          "--out", str(out)]) == 2
             err = capsys.readouterr().err

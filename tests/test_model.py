@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import betamix
-from betamix.betadist import BetaParams, beta_log_pdf, beta_nll_grad, clip_label
+from betamix.betadist import BetaParams, beta_log_pdf, clip_label
 from betamix.config import RunConfig
 from betamix.data import (Dataset, DatasetManifest, ManifestEntry,
                           RhythmAnnotation, SignalRecord, split_dataset,
@@ -37,8 +37,9 @@ from betamix.model import (
 )
 from betamix.nn import BN_EPS, adam_step
 from betamix.predict import predict
-from conftest import (numeric_grad, rel_err, residual_block_infer_reference,
-                      rewrite_checkpoint_header, stage_sizes)
+from conftest import (beta_nll_reference, numeric_grad, rel_err,
+                      residual_block_infer_reference, rewrite_checkpoint_header,
+                      stage_sizes)
 
 # Softplus inverse of 1: forcing the head bias here makes every output
 # (alpha, beta) = (1, 1).
@@ -524,18 +525,18 @@ class TestLossAndGrads:
 
     def test_matches_public_beta_loop_bitwise(self, rng):
         """The loss and the (alpha, beta) gradient handed to the backward
-        are the bits of a loop over the public BetaParams, clip_label,
-        beta_log_pdf and beta_nll_grad, for hard and soft targets."""
+        are the bits of the scalar beta oracle summed crop by crop, for
+        hard and soft targets."""
         model = build_model("tiny", seed=3)
         crops = rng.normal(size=(6, 1, 256)).astype(np.float32)
         targets = [0.0, 1.0, 0.3, 0.995, 0.5, 0.0]
         out = model.forward(crops, train=True)
         expected_loss, expected_grad = 0.0, np.empty((6, 2))
         for i, (alpha, beta) in enumerate(out.tolist()):
-            p = BetaParams(alpha, beta)
             t = clip_label(targets[i], 0.02)
-            expected_loss += -beta_log_pdf(t, p)
-            expected_grad[i] = np.array(beta_nll_grad(t, p)) / 6
+            log_pdf, d_alpha, d_beta = beta_nll_reference(alpha, beta, t)
+            expected_loss += -log_pdf
+            expected_grad[i] = d_alpha / 6, d_beta / 6
         handed = []
         model.backward = handed.append
         loss = loss_and_grads(model, crops, targets, 0.02)
