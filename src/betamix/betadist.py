@@ -200,10 +200,13 @@ def _label_logs(t: float) -> tuple[float, float]:
     return math.log(t), math.log1p(-t)
 
 
-def _log_pdf(alpha: float, beta: float, log_t: float, log_1mt: float) -> float:
-    """ln Beta(t; alpha, beta) from ln t and ln(1 - t), for (alpha, beta)
-    already known to be positive and finite."""
-    return (alpha - 1.0) * log_t + (beta - 1.0) * log_1mt - _ln_beta(alpha, beta)
+def _log_pdf(alpha: float, beta: float, ln_b: float, log_t: float,
+             log_1mt: float) -> float:
+    """ln Beta(t; alpha, beta) from ln B(alpha, beta), ln t and ln(1 - t),
+    for (alpha, beta) already known to be positive and finite. ln B is an
+    argument so that a caller evaluating one component at many points
+    computes it once."""
+    return (alpha - 1.0) * log_t + (beta - 1.0) * log_1mt - ln_b
 
 
 def _nll_grad(alpha: float, beta: float, log_t: float,
@@ -219,7 +222,8 @@ def beta_log_pdf(t: float, p: BetaParams) -> float:
     Hard labels must be passed through clip_label first; the density is
     unbounded (or zero) at the interval ends.
     """
-    return _log_pdf(float(p.alpha), float(p.beta), *_label_logs(t))
+    alpha, beta = float(p.alpha), float(p.beta)
+    return _log_pdf(alpha, beta, _ln_beta(alpha, beta), *_label_logs(t))
 
 
 def beta_nll_grad(t: float, p: BetaParams) -> tuple[float, float]:
@@ -245,7 +249,7 @@ def beta_nll_batch(rows, targets, label_eps: float) -> tuple[float, list]:
     grad = []
     for (alpha, beta), t in zip(rows, targets):
         log_t, log_1mt = _label_logs(clip_label(t, label_eps))
-        nll_sum -= _log_pdf(alpha, beta, log_t, log_1mt)
+        nll_sum -= _log_pdf(alpha, beta, _ln_beta(alpha, beta), log_t, log_1mt)
         d_alpha, d_beta = _nll_grad(alpha, beta, log_t, log_1mt)
         grad.append((d_alpha / batch, d_beta / batch))
     return nll_sum / batch, grad
@@ -299,7 +303,10 @@ def mixture_density_grid(
         raise ValueError(f"n_points must be at least 2, got {n_points}")
     if not (0.0 < eps < 0.5):
         raise ValueError(f"eps must lie in (0, 0.5), got {eps!r}")
-    comps = [(float(c.alpha), float(c.beta)) for c in m.components]
+    comps = []
+    for c in m.components:
+        alpha, beta = float(c.alpha), float(c.beta)
+        comps.append((alpha, beta, _ln_beta(alpha, beta)))
     n = len(comps)
     step = (1.0 - 2.0 * eps) / (n_points - 1)
     out = []
@@ -307,7 +314,8 @@ def mixture_density_grid(
         # Hit the right endpoint exactly rather than accumulating steps.
         t = 1.0 - eps if i == n_points - 1 else eps + i * step
         log_t, log_1mt = _label_logs(t)
-        pdf = sum(math.exp(_log_pdf(a, b, log_t, log_1mt)) for a, b in comps) / n
+        pdf = sum(math.exp(_log_pdf(a, b, ln_b, log_t, log_1mt))
+                  for a, b, ln_b in comps) / n
         out.append((t, pdf))
     return out
 

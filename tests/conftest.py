@@ -1,10 +1,10 @@
 """Shared test oracles: quadrature, finite differences, the beta
 log-density and its gradient written out term by term, peak detection,
-the per-crop training sampler, the batch-norm and max-pool layers in their
-textbook forms, Adam one array at a time, a residual block's infer
-forward layer by layer, AUROC by counting pairs, plus a checkpoint header
-rewriter for hostile-file tests and a walker that reads a model's spatial
-size after each stage.
+the per-crop training sampler, the batch-norm, max-pool and global
+max-pool layers in their textbook forms, Adam one array at a time, a
+residual block's infer forward layer by layer, AUROC by counting pairs,
+plus a checkpoint header rewriter for hostile-file tests and a walker
+that reads a model's spatial size after each stage.
 
 Every oracle here is deliberately independent of the library's own code
 paths (naive loops and textbook formulas only), so a test failure points
@@ -270,6 +270,29 @@ def maxpool_first_max_reference(x, size, grad_out):
                 y[i, ch, o] = best
                 dx[i, ch, o * size + first] = grad_out[i, ch, o]
     return y, dx
+
+
+def global_maxpool_first_max_reference(x, grad_out):
+    """The input gradient of a maximum over the whole last axis, by a
+    Python loop over every channel of every crop: the channel's gradient
+    goes to the first position strictly greater than every one before it,
+    except that a NaN counts as the maximum, so a channel with a NaN (whose
+    maximum is NaN) sends it to its first NaN. Every other position gets
+    +0.0."""
+    b, c, length = x.shape
+    dx = np.zeros(x.shape, dtype=grad_out.dtype)
+    for i in range(b):
+        for ch in range(c):
+            row = [float(v) for v in x[i, ch]]
+            first = 0
+            for j, v in enumerate(row):
+                if math.isnan(v):
+                    first = j
+                    break
+                if v > row[first]:
+                    first = j
+            dx[i, ch, first] = grad_out[i, ch, 0]
+    return dx
 
 
 def adam_per_array_reference(groups, learning_rate, t):

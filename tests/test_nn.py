@@ -32,6 +32,7 @@ from conftest import (
     adam_per_array_reference,
     batchnorm_train_reference,
     conv1d_backward_reference,
+    global_maxpool_first_max_reference,
     maxpool_argmax_reference,
     maxpool_first_max_reference,
     numeric_grad,
@@ -662,6 +663,26 @@ class TestMaxPool1D:
         y = layer.forward(x)
         assert np.isnan(y[0, 0, :2]).all() and y[0, 0, 2] == 6.0
 
+    @pytest.mark.parametrize("size,length", [(3, 14), (2, 9)],
+                             ids=["size3-remainder", "size2-remainder"])
+    def test_backward_with_nan_window_matches_first_max_oracle(self, rng, size,
+                                                               length):
+        """A NaN at the start, inside or at the end of a window, and in the
+        dropped remainder: the outputs and the input gradient equal the
+        loop oracle's bytes, which sends a window's gradient to the first
+        position strictly greater than the running maximum before it."""
+        layer = MaxPool1D(size)
+        x = rng.integers(-1, 2, size=(2, 3, length)).astype(np.float32)
+        x[0, 0, 0] = np.nan
+        x[0, 1, size + 1] = np.nan
+        x[1, 2, 2 * size - 1] = np.nan
+        x[1, 0, length - 1] = np.nan
+        grad_out = rng.normal(size=(2, 3, length // size)).astype(np.float32)
+        expected_y, expected_dx = maxpool_first_max_reference(x, size, grad_out)
+        assert layer.forward(x, train=True).tobytes() == expected_y.tobytes()
+        assert layer.backward(grad_out).tobytes() == expected_dx.tobytes()
+        assert np.isnan(expected_y[0, 0, 0]) and np.isnan(expected_y[1, 2, 1])
+
 
 class TestGlobalMaxPool:
     def test_forward(self):
@@ -705,6 +726,26 @@ class TestGlobalMaxPool:
         dx = layer.backward(grad_out)
         assert dx.sum() == pytest.approx(grad_out.sum(), rel=1e-6)
         assert (dx != 0).sum() == 6
+
+    @pytest.mark.parametrize("shape", [(3, 4, 9), (2, 5, 16), (1, 1, 1)],
+                             ids=["odd", "even", "single"])
+    def test_backward_matches_first_max_oracle_bitwise(self, rng, shape):
+        """Values from {-1, -0, +0, 1} make ties common, one channel's
+        maximum is a -0.0 ahead of a +0.0, and the last channel holds NaNs;
+        the input gradient equals the loop oracle's bytes, so each
+        channel's gradient lands on its first maximum (its first NaN) and
+        every other position is +0.0."""
+        layer = GlobalMaxPool()
+        x = rng.integers(-1, 2, size=shape).astype(np.float32)
+        x[(x == 0) & (rng.random(shape) < 0.5)] = -0.0
+        if shape[2] > 2:
+            x[0, 0] = -1.0
+            x[0, 0, 1:3] = (-0.0, 0.0)
+        x[-1, -1, shape[2] // 2:] = np.nan
+        grad_out = rng.normal(size=shape[:2] + (1,)).astype(np.float32)
+        expected = global_maxpool_first_max_reference(x, grad_out)
+        layer.forward(x, train=True)
+        assert layer.backward(grad_out).tobytes() == expected.tobytes()
 
 
 class TestDense:
