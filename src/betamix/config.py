@@ -4,7 +4,9 @@ A UTF-8 file with one option per line, `#` comments and blank lines
 allowed, opened through `data.open_input` as every input file is (so a
 leading byte-order mark is skipped). Unknown keys are rejected and floats
 must be finite; a `RunConfig` checks every value against its domain when
-it is built, so a typo fails the run before any compute happens.
+it is built, so a typo fails the run before any compute happens. A
+setting's annotation on `RunConfig` is its one type declaration: it picks
+both the types a `RunConfig` accepts and the parser of its file text.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ class RunConfig:
     (`data.AugmentConfig`) are constants. `augment` has no effect when
     `soft_targets` is set, because the changepoint sampler never
     resamples. A config checks its values when built (UsageError) and
-    cannot change after."""
+    cannot change after. Each field's annotation is the setting's one
+    type declaration, read by the type check and by `parse_config`, so a
+    new setting is one line here."""
 
     arch_preset: str = "paper"
     batch_size: int = 256
@@ -42,12 +46,13 @@ class RunConfig:
         # Types first, so a library caller's 8.0 or "no" is a usage error
         # rather than a TypeError mid-run or a string read as true; bool is
         # an int subclass, so it is refused where a number is wanted.
-        for name, kinds in _TYPES.items():
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
+            kinds = _ACCEPTS[field.type]
             if not isinstance(value, kinds) or (
                     bool not in kinds and isinstance(value, bool)):
                 names = " or ".join(kind.__name__ for kind in kinds)
-                raise UsageError(f"{name} must be {names}, got {value!r}")
+                raise UsageError(f"{field.name} must be {names}, got {value!r}")
         if self.arch_preset not in PRESETS:
             raise UsageError(
                 f"arch_preset must be one of {sorted(PRESETS)}, "
@@ -64,16 +69,11 @@ class RunConfig:
         _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
 
 
-# The types each setting accepts.
-_TYPES = {
-    "arch_preset": (str,),
-    "batch_size": (int,),
-    "learning_rate": (int, float),
-    "epochs": (int,),
-    "seed": (int,),
-    "augment": (bool,),
-    "soft_targets": (bool,),
-}
+# The types each annotation accepts, keyed by its text: `from __future__
+# import annotations` leaves `Field.type` a string. An int is a float
+# setting's value too.
+_ACCEPTS = {"str": (str,), "int": (int,), "float": (int, float),
+            "bool": (bool,)}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -81,19 +81,30 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise UsageError(f"config key {key!r}: expected a boolean, got {raw!r}")
+    raise ValueError(f"{text!r} is not a boolean")
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+# The parser of each annotation's file text; each raises ValueError on
+# text it cannot read.
+_PARSERS = {"str": str, "int": int, "float": _parse_float, "bool": _parse_bool}
 
 
 def parse_config(path) -> RunConfig:
     """Read and type-check a config file; `RunConfig` checks domains."""
-    defaults = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
+    types = {f.name: f.type for f in fields(RunConfig)}
     values = {}
     with open_input(path, "config file", UsageError, mode="r") as fh:
         try:
@@ -107,22 +118,12 @@ def parse_config(path) -> RunConfig:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in known:
+        if key not in types:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
-        default = getattr(defaults, key)
         try:
-            if isinstance(default, bool):
-                values[key] = _parse_bool(value, key)
-            elif isinstance(default, int):
-                values[key] = int(value)
-            elif isinstance(default, float):
-                values[key] = float(value)
-                if not math.isfinite(values[key]):
-                    raise ValueError(f"{value!r} is not finite")
-            else:
-                values[key] = value
+            values[key] = _PARSERS[types[key]](value)
         except ValueError as exc:
             raise UsageError(
                 f"{path}:{lineno}: bad value {value!r} for key {key!r}"

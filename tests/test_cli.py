@@ -21,8 +21,19 @@ import pytest
 from betamix.betadist import BetaParams, beta_log_pdf
 from betamix.cli import DENSITY_GRID_EPS, DENSITY_MAX_CONCENTRATION, main
 from betamix.config import RunConfig, parse_config
+from betamix.data import (
+    DatasetManifest,
+    ManifestEntry,
+    load_dataset,
+    split_dataset,
+    synth_generate,
+    synth_generate_changepoints,
+    write_dataset,
+)
 from betamix.model import load_checkpoint, save_checkpoint
 from conftest import rewrite_checkpoint_header
+
+TINY_SEED0_CHECKPOINT = Path(__file__).parent / "data" / "tiny_seed0.bgc"
 
 TRAIN_CONFIG = """
 arch_preset = tiny
@@ -126,6 +137,26 @@ class TestTrain:
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert parse_config(marked) == parse_config(plain)
 
+    def test_soft_target_dataset_round_trips_and_trains(self, tmp_path):
+        """A changepoint dataset's fractional targets are written with
+        repr, so every target reads back bit for bit, and `train` with
+        soft_targets = true runs on the directory."""
+        records = synth_generate_changepoints(10, seed=3)
+        assert any(0.0 < r.target < 1.0 for r in records)
+        data = tmp_path / "data"
+        write_dataset(records, split_dataset(records, 0.8, seed=3), data)
+        loaded = load_dataset(data / "manifest.csv").records
+        assert [struct.pack("<d", r.target) for r in loaded] == \
+               [struct.pack("<d", r.target) for r in records]
+        config = write_config(tmp_path, "arch_preset = tiny\nbatch_size = 8\n"
+                                        "epochs = 1\nsoft_targets = true\n")
+        ckpt = tmp_path / "m.bgc"
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(ckpt)]) == 0
+        log = json.loads((tmp_path / "m.bgc.train_log.json").read_text())
+        assert log["config"]["soft_targets"] is True
+        assert len(log["epochs"]) == 1
+
     def test_missing_data_is_data_error(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["train", "--config", str(config),
@@ -166,15 +197,36 @@ class TestTrain:
         "label_eps_1e-300": f"{TRAIN_CONFIG}label_eps = 1e-300\n".encode(),
         "batch_size_10**12": TRAIN_CONFIG.replace(
             "batch_size = 8", "batch_size = 1000000000000").encode(),
+        "seed_twice": f"{TRAIN_CONFIG}seed = 7\n".encode(),
+        "line_without_equals": f"{TRAIN_CONFIG}epochs 2\n".encode(),
+        "augment_maybe": TRAIN_CONFIG.replace(
+            "augment = true", "augment = maybe").encode(),
+        "arch_preset_huge": TRAIN_CONFIG.replace(
+            "arch_preset = tiny", "arch_preset = huge").encode(),
+    }
+
+    # What each message must name, where the case names something. A
+    # non-finite rate is refused as text, before its domain check.
+    HOSTILE_CONFIG_MESSAGES = {
+        "learning_rate_nan": ["run.cfg:4: bad value 'nan' for key 'learning_rate'"],
+        "learning_rate_inf": ["run.cfg:4: bad value 'inf' for key 'learning_rate'"],
+        "learning_rate_1e30": ["learning_rate must be in [0, 1], got 1e+30"],
+        "label_eps_1e-300": ["run.cfg:8: unknown config key 'label_eps'"],
+        "seed_twice": ["run.cfg:8: duplicate config key 'seed'"],
+        "line_without_equals": ["run.cfg:8: expected key=value, got 'epochs 2'"],
+        "augment_maybe": ["'augment'", "'maybe'"],
+        "arch_preset_huge": ["arch_preset must be one of ['paper', 'tiny'], "
+                             "got 'huge'"],
     }
 
     @pytest.mark.parametrize("case", HOSTILE_CONFIGS)
     def test_hostile_config_is_usage_error(self, tmp_path, capsys, case):
         """A config file that does not decode, holds a non-finite number,
         asks for a learning rate above 1, names a key that is no longer a
-        setting or asks for a batch larger than an epoch's worth of crops
-        exits 1 before any compute: no traceback, MemoryError or internal
-        error."""
+        setting, asks for a batch larger than an epoch's worth of crops,
+        repeats a key, has a line without `=`, gives a boolean setting a
+        value that is no boolean or names an unknown preset exits 1 before
+        any compute: no traceback, MemoryError or internal error."""
         data = synth_dataset(tmp_path)
         config = tmp_path / "run.cfg"
         config.write_bytes(self.HOSTILE_CONFIGS[case])
@@ -182,6 +234,28 @@ class TestTrain:
                      "--out", str(tmp_path / "m.bgc")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        for named in self.HOSTILE_CONFIG_MESSAGES.get(case, []):
+            assert named in err, err
+
+    @pytest.mark.parametrize("line, setting", [
+        ("learning_rate = 1", {"learning_rate": 1.0}),
+        ("learning_rate = 1e-3", {"learning_rate": 0.001}),
+        ("learning_rate = 0.5", {"learning_rate": 0.5}),
+        ("batch_size = 8", {"batch_size": 8}),
+        ("epochs = 0", {"epochs": 0}),
+        ("arch_preset = tiny", {"arch_preset": "tiny"}),
+        *((f"soft_targets = {text}", {"soft_targets": True})
+          for text in ("true", "1", "yes", "on", "TRUE", " On ")),
+        *((f"augment = {text}", {"augment": False})
+          for text in ("false", "0", "no", "off", "FALSE", " Off "))])
+    def test_accepted_values_parse(self, tmp_path, line, setting):
+        """Every accepted spelling of each setting's type reads as that
+        value, with the setting's type: an int learning rate is a float,
+        and the false spellings read as False."""
+        config = parse_config(write_config(tmp_path, f"{line}\n"))
+        assert config == RunConfig(**setting)
+        for name, value in setting.items():
+            assert type(getattr(config, name)) is type(value)
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +337,8 @@ class TestPredict:
         "sample_3e38", "rate_inf", "nan_weight", "manifest_not_utf8",
         "manifest_path_parent", "manifest_path_absolute", "manifest_path_nul",
         "manifest_path_shared", "manifest_field_200000", "model_twice",
-        "record_trailing_garbage", "header_nested_100000", *HEADER_EDITS, *CHECKPOINT_REFUSALS])
+        "record_trailing_garbage", "record_version_2", "manifest_row_5_fields",
+        "header_nested_100000", *HEADER_EDITS, *CHECKPOINT_REFUSALS])
     def test_hostile_files_are_data_errors(self, trained, tmp_path, capsys,
                                            case):
         """A missing or directory input, a length field declaring far more
@@ -274,7 +349,8 @@ class TestPredict:
         preset's sizes or nests too deeply to parse), a manifest that is not UTF-8, a manifest path
         leading out of the dataset directory or holding a NUL byte, two manifest rows naming
         one record file, a manifest field beyond the
-        csv module's 131072-character limit, or a checkpoint or record
+        csv module's 131072-character limit, a manifest row with a fifth
+        field, a record of an unsupported version, or a checkpoint or record
         with bytes after its last field exits 2 with a one-line data
         error: no traceback, MemoryError, OverflowError or internal
         error. A version-1 checkpoint or a negative batch-norm running
@@ -321,6 +397,12 @@ class TestPredict:
             model.write_bytes(model.read_bytes() * 2)
         elif case == "record_trailing_garbage":
             record.write_bytes(record.read_bytes() + b"garbage")
+        elif case == "manifest_row_5_fields":
+            manifest = data / "manifest.csv"
+            lines = manifest.read_text(encoding="utf-8").splitlines()
+            (row,) = [i for i, line in enumerate(lines) if line.startswith("no0000,")]
+            lines[row] += ",extra"
+            manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
         elif case == "manifest_field_200000":
             manifest = data / "manifest.csv"
             text = manifest.read_text(encoding="utf-8")
@@ -356,6 +438,8 @@ class TestPredict:
                 struct.pack_into("<f", blob, 24, 3e38)
             elif case == "rate_inf":
                 struct.pack_into("<d", blob, 8, float("inf"))
+            elif case == "record_version_2":
+                struct.pack_into("<I", blob, 4, 2)
             else:
                 struct.pack_into("<Q", blob, 16, 2 ** int(case.split("**")[1]))
             record.write_bytes(bytes(blob))
@@ -369,6 +453,10 @@ class TestPredict:
             assert "share the record file" in err, err
         if case in ("model_twice", "record_trailing_garbage"):
             assert "trailing bytes after" in err, err
+        if case == "record_version_2":
+            assert f"{record}: unsupported record version 2" in err, err
+        if case == "manifest_row_5_fields":
+            assert "manifest.csv: malformed row ['no0000'," in err, err
         if case == "sample_3e38":
             assert f"record {record.stem!r}: sample magnitude 3e+38" in err, err
         if case == "rate_inf":
@@ -476,6 +564,19 @@ class TestEval:
         assert main(["eval", "--model", str(ckpt), "--data", str(data),
                      "--keep-fraction", "0", "--out",
                      str(tmp_path / "e.csv")]) == 1
+
+    def test_no_validation_split_is_usage_error(self, tmp_path, capsys):
+        """eval on a dataset whose manifest puts every record in train
+        exits 1: there is nothing to evaluate."""
+        records = synth_generate(2, crop_budget_s=10.0, seed=1)
+        manifest = DatasetManifest([ManifestEntry(r.id, f"records/{r.id}.bgs",
+                                                  "train") for r in records])
+        write_dataset(records, manifest, tmp_path / "data")
+        assert main(["eval", "--model", str(TINY_SEED0_CHECKPOINT),
+                     "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "e.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: dataset has no validation split to evaluate\n", err
 
 
 class TestDensity:

@@ -136,6 +136,18 @@ class TestPredict:
             predict(model, record_of_length(1000, record_id="big"), 256)
         assert np.geterr() == state
 
+    def test_nan_weight_is_a_non_finite_output_naming_the_record(self):
+        """A NaN head bias reaches the output without raising numpy's
+        invalid-operation error, so only the final finite check catches
+        it: predict raises NonFiniteOutputError naming the record, with no
+        FloatingPointError behind it."""
+        model = load_checkpoint(TINY_SEED0_CHECKPOINT)
+        model.head_dense.bias.value[0] = np.nan
+        message = r"^record 'nan': the network output \(alpha, beta\) is not finite$"
+        with pytest.raises(NonFiniteOutputError, match=message) as info:
+            predict(model, record_of_length(1000, record_id="nan"), 256)
+        assert info.value.__cause__ is None
+
     def test_leaves_no_layer_cache(self, rng):
         """predict runs infer-mode forwards only, so afterwards no layer
         holds a backward cache, not even one a train step left behind."""
