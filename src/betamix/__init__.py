@@ -39,13 +39,9 @@ from .data import (
 )
 from .errors import (
     BetamixError,
-    CheckpointError,
-    CorruptCheckpointError,
     DataError,
     InternalError,
     NonFiniteOutputError,
-    TensorShapeError,
-    UnsupportedVersionError,
     UsageError,
 )
 from .metrics import ConfusionCounts, MetricsReport, confusion, coverage_curve, report

@@ -260,7 +260,13 @@ def beta_moments(p: BetaParams) -> tuple[float, float, float]:
     a, b = p.alpha, p.beta
     s = a + b
     mean = a / s
-    second = a * (a + 1.0) / (s * (s + 1.0))
+    second_den = s * (s + 1.0)
+    # Above s of about 1.3e154 the denominator overflows; the factored
+    # form is the same ratio and stays finite there.
+    if second_den < math.inf:
+        second = a * (a + 1.0) / second_den
+    else:
+        second = mean * ((a + 1.0) / (s + 1.0))
     return mean, second, second - mean * mean
 
 

@@ -287,18 +287,17 @@ class BinaryReader:
 
     Every declared length is checked against the bytes left in the file
     before it is read, because fh.read(n) allocates n bytes up front: a
-    corrupt length field raises `error` instead of exhausting memory.
-    `end` checks that nothing follows the last field.
+    corrupt length field raises DataError naming the file instead of
+    exhausting memory. `end` checks that nothing follows the last field.
     """
 
-    def __init__(self, fh, error: type[DataError]):
+    def __init__(self, fh):
         self._fh = fh
         self._left = os.fstat(fh.fileno()).st_size
-        self._error = error
 
     def _claim(self, n: int, what: str) -> None:
         if n > self._left:
-            raise self._error(f"{self._fh.name}: truncated while reading {what}")
+            raise DataError(f"{self._fh.name}: truncated while reading {what}")
         self._left -= n
 
     def read(self, n: int, what: str) -> bytes:
@@ -311,16 +310,16 @@ class BinaryReader:
         self._claim(4 * count, what)
         out = np.empty(count, dtype="<f4")
         if self._fh.readinto(out) != out.nbytes:
-            raise self._error(f"{self._fh.name}: truncated while reading {what}")
+            raise DataError(f"{self._fh.name}: truncated while reading {what}")
         return out
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
     def end(self, what: str) -> None:
-        """Raise `error` unless the file ends here, after what."""
+        """Raise DataError unless the file ends here, after what."""
         if self._left:
-            raise self._error(
+            raise DataError(
                 f"{self._fh.name}: {self._left} trailing bytes after {what}")
 
 
@@ -331,7 +330,7 @@ def read_record(path, record_id: str, target: float) -> SignalRecord:
     or field value. Each declared count is checked against the bytes
     left in the file before anything is allocated for it."""
     with open_input(path, "record file") as fh:
-        reader = BinaryReader(fh, DataError)
+        reader = BinaryReader(fh)
         magic, version, rate, count = reader.unpack(_RECORD_HEAD.format, "header")
         if magic != RECORD_MAGIC:
             raise DataError(f"{path}: malformed header (magic {magic!r})")

@@ -1,9 +1,12 @@
 """Exception hierarchy shared across the package.
 
-The split mirrors the CLI exit codes: usage/config mistakes (1), broken or
-missing data on disk (2), and violated internal invariants (3). Plain
-``ValueError`` is used for scalar math domain errors and is treated as an
-internal failure when it escapes to the CLI.
+One class per CLI exit code: usage/config mistakes (UsageError, 1), broken
+or missing data on disk (DataError, 2), and violated internal invariants
+(InternalError, 3). A refused input file, a record, a manifest or a
+checkpoint, raises DataError, whose message names the file and the check
+that refused it. NonFiniteOutputError is the one class the CLI files by
+command. Plain ``ValueError`` is used for scalar math domain errors and is
+treated as an internal failure when it escapes to the CLI.
 """
 
 
@@ -17,22 +20,6 @@ class UsageError(BetamixError):
 
 class DataError(BetamixError):
     """On-disk data is missing, truncated, or malformed."""
-
-
-class CheckpointError(DataError):
-    """Base class for checkpoint load failures."""
-
-
-class CorruptCheckpointError(CheckpointError):
-    """Checkpoint file has a bad magic, is truncated, or fails to parse."""
-
-
-class UnsupportedVersionError(CheckpointError):
-    """Checkpoint format version is not readable by this build."""
-
-
-class TensorShapeError(CheckpointError):
-    """A stored tensor's shape disagrees with the architecture it claims."""
 
 
 class InternalError(BetamixError):

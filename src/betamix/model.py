@@ -46,13 +46,7 @@ from . import predict as predict_mod
 from .betadist import beta_nll_batch, hard_label
 from .data import (AugmentConfig, BinaryReader, has_changepoint_crops,
                    open_input, sample_changepoint_batch, sample_crop_batch)
-from .errors import (
-    CheckpointError,
-    CorruptCheckpointError,
-    TensorShapeError,
-    UnsupportedVersionError,
-    UsageError,
-)
+from .errors import DataError, UsageError
 from .nn import (
     BN_EPS,
     BN_MOMENTUM,
@@ -521,27 +515,25 @@ def save_checkpoint(model: Model, path, config_echo: dict | None = None) -> None
 def load_checkpoint(path) -> Model:
     """Reconstruct a model; the round trip reproduces forward passes bitwise.
 
-    A file that cannot be opened, or whose header or tensors do not
-    describe a complete, finite model with non-negative batch-norm running
-    variances, its entries in `Model.named_entries` order, raises a
-    CheckpointError; a format version other than CHECKPOINT_VERSION
-    raises UnsupportedVersionError.
+    A file that cannot be opened, whose format version is not
+    CHECKPOINT_VERSION, or whose header or tensors do not describe a
+    complete, finite model with non-negative batch-norm running variances,
+    its entries in `Model.named_entries` order, raises DataError; its
+    message names the file and the check that refused it.
 
     Adam's moments are not saved, so the header's step count, like its
     config echo, is a record of the run: the loaded model's optimizer
     starts at step 0.
     """
-    with open_input(path, "checkpoint file", CheckpointError) as fh:
-        reader = BinaryReader(fh, CorruptCheckpointError)
+    with open_input(path, "checkpoint file") as fh:
+        reader = BinaryReader(fh)
         magic, version, meta_len = reader.unpack(_CHECKPOINT_HEAD.format,
                                                  "the file head")
         if magic != CHECKPOINT_MAGIC:
-            raise CorruptCheckpointError(
-                f"not a checkpoint file (magic {magic!r})"
-            )
+            raise DataError(f"{path}: not a checkpoint file (magic {magic!r})")
         if version != CHECKPOINT_VERSION:
-            raise UnsupportedVersionError(
-                f"checkpoint format version {version} is not supported "
+            raise DataError(
+                f"{path}: checkpoint format version {version} is not supported "
                 f"(expected {CHECKPOINT_VERSION}); retrain the model to "
                 f"write a version {CHECKPOINT_VERSION} checkpoint"
             )
@@ -561,12 +553,12 @@ def load_checkpoint(path) -> Model:
             model = Model(spec, seed=0)
         except (KeyError, TypeError, ValueError, OverflowError,
                 RecursionError) as exc:
-            raise CorruptCheckpointError(
+            raise DataError(
                 f"{path}: bad checkpoint header: {exc!r}") from exc
         entries = model.named_entries()
         (n_entries,) = reader.unpack("<I", "entry count")
         if n_entries != len(entries):
-            raise CorruptCheckpointError(
+            raise DataError(
                 f"{path}: checkpoint holds {n_entries} entries, architecture "
                 f"{spec.preset_name!r} has {len(entries)}")
         # Each entry's name, rank and dims are checked against the entry
@@ -575,26 +567,26 @@ def load_checkpoint(path) -> Model:
             (name_len,) = reader.unpack("<I", "name length")
             found = reader.read(name_len, "entry name")
             if found != name.encode():
-                raise CorruptCheckpointError(
+                raise DataError(
                     f"{path}: expected entry {name!r}, found {found!r}")
             (rank,) = reader.unpack("<I", "rank")
             if rank != dest.ndim:
-                raise TensorShapeError(
+                raise DataError(
                     f"{path}: entry {name!r} has rank {rank}, architecture "
                     f"expects shape {dest.shape}")
             dims = reader.unpack(f"<{rank}I", "dims")
             if dims != dest.shape:
-                raise TensorShapeError(
+                raise DataError(
                     f"{path}: entry {name!r} has shape {dims}, architecture "
                     f"expects {dest.shape}")
             arr = reader.read_f32(dest.size, f"data for {name}")
             if not np.isfinite(arr).all():
-                raise CorruptCheckpointError(
+                raise DataError(
                     f"{path}: entry {name!r} holds NaN or inf")
             # Training's running variance is an average of variances, so a
             # negative one cannot come from a trained model.
             if name.endswith(".running_var") and (arr < 0).any():
-                raise CorruptCheckpointError(
+                raise DataError(
                     f"{path}: entry {name!r} holds a negative variance")
             dest[...] = arr.reshape(dims)
         reader.end("the last entry")

@@ -246,6 +246,20 @@ class TestBetaMoments:
             assert mean == pytest.approx(mean_q, abs=1e-10)
             assert variance == pytest.approx(second_q - mean_q ** 2, abs=1e-10)
 
+    def test_float32_range_keeps_the_closed_form_bits(self, rng):
+        """Wherever s * (s + 1) is finite, as it is for any pair of
+        float32 parameters, the moments are the closed form's, bit for
+        bit."""
+        top = math.log10(float(np.finfo(np.float32).max))
+        for _ in range(2000):
+            a, b = (float(np.float32(10 ** rng.uniform(-40, top)))
+                    for _ in range(2))
+            s = a + b
+            mean = a / s
+            second = a * (a + 1.0) / (s * (s + 1.0))
+            assert beta_moments(BetaParams(a, b)) == \
+                (mean, second, second - mean * mean)
+
 
 class TestMixtureSummary:
     def test_single_component_equals_component(self):
@@ -296,6 +310,18 @@ class TestMixtureSummary:
             assert 0.0 <= s.uncertainty <= 1.0
             assert 0.0 <= s.mean <= 1.0
             assert s.variance <= s.mean * (1.0 - s.mean) + 1e-15
+
+    @pytest.mark.parametrize("a, b", [(1e154, 1e154), (1e155, 1e155),
+                                      (1e200, 1e200), (1e160, 1e100),
+                                      (1e300, 1.0)])
+    def test_huge_concentration_is_finite(self, a, b):
+        """A component whose s * (s + 1) overflows still has a finite
+        variance: (1e154, 1e154) raised a variance of -0.25, and the
+        others gave NaN."""
+        s = mixture_summary(BetaMixture((BetaParams(a, b),)))
+        assert 0.0 <= s.variance <= 0.25
+        assert 0.0 <= s.uncertainty <= 1.0
+        assert s.mean == pytest.approx(a / (a + b), rel=1e-15)
 
     def test_matches_mixture_quadrature(self, rng):
         """Mixture mean/variance against direct integration, 1e-6."""

@@ -30,6 +30,7 @@ from betamix.data import (
     synth_generate_changepoints,
     write_dataset,
 )
+from betamix.errors import InternalError
 from betamix.model import load_checkpoint, save_checkpoint
 from conftest import rewrite_checkpoint_header
 
@@ -186,6 +187,29 @@ class TestTrain:
             assert err.startswith("data error: ") and err.count("\n") == 1, err
             assert str(named) in err
 
+    def test_empty_training_split_is_usage_error(self, tmp_path, capsys):
+        """A manifest whose rows are all validation rows leaves nothing to
+        train on."""
+        data = synth_dataset(tmp_path)
+        manifest = data / "manifest.csv"
+        text = manifest.read_text(encoding="utf-8")
+        assert ",train\n" in text
+        manifest.write_text(text.replace(",train\n", ",val\n"), encoding="utf-8")
+        assert main(["train", "--config", str(write_config(tmp_path)),
+                     "--data", str(data), "--out", str(tmp_path / "m.bgc")]) == 1
+        assert capsys.readouterr().err == "error: training split is empty\n"
+
+    def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        """A broken invariant inside a command exits 3 with a one-line
+        internal error."""
+        def broken_train(*args, **kwargs):
+            raise InternalError("invariant broken")
+        monkeypatch.setattr("betamix.cli.train", broken_train)
+        data = synth_dataset(tmp_path)
+        assert main(["train", "--config", str(write_config(tmp_path)),
+                     "--data", str(data), "--out", str(tmp_path / "m.bgc")]) == 3
+        assert capsys.readouterr().err == "internal error: invariant broken\n"
+
     HOSTILE_CONFIGS = {
         "not_utf8": TRAIN_CONFIG.encode() + b"# \xff\n",
         "learning_rate_nan": TRAIN_CONFIG.replace(
@@ -338,6 +362,8 @@ class TestPredict:
         "manifest_path_parent", "manifest_path_absolute", "manifest_path_nul",
         "manifest_path_shared", "manifest_field_200000", "model_twice",
         "record_trailing_garbage", "record_version_2", "manifest_row_5_fields",
+        "record_initial_tag_2", "record_changepoint_tag_2",
+        "record_changepoint_at_n", "record_samples_empty",
         "header_nested_100000", *HEADER_EDITS, *CHECKPOINT_REFUSALS])
     def test_hostile_files_are_data_errors(self, trained, tmp_path, capsys,
                                            case):
@@ -350,7 +376,9 @@ class TestPredict:
         leading out of the dataset directory or holding a NUL byte, two manifest rows naming
         one record file, a manifest field beyond the
         csv module's 131072-character limit, a manifest row with a fifth
-        field, a record of an unsupported version, or a checkpoint or record
+        field, a record of an unsupported version, with no samples, with a
+        rhythm tag other than 0 or 1 or with a changepoint at or past its
+        sample count, or a checkpoint or record
         with bytes after its last field exits 2 with a one-line data
         error: no traceback, MemoryError, OverflowError or internal
         error. A version-1 checkpoint or a negative batch-norm running
@@ -432,6 +460,8 @@ class TestPredict:
             manifest.write_text(text.replace(rel, path), encoding="utf-8")
         else:
             blob = bytearray(record.read_bytes())
+            (count,) = struct.unpack_from("<Q", blob, 16)
+            tail_at = 24 + 4 * count
             if case == "nan_sample":
                 struct.pack_into("<f", blob, 24, float("nan"))
             elif case == "sample_3e38":
@@ -440,6 +470,16 @@ class TestPredict:
                 struct.pack_into("<d", blob, 8, float("inf"))
             elif case == "record_version_2":
                 struct.pack_into("<I", blob, 4, 2)
+            elif case == "record_samples_empty":
+                blob[16:] = struct.pack("<Q", 0) + blob[tail_at:]
+            elif case == "record_initial_tag_2":
+                blob[tail_at] = 2
+            elif case.startswith("record_changepoint_"):
+                # The record has no changepoint; append one.
+                assert len(blob) == tail_at + 5
+                index, tag = (0, 2) if case.endswith("tag_2") else (count, 1)
+                struct.pack_into("<I", blob, tail_at + 1, 1)
+                blob += struct.pack("<QB", index, tag)
             else:
                 struct.pack_into("<Q", blob, 16, 2 ** int(case.split("**")[1]))
             record.write_bytes(bytes(blob))
@@ -455,15 +495,27 @@ class TestPredict:
             assert "trailing bytes after" in err, err
         if case == "record_version_2":
             assert f"{record}: unsupported record version 2" in err, err
+        if case == "record_samples_empty":
+            assert f"{record}: record {record.stem!r}: samples are empty" in err, err
+        if case == "record_initial_tag_2":
+            assert f"{record}: initial tag must be 0 or 1, got 2" in err, err
+        if case == "record_changepoint_tag_2":
+            assert f"{record}: changepoint tag must be 0 or 1, got 2" in err, err
+        if case == "record_changepoint_at_n":
+            assert (f"{record}: record {record.stem!r}: changepoint outside "
+                    f"[0, {count})") in err, err
         if case == "manifest_row_5_fields":
             assert "manifest.csv: malformed row ['no0000'," in err, err
         if case == "sample_3e38":
             assert f"record {record.stem!r}: sample magnitude 3e+38" in err, err
         if case == "rate_inf":
             assert "sampling rate must be finite and positive, got inf" in err, err
+        if case == "version_1":
+            assert (f"{model}: checkpoint format version 1 is not supported "
+                    "(expected 2); retrain") in err, err
+        if case in self.CHECKPOINT_REFUSALS[1:]:
+            assert "negative variance" in err, err
         if case in self.CHECKPOINT_REFUSALS:
-            assert ("retrain" if case == "version_1"
-                    else "negative variance") in err, err
             for argv in (["eval", "--keep-fraction", "0.9"],
                          ["density", "--id", record.stem, "--points", "11"]):
                 assert main([*argv, "--model", str(model), "--data", str(data),
@@ -516,12 +568,15 @@ class TestPredict:
             err = capsys.readouterr().err
             assert "'no0000': sample magnitude 1.1e+12 exceeds 1e+12" in err, err
 
-    def test_missing_checkpoint_is_corrupt(self, trained, tmp_path):
+    def test_missing_checkpoint_is_corrupt(self, trained, tmp_path, capsys):
+        """A file of another magic is refused naming the file."""
         root, data, _ = trained
         missing = tmp_path / "missing.bgc"
         missing.write_bytes(b"JUNKJUNKJUNK")
         assert main(["predict", "--model", str(missing), "--data", str(data),
                      "--out", str(tmp_path / "x.jsonl")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {missing}: not a checkpoint file (magic b'JUNK')\n")
 
 
 class TestEval:
