@@ -258,15 +258,20 @@ def beta_nll_batch(rows, targets, label_eps: float) -> tuple[float, list]:
 def beta_moments(p: BetaParams) -> tuple[float, float, float]:
     """(mean, second moment, variance) of one beta component, closed form."""
     a, b = p.alpha, p.beta
+    one = 1.0
+    if a + b == math.inf:
+        # Above 1.8e308 the sum itself overflows; halving a, b and the 1
+        # leaves every ratio below unchanged.
+        a, b, one = a / 2, b / 2, 0.5
     s = a + b
     mean = a / s
-    second_den = s * (s + 1.0)
+    second_den = s * (s + one)
     # Above s of about 1.3e154 the denominator overflows; the factored
     # form is the same ratio and stays finite there.
     if second_den < math.inf:
-        second = a * (a + 1.0) / second_den
+        second = a * (a + one) / second_den
     else:
-        second = mean * ((a + 1.0) / (s + 1.0))
+        second = mean * ((a + one) / (s + one))
     return mean, second, second - mean * mean
 
 

@@ -79,9 +79,15 @@ def _read_only(samples: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SignalRecord:
-    """One recording: samples, rate, target, optional rhythm annotation.
+    """One recording: samples, rate, target and rhythm annotation.
     A record compares and hashes by identity, as its array field cannot
     be compared as a truth value.
+
+    A record built without an annotation (`rhythm=None`) carries its
+    class's constant one, `RhythmAnnotation(hard_label(target))`, the
+    annotation its file stores, so it equals its own round trip through
+    `write_record` and `read_record`. The filled-in annotation is then
+    the record's own: `dataclasses.replace(r, target=...)` keeps it.
 
     `samples` is a read-only C-contiguous float32 array that the record
     owns. A writable array is copied, so its owner may go on writing into
@@ -104,6 +110,9 @@ class SignalRecord:
                            copy=None if owned else True)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+        if samples.ndim != 1:
+            raise ValueError(f"record {self.id!r}: samples must be 1-D, "
+                             f"got shape {samples.shape}")
         if samples.size == 0:
             raise ValueError(f"record {self.id!r}: samples are empty")
         # A NaN makes both extremes NaN, so the peak is NaN too.
@@ -118,13 +127,14 @@ class SignalRecord:
                              f"and positive, got {self.sampling_rate}")
         if not (0.0 <= self.target <= 1.0):
             raise ValueError(f"record {self.id!r}: target {self.target} outside [0,1]")
-        if self.rhythm is not None and self.rhythm.changepoints:
-            last = self.rhythm.changepoints[-1][0]
-            first = self.rhythm.changepoints[0][0]
-            if first < 0 or last >= samples.size:
-                raise ValueError(
-                    f"record {self.id!r}: changepoint outside [0, {samples.size})"
-                )
+        if self.rhythm is None:
+            object.__setattr__(self, "rhythm",
+                               RhythmAnnotation(hard_label(self.target)))
+        cps = self.rhythm.changepoints
+        if cps and (cps[0][0] < 0 or cps[-1][0] >= samples.size):
+            raise ValueError(
+                f"record {self.id!r}: changepoint outside [0, {samples.size})"
+            )
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -245,9 +255,10 @@ _CHANGEPOINT = struct.Struct("<QB")
 
 
 def write_record(path, record: SignalRecord) -> None:
+    """Write one record file, annotation included (a record built without
+    one carries its class's constant annotation, so that is what its file
+    stores)."""
     rhythm = record.rhythm
-    if rhythm is None:
-        rhythm = RhythmAnnotation(hard_label(record.target), ())
     with open(path, "wb") as fh:
         fh.write(_RECORD_HEAD.pack(RECORD_MAGIC, RECORD_VERSION,
                                    float(record.sampling_rate),
@@ -513,9 +524,9 @@ def sample_crop_batch(records: list[SignalRecord], batch_size: int,
 
 
 def soft_target_for_segment(r: SignalRecord, start: int, length: int) -> float:
-    """Fraction of samples in [start, start+length) whose rhythm tag is AF."""
-    if r.rhythm is None:
-        raise UsageError(f"record {r.id!r} has no rhythm annotation")
+    """Fraction of samples in [start, start+length) whose rhythm tag is AF.
+    A record built without an annotation has its class's constant one, so
+    every segment of it reads 0.0 or 1.0, as after a file round trip."""
     if length < 1 or start < 0 or start + length > len(r):
         raise UsageError(
             f"segment [{start}, {start + length}) outside record of length {len(r)}"
@@ -540,8 +551,7 @@ def _af_fraction(rhythm: RhythmAnnotation, n: int, start: int,
 def has_changepoint_crops(r: SignalRecord, crop_len: int) -> bool:
     """Whether the changepoint sampler can draw crop_len windows from r:
     it has annotated changepoints and is at least one crop long."""
-    return (r.rhythm is not None and bool(r.rhythm.changepoints)
-            and len(r) >= crop_len)
+    return bool(r.rhythm.changepoints) and len(r) >= crop_len
 
 
 def sample_changepoint_batch(records: list[SignalRecord], batch_size: int,
@@ -716,7 +726,6 @@ def synth_generate(n_per_class: int, crop_budget_s: float = 61.0,
                 sampling_rate=fs,
                 samples=_read_only(x.astype(np.float32)),
                 target=float(cls),
-                rhythm=RhythmAnnotation(cls, ()),
             ))
     return records
 

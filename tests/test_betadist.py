@@ -313,15 +313,17 @@ class TestMixtureSummary:
 
     @pytest.mark.parametrize("a, b", [(1e154, 1e154), (1e155, 1e155),
                                       (1e200, 1e200), (1e160, 1e100),
-                                      (1e300, 1.0)])
+                                      (1e300, 1.0), (1e308, 1e308),
+                                      (1.7e308, 1.7e308), (1.7e308, 1.0)])
     def test_huge_concentration_is_finite(self, a, b):
         """A component whose s * (s + 1) overflows still has a finite
         variance: (1e154, 1e154) raised a variance of -0.25, and the
-        others gave NaN."""
+        others gave NaN. Where a + b itself overflows, the mean is still
+        a / (a + b), not 0."""
         s = mixture_summary(BetaMixture((BetaParams(a, b),)))
         assert 0.0 <= s.variance <= 0.25
         assert 0.0 <= s.uncertainty <= 1.0
-        assert s.mean == pytest.approx(a / (a + b), rel=1e-15)
+        assert s.mean == pytest.approx(1.0 / (1.0 + b / a), rel=1e-15)
 
     def test_matches_mixture_quadrature(self, rng):
         """Mixture mean/variance against direct integration, 1e-6."""

@@ -54,3 +54,22 @@ def test_broken_records_are_named(tmp_path):
         f"its predicate gives {not run['criterion_6']!r}",
         "QUAL_x.json: change.summary is not summarize of its runs",
     ]
+
+
+def test_statistics_that_are_not_their_runs_are_named(tmp_path):
+    """A median or quartile edited by hand, or a run that is not a finite
+    number, is reported; a last-bit difference is not."""
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    bench = json.loads((ROOT / "BENCH_33.json").read_text(encoding="utf-8"))
+    tiny = bench["workloads"]["train_tiny"]
+    tiny["setup_s"]["parent"]["median"] *= 1.01
+    tiny["op_cost_p50"]["change"]["q3"] *= 1 + 2**-52
+    tiny["peak_rss_mb"]["change"]["runs"][0] = None
+    (tmp_path / "BENCH_x.json").write_text(json.dumps(bench), encoding="utf-8")
+
+    problems = check_records.bench_problems(tmp_path)
+    assert len(problems) == 2
+    assert problems[0].startswith(
+        "BENCH_x.json: train_tiny.setup_s parent median is ")
+    assert problems[1] == ("BENCH_x.json: train_tiny.peak_rss_mb change "
+                           "runs are not a list of two or more finite numbers")

@@ -18,6 +18,7 @@ from betamix.data import (
     ManifestEntry,
     RhythmAnnotation,
     SignalRecord,
+    has_changepoint_crops,
     load_dataset,
     orient_signal,
     pad_to_length,
@@ -154,6 +155,19 @@ class TestRecordIO:
     def test_sampling_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(ValueError, match="sampling rate must be finite and positive"):
             SignalRecord("r", rate, np.zeros(10, dtype=np.float32), 0.0)
+
+    @pytest.mark.parametrize("target", [1.5, -0.1, np.nan])
+    def test_target_must_lie_in_unit_interval(self, target):
+        with pytest.raises(ValueError, match=r"target .* outside \[0,1\]"):
+            SignalRecord("r", 100.0, np.zeros(10, dtype=np.float32), target)
+
+    @pytest.mark.parametrize("shape", [(2, 400), ()], ids=["2-D", "0-d"])
+    def test_samples_must_be_one_dimensional(self, shape):
+        """A 2-D array was taken as its flattened length, and a 0-d one as
+        one sample; predict then failed inside numpy."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"record 'r': samples must be 1-D, got shape {shape}")):
+            SignalRecord("r", 100.0, np.zeros(shape, dtype=np.float32), 0.0)
 
 
 class TestDatasetIO:
@@ -645,10 +659,24 @@ class TestSoftTargets:
             assert soft_target_for_segment(base, start, length) == \
                 soft_target_for_segment(refined, start, length)
 
-    def test_missing_annotation_rejected(self):
-        record = spike_record()
-        with pytest.raises(UsageError):
-            soft_target_for_segment(record, 0, 100)
+    @pytest.mark.parametrize("target", [0.0, 1.0, 0.3])
+    def test_unannotated_record_equals_its_round_trip(self, tmp_path, target):
+        """A record built without an annotation carries its class's
+        constant one, the annotation its file stores, so it reads the same
+        before and after a write and read."""
+        record = spike_record(target=target)
+        path = tmp_path / "r0.bgs"
+        write_record(path, record)
+        loaded = read_record(path, "r0", target)
+        cls = 1 if target >= 0.5 else 0
+        assert record.rhythm == loaded.rhythm == RhythmAnnotation(cls)
+        assert path.read_bytes().endswith(struct.pack("<BI", cls, 0))
+        for crop_len in (80, 400, 401):
+            assert not has_changepoint_crops(record, crop_len)
+            assert not has_changepoint_crops(loaded, crop_len)
+        for start, length in [(0, 400), (0, 100), (150, 1), (399, 1)]:
+            assert soft_target_for_segment(record, start, length) == \
+                soft_target_for_segment(loaded, start, length) == float(cls)
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(UsageError):
@@ -857,6 +885,10 @@ class TestSynthChangepoints:
     def test_negative_seed_rejected(self):
         with pytest.raises(UsageError):
             synth_generate_changepoints(2, seed=-1)
+
+    def test_no_records_rejected(self):
+        with pytest.raises(UsageError, match="n_records must be >= 1, got 0"):
+            synth_generate_changepoints(0)
 
 
 class TestPadToLength:

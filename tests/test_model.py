@@ -241,6 +241,14 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward(np.zeros((1, 1, 300), dtype=np.float32))
 
+    @pytest.mark.parametrize("shape", [(256,), (1, 256), (1, 2, 256),
+                                       (1, 1, 1, 256)])
+    def test_input_not_batch_by_one_channel_rejected(self, shape):
+        model = build_model("tiny", seed=1)
+        with pytest.raises(ValueError, match=r"expected input of shape "
+                                             r"\(batch, 1, length\)"):
+            model.forward(np.zeros(shape, dtype=np.float32))
+
 
 def give_block_statistics(block, rng):
     """Non-trivial running statistics, BN scales of both signs (channel 0

@@ -378,8 +378,17 @@ class TestConv1D:
         with pytest.raises(ValueError):
             layer.backward(np.zeros((1, 1, 4), dtype=np.float32))
 
+    def test_stride_below_one_rejected(self, rng):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            Conv1D(1, 1, 3, stride=0, rng=rng)
+
 
 class TestBatchNorm1D:
+    def test_wrong_channel_count_rejected(self):
+        layer = BatchNorm1D(2, name="bn")
+        with pytest.raises(ValueError, match="bn: expected 2 channels, got 3"):
+            layer.forward(np.zeros((1, 3, 4), dtype=np.float32), train=True)
+
     def test_infer_mode_identity_with_unit_stats(self):
         layer = BatchNorm1D(2)
         x = np.random.default_rng(0).normal(size=(3, 2, 5)).astype(np.float32)

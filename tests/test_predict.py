@@ -64,6 +64,12 @@ class TestDecomposeCrops:
         windows = decompose_crops(samples, 100)
         assert len(windows) == 3
 
+    @pytest.mark.parametrize("crop_len", [0, -1])
+    def test_crop_len_below_one_rejected(self, crop_len):
+        samples = record_of_length(40).samples
+        with pytest.raises(ValueError, match="crop_len must be >= 1"):
+            decompose_crops(samples, crop_len)
+
     def test_short_signal_padded(self):
         samples = record_of_length(40).samples
         windows = decompose_crops(samples, 100)

@@ -15,7 +15,11 @@ BENCHMARK.json fails. A record that claims a gain names a workload and
 end-to-end metric of BENCHMARK.json that the record itself reports, and
 its change median must beat its parent median in that metric's `better`
 direction. Every run a record reports must have been correct:
-`all_runs_correct` is true.
+`all_runs_correct` is true. Wherever a side holds its `runs`, its stated
+`median`, `q1` and `q3` must be those runs' median and inclusive
+quartiles (numpy.percentile's linear method), to 1e-12 relative, so a
+hand-edited statistic fails; beyond the two runs quartiles need, the
+number of runs is not checked.
 
 QUAL records: every committed desk-study record (root QUAL_*.json,
 written by tools/desk_study.py) holds a parent and a change side of 20
@@ -32,6 +36,7 @@ from __future__ import annotations
 import glob
 import json
 import math
+import statistics
 import sys
 from pathlib import Path
 
@@ -43,6 +48,22 @@ from desk import criterion_6, criterion_7, summarize  # noqa: E402
 
 def _load(root: Path, path: str):
     return json.loads((root / path).read_text(encoding="utf-8"))
+
+
+def _statistics_problems(where: str, stats: dict) -> list[str]:
+    """Where one side's stated median and quartiles are not its runs'."""
+    runs = stats["runs"]
+    if not (isinstance(runs, list) and len(runs) > 1 and all(
+            isinstance(v, (int, float)) and math.isfinite(v) for v in runs)):
+        return [f"{where} runs are not a list of two or more finite numbers"]
+    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    problems = []
+    for key, want in (("median", statistics.median(runs)), ("q1", q1), ("q3", q3)):
+        got = stats.get(key)
+        if not (isinstance(got, (int, float))
+                and math.isclose(got, want, rel_tol=1e-12)):
+            problems.append(f"{where} {key} is {got!r}, its runs give {want!r}")
+    return problems
 
 
 def bench_problems(root: Path) -> list[str]:
@@ -76,6 +97,12 @@ def bench_problems(root: Path) -> list[str]:
                         problems.append(f"{path}: {name}.{metric} has no finite {side} median")
                     else:
                         medians[name, metric, side] = value
+            for metric, entry in table.items():
+                for side in ("parent", "change"):
+                    stats = entry.get(side) if isinstance(entry, dict) else None
+                    if isinstance(stats, dict) and "runs" in stats:
+                        problems += _statistics_problems(
+                            f"{path}: {name}.{metric} {side}", stats)
         claim = record.get("claim")
         if claim:
             key = (claim.get("workload"), claim.get("metric"))
