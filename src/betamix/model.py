@@ -330,7 +330,10 @@ class Model:
         model's plan attribute once and publishes a new plan by one
         assignment, so concurrent infer-mode forwards are safe (two may
         each build an equal plan). Training, a train-mode forward plus its
-        backward, needs exclusive ownership of the model.
+        backward, needs exclusive ownership of the model. A train-mode
+        forward runs the network on a read-only copy of x, which the stem
+        conv keeps for the backward, so the caller may reuse x at once; it
+        allows one backward, which frees every layer's cache as it goes.
         """
         x = np.ascontiguousarray(np.asarray(x, dtype=self.dtype))
         if x.ndim != 3 or x.shape[1] != 1:
@@ -341,6 +344,10 @@ class Model:
                 f"length {self.spec.input_length}"
             )
         if train:
+            # The stem conv keeps its input array for the backward, so it
+            # gets a read-only copy that the caller cannot write.
+            x = x.copy()
+            x.flags.writeable = False
             return _walk(self.nodes, x, True)
         plan = self._infer_plan
         if plan is None or not plan.matches(self):

@@ -24,21 +24,35 @@ Conventions:
   - Activations are numpy arrays of shape (batch, channels, length),
     C-contiguous ("Tensor3" layout). The dense layer flattens internally.
   - Every layer derives from Layer. forward(x, train) keeps what backward
-    needs only when train is true; an infer-mode forward keeps nothing, and
-    a backward after it raises ValueError. backward(grad) returns the input
-    gradient (None from a conv built with input_grad=False) and
-    accumulates parameter gradients.
+    needs only when train is true; an infer-mode forward keeps nothing.
+    backward(grad) takes what its forward kept out of the layer, so that
+    memory is free once it returns, returns the input gradient (None from
+    a conv built with input_grad=False) and accumulates parameter
+    gradients. A backward after an infer-mode forward, or a second
+    backward after one train forward, raises ValueError.
+  - What a layer keeps may be the very array its train forward was given
+    (a conv, the global max pool, the dense layer and softplus keep their
+    input) or returned (a ReLU keeps its output, which the layer after it
+    keeps too), so a caller must not write into either until the layer's
+    backward has run. Model.forward hands the network a read-only copy of
+    the crops.
   - Convolution is cross-correlation (no kernel flip) with "same"
     padding only: the output length is ceil(length / stride), the zeros
     are split as evenly as possible with the extra element on the right.
-    The input is copied once into a zeroed padded buffer, and the windows
-    are a strided view over it.
+    The infer forward copies the input once into a zeroed padded buffer
+    and reads the windows as a strided view over it. The train passes
+    read the unpadded input in place, one tap at a time: the windows whose
+    tap j falls inside the input are one run of windows, and the input
+    positions they read one strided slice (tap_spans); every other
+    window reads a zero.
   - Training is chaotic, so the bits of the train-mode passes decide
     where a run ends up, and they are pinned. The train-mode conv forward
     is lane-major and runs over chunks of whole crops, each chunk's
     (out_ch, crops * out_len) accumulator at most CONV_CHUNK_ELEMS
-    elements. Per chunk it copies the chunk's windows once into columns
-    of shape (in_ch, kernel, crops * out_len), starts the accumulator at
+    elements. Per chunk it copies the chunk's windows into columns of
+    shape (in_ch, kernel, crops * out_len), one tap's run of windows at a
+    time straight from the input, and zero-fills only the columns of
+    windows that read padding. It starts the accumulator at
     the bias (at zero for a conv without one), adds one column times its
     kernel value at a time through one reused product buffer, input
     channel by input channel and tap by tap within each, and writes the
@@ -49,11 +63,12 @@ Conventions:
     is one matmul per crop for every tap followed by a col2im that adds
     the taps in order, run in the same crop chunks; its adds are pinned.
     The kernel gradient is one GEMM over the whole batch's windows
-    copied to (batch * out_len, in_ch * kernel) rows, the operand layout
-    np.tensordot builds, so its bits equal tensordot's and follow the
-    BLAS build. A conv built with input_grad=False (the network's stem,
-    which reads the network input) computes no input gradient, and its
-    backward returns None.
+    copied to (batch * out_len, in_ch * kernel) rows the same way, the
+    operand layout np.tensordot builds, so its bits equal tensordot's and
+    follow the BLAS build; the rows and the transposed output gradient
+    are dropped before the input gradient's products. A conv built with
+    input_grad=False (the network's stem, which reads the network input)
+    computes no input gradient, and its backward returns None.
   - The infer-mode forward is accurate to float32 rounding rather than
     pinned: the conv is one GEMM per crop and batch norm one affine pass,
     so its bits follow the BLAS build. On one build it is deterministic,
@@ -71,6 +86,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,6 +229,25 @@ def same_pad_amounts(length: int, kernel: int, stride: int) -> tuple[int, int, i
     return out_len, left, total - left
 
 
+@functools.lru_cache(maxsize=128)
+def tap_spans(length: int, kernel: int, stride: int):
+    """(out_len, spans) of the "same"-padded conv (same_pad_amounts) over
+    inputs of this length. Window i's tap j reads input position i *
+    stride + j - left; spans[j] is (lo, hi, src): the windows lo .. hi - 1
+    read tap j inside the input, at the positions the slice src selects,
+    and the other windows read padding. 0 <= lo <= hi <= out_len, and
+    lo == hi for a tap that no window reads inside the input. Cached: a
+    network asks for the same few geometries at every step."""
+    out_len, left, _ = same_pad_amounts(length, kernel, stride)
+    spans = []
+    for j in range(kernel):
+        lo = min(out_len, max(0, -(-(left - j) // stride)))
+        hi = max(lo, min(out_len, -(-(length + left - j) // stride)))
+        first = lo * stride + j - left
+        spans.append((lo, hi, slice(first, first + (hi - lo) * stride, stride)))
+    return out_len, tuple(spans)
+
+
 class Layer:
     """The contract every layer keeps.
 
@@ -220,9 +255,14 @@ class Layer:
     (output, cache) and _backward(grad_out, cache) -> input gradient;
     _forward may skip building the cache when train is false. forward keeps
     the cache only in train mode, so an infer-mode forward leaves nothing
-    behind and a backward after it raises. With DEBUG_FINITE_CHECKS set,
-    every forward and backward output is checked for NaN/inf (a backward
-    that returns None has none).
+    behind and a backward after it raises. backward takes the cache out of
+    the layer before _backward runs: a second backward raises too, and
+    the cache is freed when _backward returns, so during a network's
+    backward each layer's cache is gone before the layers below it run
+    theirs. A cache may hold the forward's input array itself; writing
+    into that array before the backward changes the gradients. With
+    DEBUG_FINITE_CHECKS set, every forward and backward output is checked
+    for NaN/inf (a backward that returns None has none).
     """
 
     _cache = None
@@ -245,10 +285,11 @@ class Layer:
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise ValueError(
                 f"{self.name}: backward requires a preceding train-mode forward")
-        dx = self._backward(grad_out, self._cache)
+        dx = self._backward(grad_out, cache)
         if DEBUG_FINITE_CHECKS and dx is not None and not np.isfinite(dx).all():
             raise FloatingPointError(f"non-finite gradient leaving {self.name}")
         return dx
@@ -275,16 +316,21 @@ class Conv1D(Layer):
     build. The train-mode forward lays the same windows out as (in_ch,
     kernel, crops * out_len) columns and sums them into the output in a
     fixed (input channel, tap) order, so its output is pinned bit for
-    bit. It runs over chunks of whole crops whose accumulator holds at
-    most CONV_CHUNK_ELEMS elements, so that the columns, the accumulator
-    and the one product buffer stay in L2 at the paper stem's (64, 8,
-    2048) output; each output element still takes the same operations in
-    the same order. The backward is two BLAS matrix products. The input
-    gradient is one matmul per crop, run in the same crop chunks, and
-    its col2im adds the taps in a fixed order, straight into the
-    unpadded gradient. The kernel gradient is np.tensordot's GEMM on the
-    same (batch * out_len, in_ch * kernel) operand, filled one tap at a
-    time, so its bits are tensordot's and follow the BLAS build.
+    bit. It fills the columns straight from the unpadded input, one tap's
+    run of windows at a time (tap_spans), with zeros for the windows that
+    read padding, and it keeps the input array itself, not a copy, for
+    the backward. It runs over chunks of whole crops whose accumulator
+    holds at most CONV_CHUNK_ELEMS elements, so that the columns, the
+    accumulator and the one product buffer stay in L2 at the paper stem's
+    (64, 8, 2048) output; each output element still takes the same
+    operations in the same order. The backward is two BLAS matrix
+    products. The kernel gradient is np.tensordot's GEMM on the same
+    (batch * out_len, in_ch * kernel) operand, filled from the kept input
+    one tap at a time, so its bits are tensordot's and follow the BLAS
+    build; that operand and the transposed output gradient are freed
+    before the input gradient is computed. The input gradient is one
+    matmul per crop, run in the same crop chunks, and its col2im adds the
+    taps in a fixed order, straight into the unpadded gradient.
 
     With input_grad=False the backward computes only the parameter
     gradients and returns None: a conv that reads the network input, as
@@ -328,13 +374,18 @@ class Conv1D(Layer):
         and at least one."""
         return max(1, CONV_CHUNK_ELEMS // (self.out_ch * out_len))
 
-    def _windows(self, x):
-        """(windows, length, left): the (batch, in_ch, out_len, kernel)
-        windows of x as a read-only strided view over a zero-padded copy,
-        window i, tap j reading padded position i * stride + j."""
+    def _input_shape(self, x):
+        """x's (batch, in_ch, length), after checking its channel count."""
         b, c, length = x.shape
         if c != self.in_ch:
             raise ValueError(f"{self.name}: expected {self.in_ch} channels, got {c}")
+        return b, c, length
+
+    def _windows(self, x):
+        """The (batch, in_ch, out_len, kernel) windows of x as a read-only
+        strided view over a zero-padded copy, window i, tap j reading
+        padded position i * stride + j."""
+        b, c, length = self._input_shape(x)
         kernel, stride = self.kernel_size, self.stride
         out_len, left, right = same_pad_amounts(length, kernel, stride)
         xp = np.zeros((b, c, left + length + right), dtype=x.dtype)
@@ -343,7 +394,7 @@ class Conv1D(Layer):
         windows = np.ndarray((b, c, out_len, kernel), xp.dtype, xp, 0,
                              (s0, s1, s2 * stride, s2))
         windows.flags.writeable = False
-        return windows, length, left
+        return windows
 
     def infer_gemm(self, x, matrix, bias):
         """The infer-mode forward with the given (out_ch, in_ch * kernel)
@@ -355,7 +406,7 @@ class Conv1D(Layer):
         fold the following batch norm in. Running it is an infer forward
         of this layer, so it drops any train cache."""
         self._cache = None
-        windows, _, _ = self._windows(x)
+        windows = self._windows(x)
         b, c, out_len, kernel = windows.shape
         cols = windows.transpose(0, 1, 3, 2).reshape(b, c * kernel, out_len)
         y = np.matmul(matrix, cols)
@@ -371,8 +422,9 @@ class Conv1D(Layer):
             bias = None if self.bias is None else self.bias.value
             return self.infer_gemm(x, self.weight.value.reshape(self.out_ch, -1),
                                    bias), None
-        windows, length, left = self._windows(x)
-        b, c, out_len, kernel = windows.shape
+        b, c, length = self._input_shape(x)
+        out_len, spans = tap_spans(length, self.kernel_size, self.stride)
+        kernel = self.kernel_size
         k = self.weight.value
         out_ch = self.out_ch
         start = 0 if self.bias is None else self.bias.value[:, None]
@@ -386,11 +438,11 @@ class Conv1D(Layer):
         acc_buf = np.empty(out_ch * n_max, dtype=x.dtype)
         prod_buf = np.empty(out_ch * n_max, dtype=x.dtype)
         for b0 in range(0, b, step):
-            chunk = windows[b0 : b0 + step]
-            crops = chunk.shape[0]
+            chunk = x[b0 : b0 + step].transpose(1, 0, 2)
+            crops = chunk.shape[1]
             n = crops * out_len
             cols = cols_buf[: c * kernel * n].reshape(c, kernel, crops, out_len)
-            cols[...] = chunk.transpose(1, 3, 0, 2)
+            _gather_taps(cols.transpose(1, 0, 2, 3), chunk, spans)
             cols = cols.reshape(c, kernel, n)
             acc = acc_buf[: out_ch * n].reshape(out_ch, n)
             prod = prod_buf[: out_ch * n].reshape(out_ch, n)
@@ -403,12 +455,12 @@ class Conv1D(Layer):
                     np.multiply(k[:, ci, j, None], cols[ci, j], out=prod)
                     acc += prod
             y[b0 : b0 + crops] = acc.reshape(out_ch, crops, out_len).transpose(1, 0, 2)
-        return y, (windows, length, left)
+        return y, x
 
-    def _backward(self, grad_out, cache):
-        windows, length, left = cache
-        b, in_ch, out_len, kernel = windows.shape
-        stride = self.stride
+    def _backward(self, grad_out, x):
+        b, in_ch, length = x.shape
+        out_len, spans = tap_spans(length, self.kernel_size, self.stride)
+        kernel = self.kernel_size
         if grad_out.shape != (b, self.out_ch, out_len):
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} does not "
                              f"match forward output {(b, self.out_ch, out_len)}")
@@ -417,12 +469,12 @@ class Conv1D(Layer):
         # dW: im2col into (b, out_len, in_ch, kernel) rows, filled one tap at
         # a time, and one GEMM over the batch and output positions. Both
         # operands are laid out as np.tensordot lays them out, so the GEMM
-        # returns tensordot's bits.
-        rows = np.empty((b, out_len, in_ch, kernel), dtype=windows.dtype)
-        for j in range(kernel):
-            rows[:, :, :, j] = windows[:, :, :, j].transpose(0, 2, 1)
+        # returns tensordot's bits. Both are dropped before the dX products.
+        rows = np.empty((b, out_len, in_ch, kernel), dtype=x.dtype)
+        _gather_taps(rows.transpose(3, 0, 2, 1), x, spans)
         g = grad_out.transpose(1, 0, 2).reshape(self.out_ch, b * out_len)
         dw = np.dot(g, rows.reshape(b * out_len, in_ch * kernel))
+        del rows, g
         self.weight.grad += dw.reshape(self.out_ch, in_ch, kernel)
         if not self.input_grad:
             return None
@@ -437,16 +489,25 @@ class Conv1D(Layer):
             cols = k.T @ grad_out[b0 : b0 + step]
             cols = cols.reshape(-1, in_ch, kernel, out_len)
             dx_chunk = dx[b0 : b0 + step]
-            for j in range(kernel):
-                # Window i's tap j read input position i*stride + j - left;
-                # the windows lo .. hi - 1 read positions inside the input.
-                lo = max(0, -(-(left - j) // stride))
-                hi = min(out_len, -(-(length + left - j) // stride))
+            for j, (lo, hi, src) in enumerate(spans):
                 if lo < hi:
-                    first = lo * stride + j - left
-                    dx_chunk[:, :, first : first + (hi - lo) * stride : stride] += \
-                        cols[:, :, j, lo:hi]
+                    dx_chunk[:, :, src] += cols[:, :, j, lo:hi]
         return dx
+
+
+def _gather_taps(taps, x, spans) -> None:
+    """Fill each tap's windows from x, for the train passes' im2col:
+    taps[j][..., i] becomes the value window i reads at tap j, the input
+    element that spans[j] (tap_spans) selects from x's last axis, or
+    zero where the window reads padding. Zeros are written only where a
+    span ends before an edge."""
+    for dest, (lo, hi, src) in zip(taps, spans):
+        if lo:
+            dest[..., :lo] = 0
+        if hi < dest.shape[-1]:
+            dest[..., hi:] = 0
+        if lo < hi:
+            dest[..., lo:hi] = x[..., src]
 
 
 # Every batch norm's running-statistics momentum and variance epsilon;
@@ -460,7 +521,11 @@ class BatchNorm1D(Layer):
     (Ioffe & Szegedy 2015).
 
     The train-mode output, running statistics and gradients are bit for
-    bit those of the np.mean / np.var formula. In infer mode the layer is
+    bit those of the np.mean / np.var formula. The train forward keeps the
+    normalized input x-hat and the per-channel 1 / std for the backward,
+    and writes its output into the buffer of the squared deviations it
+    has just summed, so it allocates two batch-sized arrays, not three.
+    In infer mode the layer is
     a fixed per-channel affine map, x * a + c with a = scale /
     sqrt(running_var + BN_EPS) and c = shift - running_mean * a, recomputed
     from the current parameters on every call and applied in one pass; it
@@ -504,13 +569,15 @@ class BatchNorm1D(Layer):
         n = b * length
         mean = x.mean(axis=(0, 2))
         xhat = x - mean[None, :, None]
-        var = np.square(xhat).sum(axis=(0, 2)) / n
+        squares = np.square(xhat)
+        var = squares.sum(axis=(0, 2)) / n
         m = BN_MOMENTUM
         self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
         self.running_var[...] = (1.0 - m) * self.running_var + m * var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std[None, :, None]
-        y = self.scale.value[None, :, None] * xhat
+        # The squares are spent, so their buffer takes the output.
+        y = np.multiply(self.scale.value[None, :, None], xhat, out=squares)
         y += self.shift.value[None, :, None]
         return y, (xhat, inv_std, n)
 
@@ -549,15 +616,21 @@ def pack_running_stats(bns: list[BatchNorm1D]) -> np.ndarray:
 
 
 class ReLU(Layer):
+    """max(x, 0). The gradient at exactly 0 is 0, so it flows where y > 0,
+    which is where x > 0 (a NaN fails both). The train forward keeps its
+    output y, not a mask: in the network the next layer keeps y as its
+    input anyway, so y > 0 is taken in the backward at no memory cost. A
+    caller must not write into y before the backward."""
+
     def __init__(self, name: str = "relu"):
         self.name = name
 
     def _forward(self, x, train):
-        # Gradient at exactly 0 is defined as 0, so the mask is strict.
-        return np.maximum(x, 0), (x > 0 if train else None)
+        y = np.maximum(x, 0)
+        return y, y
 
-    def _backward(self, grad_out, mask):
-        return grad_out * mask
+    def _backward(self, grad_out, y):
+        return grad_out * (y > 0)
 
 
 class MaxPool1D(Layer):

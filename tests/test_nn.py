@@ -26,6 +26,7 @@ from betamix.nn import (
     same_pad_amounts,
     sigmoid,
     softplus,
+    tap_spans,
     xavier_init,
 )
 from conftest import (
@@ -45,8 +46,23 @@ from conftest import (
 # case; the named ones are the edges of the train forward's (in_ch,
 # kernel, batch * out_len) column layout and the infer forward's per-crop
 # (in_ch * kernel, out_len) GEMM operand. "no-bias" is a conv built with
-# bias=False, as every conv that feeds a batch norm is.
+# bias=False, as every conv that feeds a batch norm is. The train passes
+# read the input in place, one tap's run of windows at a time (tap_spans),
+# so the "span" cases, each with and without a bias, put a run's end at
+# every edge: a tap that no window reads inside the input (an input
+# shorter than the kernel), one window, odd lengths at stride 2 and the
+# kernel-1 projection.
 FORWARD_CASE_ARGS = "batch,in_ch,out_ch,kernel,stride,length,dtype,bias"
+SPAN_CASES = [
+    ((2, 5, 1, 2), "shorter_than_kernel-empty_taps"),
+    ((2, 5, 2, 3), "shorter_than_kernel-2"),
+    ((2, 3, 1, 1), "len1"),
+    ((2, 5, 1, 1), "len1-k5"),
+    ((2, 3, 2, 5), "odd-2"),
+    ((1, 5, 2, 9), "odd-2-k5"),
+    ((3, 1, 2, 17), "projection-odd"),
+    ((3, 1, 2, 1), "projection-len1"),
+]
 FORWARD_CASES = [
     (2, 3, 4, 5, 1, 17, np.float32, True),
     (2, 3, 4, 5, 2, 17, np.float32, True),
@@ -59,10 +75,15 @@ FORWARD_CASES = [
     (64, 20, 20, 3, 1, 8, np.float32, True),
     (2, 3, 4, 5, 2, 17, np.float64, True),
     (4, 8, 12, 3, 2, 33, np.float32, False),
+    *[(3, in_ch, 4, kernel, stride, length, np.float32, bias)
+      for (in_ch, kernel, stride, length), _ in SPAN_CASES
+      for bias in (True, False)],
 ]
 FORWARD_CASE_IDS = ["1-same", "2-same", "3-same", "batch1", "out_len1-len1",
                     "out_len1-len2", "stem", "projection", "batch64-20ch",
-                    "float64", "no-bias"]
+                    "float64", "no-bias",
+                    *[f"span-{name}{suffix}" for _, name in SPAN_CASES
+                      for suffix in ("", "-no-bias")]]
 
 
 def conv_with_bias(in_ch, out_ch, kernel, stride, dtype, bias, rng):
@@ -281,8 +302,8 @@ class TestConv1D:
         """The train passes run over chunks of whole crops. With a chunk
         constant of three and a half crops' accumulators, seven crops run
         as chunks of 3, 3 and 1, and the forward still equals the naive
-        oracle, and dX, dW and the bias gradient the one-pass reference,
-        byte for byte."""
+        oracle, and dX, dW and the bias gradient the one-pass np.pad
+        reference, byte for byte."""
         import betamix.nn as nn_mod
         batch = 7
         out_len = -(-length // stride)
@@ -305,6 +326,37 @@ class TestConv1D:
         assert layer.weight.grad.tobytes() == expected_dw.tobytes()
         if bias:
             assert layer.bias.grad.tobytes() == expected_db.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_tap_spans_match_the_padded_windows(self, kernel, stride):
+        """For every length from 1 to 13, tap_spans names, for each tap,
+        exactly the windows whose read of that tap falls inside the input
+        and, in order, the input positions they read: window i, tap j reads
+        padded position i * stride + j, input position i * stride + j -
+        left."""
+        for length in range(1, 14):
+            out_len, left, _ = same_pad_amounts(length, kernel, stride)
+            got_len, spans = tap_spans(length, kernel, stride)
+            assert got_len == out_len and len(spans) == kernel
+            positions = np.arange(length)
+            for j, (lo, hi, src) in enumerate(spans):
+                inside = [i for i in range(out_len)
+                          if 0 <= i * stride + j - left < length]
+                assert 0 <= lo <= hi <= out_len
+                assert list(range(lo, hi)) == inside, (length, j)
+                assert list(positions[src]) == [i * stride + j - left
+                                                for i in inside], (length, j)
+
+    def test_train_forward_keeps_its_input_not_a_copy(self, rng):
+        """The train forward reads its input in place and keeps the array
+        itself for the backward, which releases it."""
+        layer = Conv1D(2, 3, 3, rng=rng)
+        x = rng.normal(size=(2, 2, 8)).astype(np.float32)
+        y = layer.forward(x, train=True)
+        assert layer._cache is x
+        layer.backward(np.ones_like(y))
+        assert layer._cache is None
 
     def test_same_pad_preserves_length(self, rng):
         for k in (1, 3, 5):
@@ -548,6 +600,32 @@ class TestBatchNorm1D:
             y = layer.forward(x, train=False)
             with pytest.raises(ValueError):
                 layer.backward(np.ones_like(y))
+
+    @pytest.mark.parametrize("case", range(9), ids=[
+        "conv", "batchnorm", "relu", "maxpool", "gpool", "dense", "softplus",
+        "block", "model"])
+    def test_second_backward_is_contract_violation(self, rng, case):
+        """A backward takes the cache its train forward kept, so a second
+        backward without a new train forward raises the ValueError of a
+        backward after an infer forward, and leaves the parameter
+        gradients as the first backward left them; it used to run again on
+        the old cache and add every parameter gradient a second time. A new
+        train forward makes the next backward legal again."""
+        block = ResidualBlock(2, 3, 3, 2, rng=rng, dtype=np.float32, name="b")
+        layer, shape = (one_of_each_layer(rng) + [
+            (block, (3, 2, 8)), (build_model("tiny", 0), (2, 1, 256))])[case]
+        params = ([p for sub in block.sublayers() for p in sub.params()]
+                  if layer is block else layer.params())
+        x = rng.normal(size=shape).astype(np.float32)
+        y = layer.forward(x, train=True)
+        layer.backward(np.ones_like(y))
+        grads = [p.grad.copy() for p in params]
+        with pytest.raises(ValueError, match="preceding train-mode forward"):
+            layer.backward(np.ones_like(y))
+        for p, g in zip(params, grads, strict=True):
+            assert p.grad.tobytes() == g.tobytes(), p.name
+        layer.forward(x, train=True)
+        layer.backward(np.ones_like(y))
 
 
 class TestReLU:
